@@ -18,24 +18,16 @@ import numpy as np
 from . import experiment as exp
 from .distances import distance_matrix
 from .errors import ConfigError, TreesegError, ValidationError
-from .evaluation import confusion as confusion_counts
-from .evaluation import evaluate_level, level_classes, map_to_level
+from .evaluation import evaluate_level, pool_nsd
 from .gating import ThresholdPolicy, default_grid, gate, sweep_tau
-from .hierarchy import EdgeWeightScheme, assign_weights, parse_tree
-from .synth import SynthConfig, generate, l1_normalize, load_corpus, make_folds, save_corpus, save_folds, train_view, write_field
-from .training import absorb_standardization, load_model, predict, save_model, train
-
-
-def _read_tree(path: str):
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"hierarchy file {path} does not exist")
-    return parse_tree(p.read_text())
+from .hierarchy import EdgeWeightScheme, assign_weights, parse_level, resolve_level
+from .synth import generate, load_corpus, make_folds, read_field, save_corpus, save_folds, synth_config_from_dict, write_field
+from .training import load_model, predict, save_model
 
 
 def cmd_tree_check(args) -> int:
     try:
-        tree = _read_tree(args.file)
+        tree = exp.read_tree(args.file)
     except ValidationError as e:
         print(f"INVALID: {e}")
         return 1
@@ -46,7 +38,7 @@ def cmd_tree_check(args) -> int:
 
 
 def cmd_tree_distmat(args) -> int:
-    tree = _read_tree(args.file)
+    tree = exp.read_tree(args.file)
     scheme = EdgeWeightScheme(args.scheme, kappa=args.kappa)
     m = distance_matrix(assign_weights(tree, scheme))
     names = tree.leaf_names()
@@ -61,117 +53,66 @@ def cmd_tree_distmat(args) -> int:
     return 0
 
 
-def _synth_config(args) -> SynthConfig:
-    data = json.loads(Path(args.config).read_text()) if args.config else {}
-    block = data.get("synth", data)
-    kwargs = dict(block)
-    if "tree_branching" in kwargs:
-        kwargs["tree_branching"] = tuple(kwargs["tree_branching"])
-    if "held_out" in kwargs:
-        kwargs["held_out"] = tuple(kwargs["held_out"])
-    cfg = SynthConfig(**kwargs)
-    # seed precedence: --seed flag > experiment-level seed > synth block seed
-    if "synth" in data and "seed" in data:
-        cfg = replace(cfg, seed=int(data["seed"]))
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    hierarchy = data.get("hierarchy")
-    if hierarchy:
-        if not Path(hierarchy).is_absolute():
-            hierarchy = str(Path(args.config).parent / hierarchy)
-        cfg = replace(cfg, tree=_read_tree(hierarchy))
-    return cfg
+def _config(args) -> exp.ExperimentConfig:
+    config = exp.load_config(args.config)
+    return config if args.seed is None else replace(config, seed=args.seed)
 
 
 def cmd_synth(args) -> int:
-    cfg = _synth_config(args)
-    corpus = generate(cfg)
+    data = json.loads(Path(args.config).read_text()) if args.config else {}
+    if "synth" in data:  # an experiment config: the corpus that `run` and `train` generate
+        config = _config(args)
+        corpus = generate(replace(config.synth, seed=config.seed))
+        folds = make_folds(corpus, config.n_subject_folds, config.n_label_folds)
+    else:  # a bare synth block
+        cfg = synth_config_from_dict(data)
+        corpus = generate(cfg if args.seed is None else replace(cfg, seed=args.seed))
+        folds = make_folds(corpus, 2)
     out = Path(args.out)
     save_corpus(corpus, out)
-    data = json.loads(Path(args.config).read_text()) if args.config else {}
-    folds = make_folds(corpus, int(data.get("n_subject_folds", 2)), int(data.get("n_label_folds", 1)))
     save_folds(folds, out / "folds.json")
     print(f"wrote {len(corpus.subjects)} subjects, {corpus.n_classes} classes to {out}")
     return 0
 
 
 def cmd_train(args) -> int:
-    config = exp.load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if config.corpus_path is not None:
-        corpus = load_corpus(config.corpus_path)
-    else:
-        corpus = generate(replace(config.synth, seed=config.seed))
-    folds = make_folds(corpus, config.n_subject_folds, config.n_label_folds)
-    fold = folds[config.fold_subset[0]] if config.fold_subset else folds[0]
-    raw = train_view(corpus, fold)
-    if config.preproc == "l1":
-        prep = l1_normalize
-    elif config.preproc == "standardize":
-        mu, sd = exp.fit_standardizer([f for f, _ in raw])
-        prep = lambda x: (x - mu) / sd
-    else:
-        prep = lambda x: x
-    data = [(prep(f), m) for f, m in raw]
-    params, trace = train(data, corpus.tree, config.loss, replace(config.train, seed=config.seed))
-    if config.preproc == "standardize":
-        params = absorb_standardization(params, mu, sd)
+    config = _config(args)
+    corpus = exp.build_corpus(config)
+    fold = exp.config_folds(corpus, config)[0]
+    params, trace = exp.fit(corpus, fold, config)
     save_model(params, args.out)
     print(f"trained fold {fold.index} for {len(trace)} epochs, final loss {trace[-1]:.6f}")
     print(f"model written to {args.out}")
     return 0
 
 
-def _corpus_probs(args):
-    corpus = load_corpus(args.corpus)
-    params = load_model(args.model)
-    prep = l1_normalize if args.l1 else (lambda x: x)
-    probs = [predict(params, prep(s.features)) for s in corpus.subjects]
-    return corpus, probs
-
-
-def _level_arg(tree, value: str) -> int:
-    if value == "leaf":
-        return 0
-    if value == "topmost":
-        return tree.levels - 1
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"level must be 'leaf', 'topmost' or an integer, got {value!r}") from None
-
-
 def cmd_gate(args) -> int:
-    corpus, probs = _corpus_probs(args)
-    level = _level_arg(corpus.tree, args.level)
+    corpus, params = load_corpus(args.corpus), load_model(args.model)
+    level = resolve_level(corpus.tree, args.level)
     policy = ThresholdPolicy(tau=args.tau, level=level)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for i, p in enumerate(probs):
-        field = gate(corpus.tree, p, policy)
+    for i, s in enumerate(corpus.subjects):
+        field = gate(corpus.tree, predict(params, s.features), policy)
         write_field(out / f"pred_s{i:03d}.bin", field.labels.astype(np.int64))
-    print(f"gated {len(probs)} subjects at level {level}, tau={args.tau:g} -> {out}")
+    print(f"gated {len(corpus.subjects)} subjects at level {level}, tau={args.tau:g} -> {out}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    corpus, probs = _corpus_probs(args)
-    level = _level_arg(corpus.tree, args.level)
+    corpus, params = load_corpus(args.corpus), load_model(args.model)
+    probs = [predict(params, s.features) for s in corpus.subjects]
     masks = [s.mask for s in corpus.subjects]
-    tau_m, curve = sweep_tau(corpus.tree, probs, masks, level, default_grid(args.grid_step))
-    text = exp._csv([list(r) for r in curve], ["tau", "tpr", "bacc", "f1"])
+    tau_m, curve = sweep_tau(corpus.tree, probs, masks, resolve_level(corpus.tree, args.level), default_grid(args.grid_step))
     out = Path(args.out) if args.out else Path("tau_curve.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text)
+    exp.write_tau_curve(curve, out)
     print(f"tau_m = {tau_m:g}")
     print(f"curve written to {out}")
     return 0
 
 
 def _load_preds(pred_dir: Path, n_subjects: int) -> list[np.ndarray]:
-    from .synth import read_field
-
     preds = []
     for i in range(n_subjects):
         path = pred_dir / f"pred_s{i:03d}.bin"
@@ -184,62 +125,32 @@ def _load_preds(pred_dir: Path, n_subjects: int) -> list[np.ndarray]:
 def cmd_eval(args) -> int:
     corpus = load_corpus(args.corpus)
     preds = _load_preds(Path(args.pred), len(corpus.subjects))
-    level = _level_arg(corpus.tree, args.level)
-    pooled_pred = np.concatenate([p.reshape(-1) for p in preds])
-    pooled_truth = np.concatenate([s.mask.reshape(-1) for s in corpus.subjects])
-    rep = evaluate_level(corpus.tree, pooled_pred, pooled_truth, level, nsd_tolerance=None)
+    masks = [s.mask for s in corpus.subjects]
+    level = resolve_level(corpus.tree, args.level)
+    rep = evaluate_level(corpus.tree, exp.pool_pixels(preds), exp.pool_pixels(masks), level)
     if args.tolerance is not None:
-        dense = all(np.all(s.truth > 0) for s in corpus.subjects)
-        if dense:
-            from .evaluation import nanmean_axis0, nsd_scores
-
-            per_subject = [
-                nsd_scores(map_to_level(corpus.tree, p, level), map_to_level(corpus.tree, s.truth, level), rep.classes, args.tolerance)
-                for p, s in zip(preds, corpus.subjects)
-            ]
-            rep.nsd = nanmean_axis0(np.stack(per_subject))
-            rep.nsd_tolerance = args.tolerance
+        pool_nsd(rep, corpus.tree, preds, masks, args.tolerance)
     out = Path(args.out) if args.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(json.dumps(rep.to_dict(), indent=2, sort_keys=True))
-    conf = confusion_counts(
-        [map_to_level(corpus.tree, pooled_pred, level)],
-        [map_to_level(corpus.tree, pooled_truth, level)],
-        level_classes(corpus.tree, level),
-        include_background=True,
-    )
-    _write_confusion_csv(corpus.tree, conf, out / "confusion.csv")
+    exp.write_confusion_csv(corpus.tree, level, [preds], [masks], out / "confusion.csv")
     print(json.dumps(rep.to_dict()["means"], indent=2, sort_keys=True))
     return 0
 
 
-def _write_confusion_csv(tree, conf, path: Path) -> None:
-    names = [tree.name_of(c - 1) if c else "background" for c in conf.classes]
-    rows = [[names[i]] + ["" if np.isnan(x) else f"{x:.10g}" for x in row] for i, row in enumerate(conf.averaged)]
-    path.write_text(exp._csv(rows, ["true\\pred"] + names))
-
-
 def cmd_confusion(args) -> int:
     corpus = load_corpus(args.corpus)
-    level = _level_arg(corpus.tree, args.level)
-    fold_preds, fold_truths = [], []
-    for pred_dir in args.pred:
-        preds = _load_preds(Path(pred_dir), len(corpus.subjects))
-        fold_preds.append(np.concatenate([map_to_level(corpus.tree, p, level).reshape(-1) for p in preds]))
-        fold_truths.append(np.concatenate([map_to_level(corpus.tree, s.mask, level).reshape(-1) for s in corpus.subjects]))
-    conf = confusion_counts(fold_preds, fold_truths, level_classes(corpus.tree, level), include_background=True)
+    masks = [s.mask for s in corpus.subjects]
+    fold_preds = [_load_preds(Path(d), len(corpus.subjects)) for d in args.pred]
     out = Path(args.out) if args.out else Path("confusion.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_confusion_csv(corpus.tree, conf, out)
+    exp.write_confusion_csv(corpus.tree, resolve_level(corpus.tree, args.level), fold_preds, [masks] * len(fold_preds), out)
     print(f"confusion written to {out}")
     return 0
 
 
 def cmd_run(args) -> int:
-    config = exp.load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    out = exp.run_experiment(config, args.out, jobs=args.jobs)
+    out = exp.run_experiment(_config(args), args.out, jobs=args.jobs)
     print((out / "report.txt").read_text(), end="")
     print(f"experiment written to {out}")
     return 0
@@ -284,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--level", default="topmost")
-    p.add_argument("--l1", action="store_true", help="l1-normalize features before prediction")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gate)
 
@@ -293,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--level", default="topmost")
     p.add_argument("--grid-step", type=float, default=0.01)
-    p.add_argument("--l1", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
 
@@ -330,6 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if hasattr(args, "level"):
+            args.level = parse_level(args.level)
         return args.func(args)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the config-key check.
 
 Validation-style errors (bad inputs, bad configs) all derive from
 ``ValidationError`` so the CLI can map them to exit code 1; everything
@@ -60,3 +60,12 @@ class DivergenceError(TreesegError):
     def __init__(self, epoch: int, message: str = ""):
         self.epoch = epoch
         super().__init__(message or f"non-finite loss at epoch {epoch}")
+
+
+def check_keys(block, allowed, name: str) -> None:
+    """Raise ConfigError unless ``block`` is a dict whose keys are all in ``allowed``."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"the {name} block must be a JSON object")
+    unknown = sorted(set(block) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in the {name} block")

@@ -255,6 +255,22 @@ def evaluate_level(
     )
 
 
+def pool_nsd(rep: EvalReport, tree: LabelTree, preds: list[np.ndarray], truths: list[np.ndarray], tolerance: float) -> None:
+    """Set ``rep.nsd`` to the per-subject NSD at ``rep.level``, averaged over subjects.
+
+    Surface distances need dense truth, so ``rep`` is left without NSD
+    unless every scored truth field is fully annotated.
+    """
+    if not all(np.all(t > 0) for t in truths):
+        return
+    per_subject = [
+        nsd_scores(map_to_level(tree, p, rep.level), map_to_level(tree, t, rep.level), rep.classes, tolerance)
+        for p, t in zip(preds, truths)
+    ]
+    rep.nsd = nanmean_axis0(np.stack(per_subject))
+    rep.nsd_tolerance = tolerance
+
+
 @dataclass
 class ConfusionTensor:
     """Per-fold raw-count confusion matrices plus the row-normalized average.

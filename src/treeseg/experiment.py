@@ -13,16 +13,16 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .distances import distance_matrix
-from .errors import ConfigError
-from .evaluation import EvalReport, confusion, evaluate_level, level_classes, map_to_level, nanmean_axis0, nsd_scores
+from .errors import ConfigError, check_keys
+from .evaluation import EvalReport, confusion, evaluate_level, level_classes, map_to_level, pool_nsd
 from .gating import ThresholdPolicy, default_grid, gate, sweep_tau
-from .hierarchy import EdgeWeightScheme, LabelTree, assign_weights, parse_tree
+from .hierarchy import EdgeWeightScheme, LabelTree, assign_weights, parse_level, parse_tree, resolve_level
 from .losses import LossSpec
 from .seeding import substream
 from .synth import (
@@ -34,11 +34,12 @@ from .synth import (
     load_corpus,
     make_folds,
     save_folds,
+    synth_config_from_dict,
     train_view,
     val_view,
     write_field,
 )
-from .training import TrainConfig, absorb_standardization, predict, train
+from .training import ModelParams, TrainConfig, absorb_standardization, predict, train
 
 # fixed yardstick for the tree distance of misclassified pixels, independent
 # of the loss used for training
@@ -61,7 +62,7 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     synth: SynthConfig | None = None
     corpus_path: str | None = None
-    gate_level: int | None = None  # None = topmost
+    gate_level: int | str = "topmost"
     tau: float | None = None  # fixed threshold; None = sweep on validation
     grid_step: float = 0.01
     eval_levels: tuple = ("leaf", "topmost")
@@ -77,9 +78,19 @@ class ExperimentConfig:
             raise ConfigError("config needs either a synth block or a corpus path")
         if self.preproc not in PREPROC_KINDS:
             raise ConfigError(f"preproc must be one of {PREPROC_KINDS}, got {self.preproc!r}")
+        self.gate_level = parse_level(self.gate_level)
+        self.eval_levels = tuple(parse_level(level) for level in self.eval_levels)
+
+
+def read_tree(path: Path | str) -> LabelTree:
+    """Parse a hierarchy file; a missing file is a ConfigError."""
+    if not Path(path).exists():
+        raise ConfigError(f"hierarchy file {path} does not exist")
+    return parse_tree(Path(path).read_text())
 
 
 def loss_spec_from_dict(d: dict) -> LossSpec:
+    check_keys(d, ("semantic", "scheme", "kappa", "seg", "alpha", "beta"), "loss")
     scheme = EdgeWeightScheme(d.get("scheme", "equal"), kappa=float(d.get("kappa", 10.0)))
     return LossSpec(
         semantic=d.get("semantic", "wass"),
@@ -91,41 +102,32 @@ def loss_spec_from_dict(d: dict) -> LossSpec:
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from the JSON config file layout."""
+    """Build an ExperimentConfig from the JSON config file layout; unknown block keys are rejected."""
     loss = loss_spec_from_dict(d.get("loss", {}))
-    train_cfg = TrainConfig(**d.get("train", {}))
-    synth_cfg = None
-    if "synth" in d:
-        synth_kwargs = dict(d["synth"])
-        if "tree_branching" in synth_kwargs:
-            synth_kwargs["tree_branching"] = tuple(synth_kwargs["tree_branching"])
-        if "held_out" in synth_kwargs:
-            synth_kwargs["held_out"] = tuple(synth_kwargs["held_out"])
-        synth_cfg = SynthConfig(**synth_kwargs)
-    hierarchy = d.get("hierarchy")
-    if hierarchy is not None:
-        path = Path(hierarchy)
-        if not path.exists():
-            raise ConfigError(f"hierarchy file {hierarchy} does not exist")
-        tree = parse_tree(path.read_text())
-        if synth_cfg is None:
+    train_block = d.get("train", {})
+    check_keys(train_block, {f.name for f in fields(TrainConfig)}, "train")
+    tree = None
+    if d.get("hierarchy") is not None:
+        if "synth" not in d:
             raise ConfigError("a hierarchy file requires a synth block to generate data for it")
-        synth_cfg = replace(synth_cfg, tree=tree)
+        tree = read_tree(d["hierarchy"])
     corpus_path = d.get("corpus")
     if corpus_path is not None and not Path(corpus_path).exists():
         raise ConfigError(f"corpus path {corpus_path} does not exist")
     gate_block = d.get("gate", {})
-    level = gate_block.get("level", "topmost")
+    check_keys(gate_block, ("level", "tau", "grid_step"), "gate")
+    eval_block = d.get("eval", {})
+    check_keys(eval_block, ("levels", "tolerance"), "eval")
     return ExperimentConfig(
         loss=loss,
-        train=train_cfg,
-        synth=synth_cfg,
+        train=TrainConfig(**train_block),
+        synth=synth_config_from_dict(d["synth"], tree) if "synth" in d else None,
         corpus_path=corpus_path,
-        gate_level=None if level in ("topmost", None) else int(level),
+        gate_level=gate_block.get("level", "topmost"),
         tau=gate_block.get("tau"),
         grid_step=float(gate_block.get("grid_step", 0.01)),
-        eval_levels=tuple(d.get("eval", {}).get("levels", ("leaf", "topmost"))),
-        nsd_tolerance=d.get("eval", {}).get("tolerance"),
+        eval_levels=tuple(eval_block.get("levels", ("leaf", "topmost"))),
+        nsd_tolerance=eval_block.get("tolerance"),
         preproc=d.get("preproc", "standardize"),
         n_subject_folds=int(d.get("n_subject_folds", 2)),
         n_label_folds=int(d.get("n_label_folds", 1)),
@@ -144,12 +146,38 @@ def load_config(path: Path | str) -> ExperimentConfig:
     return config_from_dict(data)
 
 
-def resolve_level(tree: LabelTree, spec) -> int:
-    if spec in ("leaf", 0):
-        return 0
-    if spec in ("topmost", None):
-        return tree.levels - 1
-    return int(spec)
+def build_corpus(config: ExperimentConfig) -> Corpus:
+    """The configured corpus: loaded from disk, or generated with the experiment seed."""
+    if config.corpus_path is not None:
+        return load_corpus(config.corpus_path)
+    return generate(replace(config.synth, seed=config.seed))
+
+
+def config_folds(corpus: Corpus, config: ExperimentConfig) -> list[FoldSpec]:
+    """The folds the config runs: all of them, or those named by fold_subset."""
+    folds = make_folds(corpus, config.n_subject_folds, config.n_label_folds)
+    return folds if config.fold_subset is None else [folds[i] for i in config.fold_subset]
+
+
+def fit(corpus: Corpus, fold: FoldSpec, config: ExperimentConfig) -> tuple[ModelParams, list[float]]:
+    """Train the fold's model; it predicts on raw features.
+
+    Standardization is fitted on the training pixels and absorbed into the
+    weights; l1 normalization is recorded in the model, which applies it
+    itself. Training is seeded per fold from the experiment seed.
+    """
+    data = train_view(corpus, fold)
+    if config.preproc == "standardize":
+        mu, sd = fit_standardizer([f for f, _ in data])
+        data = [((f - mu) / sd, m) for f, m in data]
+    elif config.preproc == "l1":
+        data = [(l1_normalize(f), m) for f, m in data]
+    seed = int(substream(config.seed, "train", fold.index).integers(2**31))
+    params, trace = train(data, corpus.tree, config.loss, replace(config.train, seed=seed))
+    if config.preproc == "standardize":
+        params = absorb_standardization(params, mu, sd)
+    params.preproc = "l1" if config.preproc == "l1" else "none"
+    return params, trace
 
 
 def loss_label(spec: LossSpec) -> str:
@@ -188,6 +216,32 @@ def _csv(rows: list[list], header: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def pool_pixels(fields: list[np.ndarray]) -> np.ndarray:
+    """Per-subject fields flattened and concatenated into one pixel vector."""
+    return np.concatenate([f.reshape(-1) for f in fields])
+
+
+def write_tau_curve(curve: np.ndarray, path: Path) -> None:
+    path.write_text(_csv([list(row) for row in curve], ["tau", "tpr", "bacc", "f1"]))
+
+
+def write_confusion_csv(tree: LabelTree, level: int, fold_preds: list, fold_truths: list, path: Path, fold_domains: list | None = None) -> None:
+    """Write the fold-averaged level confusion, background last, as CSV.
+
+    Each fold entry is a list of per-subject leaf-code fields.
+    """
+    conf = confusion(
+        [map_to_level(tree, pool_pixels(p), level) for p in fold_preds],
+        [map_to_level(tree, pool_pixels(t), level) for t in fold_truths],
+        level_classes(tree, level),
+        domains=None if fold_domains is None else [pool_pixels(d) for d in fold_domains],
+        include_background=True,
+    )
+    names = [tree.name_of(c - 1) if c else "background" for c in conf.classes]
+    rows = [[names[i]] + [x if not np.isnan(x) else "" for x in row] for i, row in enumerate(conf.averaged)]
+    path.write_text(_csv(rows, ["true\\pred"] + names))
+
+
 @dataclass
 class FoldResult:
     fold: FoldSpec
@@ -205,27 +259,15 @@ class FoldResult:
 
 def run_fold(corpus: Corpus, fold: FoldSpec, config: ExperimentConfig) -> FoldResult:
     tree = corpus.tree
-    raw_train = train_view(corpus, fold)
-    if config.preproc == "l1":
-        train_prep = infer_prep = l1_normalize
-    elif config.preproc == "standardize":
-        mu, sd = fit_standardizer([f for f, _ in raw_train])
-        train_prep = lambda x: (x - mu) / sd
-        infer_prep = lambda x: x  # standardization is folded into the model below
-    else:
-        train_prep = infer_prep = lambda x: x
-    train_data = [(train_prep(f), m) for f, m in raw_train]
-    train_cfg = replace(config.train, seed=int(substream(config.seed, "train", fold.index).integers(2**31)))
-    params, trace = train(train_data, tree, config.loss, train_cfg)
-    if config.preproc == "standardize":
-        params = absorb_standardization(params, mu, sd)
+    k = resolve_level(tree, config.gate_level)
+    eval_levels = [resolve_level(tree, level) for level in config.eval_levels]
+    params, trace = fit(corpus, fold, config)
 
-    val = [(infer_prep(f), t, d) for f, t, d in val_view(corpus, fold)]
+    val = val_view(corpus, fold)
     probs = [predict(params, f) for f, _, _ in val]
     truths = [t for _, t, _ in val]
     domains = [d for _, _, d in val]
 
-    k = resolve_level(tree, "topmost" if config.gate_level is None else config.gate_level)
     if config.tau is None:
         tau, curve = sweep_tau(tree, probs, truths, k, default_grid(config.grid_step))
         swept = True
@@ -234,26 +276,16 @@ def run_fold(corpus: Corpus, fold: FoldSpec, config: ExperimentConfig) -> FoldRe
     policy = ThresholdPolicy(tau=tau, level=k)
     preds = [gate(tree, p, policy).labels for p in probs]
 
-    pooled_pred = np.concatenate([p.reshape(-1) for p in preds])
-    pooled_truth = np.concatenate([t.reshape(-1) for t in truths])
-    pooled_domain = np.concatenate([d.reshape(-1) for d in domains])
-
+    pooled_pred, pooled_truth, pooled_domain = pool_pixels(preds), pool_pixels(truths), pool_pixels(domains)
     reports = {}
-    for level_spec in config.eval_levels:
-        level = resolve_level(tree, level_spec)
+    for level in eval_levels:
         rep = evaluate_level(tree, pooled_pred, pooled_truth, level, domain=pooled_domain)
-        if config.nsd_tolerance is not None and all(np.all(t > 0) for t in truths):
-            per_subject = [
-                nsd_scores(map_to_level(tree, p, level), map_to_level(tree, t, level), rep.classes, config.nsd_tolerance)
-                for p, t in zip(preds, truths)
-            ]
-            rep.nsd = nanmean_axis0(np.stack(per_subject))
-            rep.nsd_tolerance = config.nsd_tolerance
+        if config.nsd_tolerance is not None:
+            pool_nsd(rep, tree, preds, truths, config.nsd_tolerance)
         reports[level] = rep
 
     # ungated leaf argmax, for accuracy and the semantic distance of errors
-    raw_codes = [np.argmax(p, axis=-1) + 1 for p in probs]
-    pooled_raw = np.concatenate([r.reshape(-1) for r in raw_codes])
+    pooled_raw = pool_pixels([np.argmax(p, axis=-1) + 1 for p in probs])
     fg = pooled_domain & (pooled_truth > 0)
     leaf_acc = float(np.mean(pooled_raw[fg] == pooled_truth[fg])) if fg.any() else float("nan")
     m_err = distance_matrix(assign_weights(tree, ERROR_METRIC_SCHEME))
@@ -306,13 +338,8 @@ def run_experiment(config: ExperimentConfig, out: Path | str, jobs: int = 1) -> 
     """Run the full pipeline and write reports; returns the output directory."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    if config.corpus_path is not None:
-        corpus = load_corpus(config.corpus_path)
-    else:
-        corpus = generate(replace(config.synth, seed=config.seed))
-    folds = make_folds(corpus, config.n_subject_folds, config.n_label_folds)
-    if config.fold_subset is not None:
-        folds = [folds[i] for i in config.fold_subset]
+    corpus = build_corpus(config)
+    folds = config_folds(corpus, config)
     save_folds(folds, out / "folds.json")
 
     if jobs > 1:
@@ -326,21 +353,12 @@ def run_experiment(config: ExperimentConfig, out: Path | str, jobs: int = 1) -> 
         fold_dir = out / f"fold_{res.fold.index:03d}"
         fold_dir.mkdir(exist_ok=True)
         if res.curve is not None:
-            fold_dir.joinpath("tau_curve.csv").write_text(_csv([list(row) for row in res.curve], ["tau", "tpr", "bacc", "f1"]))
+            write_tau_curve(res.curve, fold_dir / "tau_curve.csv")
         for subject, pred in zip(res.fold.val_subjects, res.pred_codes):
             write_field(fold_dir / f"pred_s{subject:03d}.bin", pred.astype(np.int64))
 
-    top = tree.levels - 1
-    conf = confusion(
-        [np.concatenate([map_to_level(tree, p, top).reshape(-1) for p in r.pred_codes]) for r in results],
-        [np.concatenate([map_to_level(tree, t, top).reshape(-1) for t in r.truths]) for r in results],
-        level_classes(tree, top),
-        domains=[np.concatenate([d.reshape(-1) for d in r.domains]) for r in results],
-        include_background=True,
-    )
-    names = [tree.name_of(c - 1) if c else "background" for c in conf.classes]
-    conf_rows = [[names[i]] + [x if not np.isnan(x) else "" for x in row] for i, row in enumerate(conf.averaged)]
-    (out / "confusion.csv").write_text(_csv(conf_rows, ["true\\pred"] + names))
+    fold_preds, fold_truths, fold_domains = zip(*[(r.pred_codes, r.truths, r.domains) for r in results])
+    write_confusion_csv(tree, tree.levels - 1, fold_preds, fold_truths, out / "confusion.csv", fold_domains)
 
     levels_present = sorted({level for r in results for level in r.reports})
     means: dict = {"levels": {}}

@@ -15,23 +15,24 @@ import numpy as np
 
 from .errors import ConfigError
 from .evaluation import ovr_scores
-from .hierarchy import LabelTree, leaf_level_map, level_nodes
+from .hierarchy import LabelTree, leaf_level_map, level_nodes, parse_level, resolve_level
 from .losses import aggregate
 
 
 @dataclass(frozen=True)
 class ThresholdPolicy:
-    """Gating threshold tau applied at a hierarchy level (None = topmost)."""
+    """Gating threshold tau applied at a hierarchy level ("leaf", "topmost" or an index)."""
 
     tau: float
-    level: int | None = None
+    level: int | str = "topmost"
 
     def __post_init__(self):
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigError(f"tau must be in [0, 1], got {self.tau}")
+        object.__setattr__(self, "level", parse_level(self.level))
 
     def resolve_level(self, tree: LabelTree) -> int:
-        return tree.levels - 1 if self.level is None else self.level
+        return resolve_level(tree, self.level)
 
 
 @dataclass

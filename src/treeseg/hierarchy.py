@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ParseError, RangeError, StructureError, WeightError
+from .errors import ConfigError, ParseError, RangeError, StructureError, WeightError
 
 WEIGHT_SCHEMES = ("top", "leaf", "equal", "hier")
 
@@ -321,6 +321,29 @@ def adjacency(tree: LabelTree) -> np.ndarray:
 def level_of_band(tree: LabelTree, v: int) -> int:
     """Distance-to-root band of v: root children sit at band K-1."""
     return tree.levels - tree.depth[v]
+
+
+def parse_level(value) -> int | str:
+    """Check a level spelling from a config or the command line: "leaf",
+    "topmost" or an integer (also as text); ``resolve_level`` maps it onto a tree."""
+    if value in ("leaf", "topmost"):
+        return value
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"level must be 'leaf', 'topmost' or an integer, got {value!r}")
+
+
+def resolve_level(tree: LabelTree, level: int | str) -> int:
+    """Level index on ``tree`` of a parsed level: leaf is 0, topmost K-1."""
+    k = 0 if level == "leaf" else tree.levels - 1 if level == "topmost" else level
+    if not 0 <= k <= tree.levels - 1:
+        raise RangeError(f"level {k} out of range [0, {tree.levels - 1}]")
+    return k
 
 
 def level_nodes(tree: LabelTree, k: int) -> set[int]:

@@ -14,12 +14,12 @@ cannot change the output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, check_keys
 from .hierarchy import LabelTree, parse_tree, random_tree, serialize
 from .seeding import substream
 
@@ -53,6 +53,16 @@ class SynthConfig:
         d = asdict(self)
         d["tree"] = None if self.tree is None else self.tree.to_dict()
         return d
+
+
+def synth_config_from_dict(block: dict, tree: LabelTree | None = None) -> SynthConfig:
+    """SynthConfig from a JSON synth block: lists become tuples, unknown keys are rejected."""
+    check_keys(block, {f.name for f in fields(SynthConfig)} - {"tree"}, "synth")
+    kwargs = dict(block)
+    for key in ("tree_branching", "held_out"):
+        if key in kwargs:
+            kwargs[key] = tuple(kwargs[key])
+    return SynthConfig(tree=tree, **kwargs)
 
 
 @dataclass
@@ -235,16 +245,20 @@ def write_field(path: Path, arr: np.ndarray) -> None:
 
 
 def read_field(path: Path) -> np.ndarray:
+    """Read a field file: features come back as (H, W, d), label fields as (H, W)."""
+    features = path.name.startswith("features")
     with open(path, "rb") as f:
-        header = f.readline().decode("ascii").split()
-        if len(header) != 3:
-            raise ParseError(f"{path}: malformed field header")
-        h, w, d = (int(x) for x in header)
-        kind = "<f8" if path.name.startswith("features") else "<i8"
-        arr = np.frombuffer(f.read(), dtype=kind)
-    if arr.size != h * w * d:
-        raise ParseError(f"{path}: payload size {arr.size} != {h}*{w}*{d}")
-    return arr.reshape((h, w, d) if d > 1 else (h, w)).copy()
+        try:
+            h, w, d = (int(x) for x in f.readline().decode("ascii").split())
+        except ValueError:
+            raise ParseError(f"{path}: malformed field header") from None
+        payload = f.read()
+    if min(h, w, d) < 1 or (d != 1 and not features):
+        raise ParseError(f"{path}: bad field shape {h}*{w}*{d}")
+    if len(payload) != 8 * h * w * d:
+        raise ParseError(f"{path}: payload of {len(payload)} bytes != 8*{h}*{w}*{d}")
+    arr = np.frombuffer(payload, dtype="<f8" if features else "<i8")
+    return arr.reshape((h, w, d) if features else (h, w)).copy()
 
 
 def save_corpus(corpus: Corpus, root: Path | str) -> Path:
@@ -266,10 +280,7 @@ def save_corpus(corpus: Corpus, root: Path | str) -> Path:
 def load_corpus(root: Path | str) -> Corpus:
     root = Path(root)
     tree = parse_tree((root / "hierarchy.json").read_text())
-    meta = json.loads((root / "corpus.json").read_text())
-    meta["tree_branching"] = tuple(meta.get("tree_branching", (2, 3)))
-    meta["held_out"] = tuple(meta.get("held_out", ()))
-    config = SynthConfig(tree=tree, **meta)
+    config = synth_config_from_dict(json.loads((root / "corpus.json").read_text()), tree)
     subjects = []
     for d in sorted(root.glob("s[0-9][0-9][0-9]")):
         subjects.append(

@@ -10,18 +10,20 @@ hold bitwise by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, EmptyMaskError, ShapeError
+from .errors import ConfigError, DivergenceError, EmptyMaskError, ParseError, ShapeError
 from .hierarchy import LabelTree
 from .losses import LossSpec, make_loss, softmax
 from .seeding import substream
+from .synth import l1_normalize
 
 MODEL_KINDS = ("linear", "mlp")
+MODEL_PREPROC = ("none", "l1")  # what predict applies to raw features first
 
 
 @dataclass
@@ -55,10 +57,15 @@ class TrainConfig:
 
 @dataclass
 class ModelParams:
-    """Flat parameter container; ``arrays`` order is fixed per model kind."""
+    """Flat parameter container; ``arrays`` order is fixed per model kind.
+
+    ``preproc`` is the per-pixel preprocessing the model applies to raw
+    features itself; standardization is absorbed into the weights instead.
+    """
 
     kind: str
     arrays: list[np.ndarray]  # linear: [W(d,C), b(C)]; mlp: [W1(d,h), b1(h), W2(h,C), b2(C)]
+    preproc: str = "none"  # one of MODEL_PREPROC
 
     @property
     def in_dim(self) -> int:
@@ -69,7 +76,7 @@ class ModelParams:
         return self.arrays[-1].shape[0]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.kind, [a.copy() for a in self.arrays])
+        return replace(self, arrays=[a.copy() for a in self.arrays])
 
 
 def init_params(kind: str, in_dim: int, n_classes: int, hidden: int, rng: np.random.Generator) -> ModelParams:
@@ -119,10 +126,12 @@ def absorb_standardization(params: ModelParams, mu: np.ndarray, sd: np.ndarray) 
 
 
 def predict(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Per-pixel softmax leaf probabilities, same leading shape as the input."""
+    """Per-pixel softmax leaf probabilities of raw features, same leading shape as the input."""
     features = np.asarray(features, dtype=float)
     if features.shape[-1] != params.in_dim:
         raise ShapeError(f"model expects {params.in_dim} channels, got {features.shape[-1]}")
+    if params.preproc == "l1":
+        features = l1_normalize(features)
     flat = features.reshape(-1, params.in_dim)
     logits, _ = _forward(params, flat)
     return softmax(logits).reshape(*features.shape[:-1], params.n_classes)
@@ -215,39 +224,34 @@ def train(
 
 # --- model file format ------------------------------------------------------
 #
-# ASCII header line "kind d C [hidden]\n" followed by the parameter arrays
-# in fixed order, float64 little-endian.
+# ASCII header line "kind d C [hidden] preproc\n" followed by the parameter
+# arrays in fixed order, float64 little-endian.
 
 
 def save_model(params: ModelParams, path: Path | str) -> None:
+    dims = [params.in_dim, params.n_classes] + ([params.arrays[0].shape[1]] if params.kind == "mlp" else [])
     with open(path, "wb") as f:
-        if params.kind == "linear":
-            f.write(f"linear {params.in_dim} {params.n_classes}\n".encode("ascii"))
-        else:
-            f.write(f"mlp {params.in_dim} {params.n_classes} {params.arrays[0].shape[1]}\n".encode("ascii"))
+        f.write(" ".join(map(str, [params.kind, *dims, params.preproc])).encode("ascii") + b"\n")
         for a in params.arrays:
             f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
 def load_model(path: Path | str) -> ModelParams:
     with open(path, "rb") as f:
-        parts = f.readline().decode("ascii").split()
-        kind = parts[0]
-        if kind == "linear":
-            d, c = int(parts[1]), int(parts[2])
-            shapes = [(d, c), (c,)]
-        elif kind == "mlp":
-            d, c, h = int(parts[1]), int(parts[2]), int(parts[3])
-            shapes = [(d, h), (h,), (h, c), (c,)]
-        else:
-            raise ShapeError(f"unknown model kind {kind!r}")
-        payload = np.frombuffer(f.read(), dtype="<f8")
-    arrays = []
-    offset = 0
-    for shape in shapes:
-        size = int(np.prod(shape))
-        arrays.append(payload[offset : offset + size].reshape(shape).copy())
-        offset += size
-    if offset != payload.size:
-        raise ShapeError(f"{path}: payload size {payload.size} != expected {offset}")
-    return ModelParams(kind, arrays)
+        try:
+            kind, *dims, preproc = f.readline().decode("ascii").split()
+            dims = [int(x) for x in dims]
+        except ValueError:
+            raise ParseError(f"{path}: malformed model header") from None
+        payload = f.read()
+    if kind not in MODEL_KINDS:
+        raise ShapeError(f"unknown model kind {kind!r}")
+    if len(dims) != (2 if kind == "linear" else 3) or min(dims) < 1 or preproc not in MODEL_PREPROC:
+        raise ParseError(f"{path}: model header must read 'kind d C [hidden] preproc', preproc one of {MODEL_PREPROC}")
+    d, c, *h = dims
+    shapes = [(d, c), (c,)] if kind == "linear" else [(d, *h), (*h,), (*h, c), (c,)]
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    if len(payload) != 8 * sum(sizes):
+        raise ShapeError(f"{path}: payload of {len(payload)} bytes != expected {8 * sum(sizes)}")
+    arrays = np.split(np.frombuffer(payload, dtype="<f8"), np.cumsum(sizes)[:-1])
+    return ModelParams(kind, [a.reshape(shape).copy() for a, shape in zip(arrays, shapes)], preproc)

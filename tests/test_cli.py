@@ -73,12 +73,12 @@ class TestPipelineCommands:
         assert model.exists()
 
         curve = tmp_path / "curve.csv"
-        assert main(["sweep", "--corpus", str(corpus_dir), "--model", str(model), "--l1", "--grid-step", "0.1", "--out", str(curve)]) == 0
+        assert main(["sweep", "--corpus", str(corpus_dir), "--model", str(model), "--grid-step", "0.1", "--out", str(curve)]) == 0
         assert curve.read_text().startswith("tau,tpr,bacc,f1")
         assert "tau_m" in capsys.readouterr().out
 
         preds = tmp_path / "preds"
-        assert main(["gate", "--corpus", str(corpus_dir), "--model", str(model), "--tau", "0.3", "--l1", "--out", str(preds)]) == 0
+        assert main(["gate", "--corpus", str(corpus_dir), "--model", str(model), "--tau", "0.3", "--out", str(preds)]) == 0
         assert (preds / "pred_s003.bin").exists()
 
         evald = tmp_path / "evald"
@@ -204,3 +204,110 @@ class TestRunAndCompare:
         ra = json.loads((a / "report.json").read_text())
         rb = json.loads((b / "report.json").read_text())
         assert ra["corpus"]["fingerprint"] != rb["corpus"]["fingerprint"]
+
+
+def _write_config(tmp_path, name, **changes):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(dict(EXP_CONFIG, **changes)))
+    return path
+
+
+class TestLevelSpelling:
+    def test_leaf_gate_level_matches_level_zero(self, tmp_path):
+        manifests = []
+        for name, level in (("leaf", "leaf"), ("zero", 0)):
+            path = _write_config(tmp_path, name, gate={"level": level})
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+            manifests.append((tmp_path / name / "manifest.json").read_text())
+        assert manifests[0] == manifests[1]
+
+    @pytest.mark.parametrize("block", [{"gate": {"level": "junk"}}, {"eval": {"levels": ["leaf", "junk"]}}])
+    def test_junk_level_fails_before_training(self, tmp_path, monkeypatch, capsys, block):
+        import treeseg.experiment
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(treeseg.experiment, "train", no_training)
+        path = _write_config(tmp_path, "junk", **block)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "'junk'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "block, key",
+    [
+        ({"synth": dict(EXP_CONFIG["synth"], n_subject=4)}, "n_subject"),
+        ({"train": {"epoch": 3}}, "epoch"),
+        ({"loss": dict(EXP_CONFIG["loss"], alhpa=0.5)}, "alhpa"),
+        ({"gate": {"leve": "leaf"}}, "leve"),
+        ({"eval": {"level": ["leaf"]}}, "level"),
+    ],
+)
+def test_unknown_config_key_exits_one(tmp_path, capsys, block, key):
+    path = _write_config(tmp_path, "bad", **block)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert f"unknown key '{key}'" in capsys.readouterr().err
+
+
+def test_truncated_model_file_exits_one(exp_file, tmp_path):
+    corpus_dir, model = tmp_path / "corpus", tmp_path / "model.bin"
+    assert main(["synth", "--config", str(exp_file), "--out", str(corpus_dir)]) == 0
+    assert main(["train", "--config", str(exp_file), "--out", str(model)]) == 0
+    model.write_bytes(model.read_bytes()[:-3])
+    assert main(["gate", "--corpus", str(corpus_dir), "--model", str(model), "--tau", "0.3", "--out", str(tmp_path / "p")]) == 1
+
+
+@pytest.mark.parametrize("preproc", ["standardize", "l1"])
+def test_train_and_gate_reproduce_run_fold_zero(tmp_path, preproc):
+    path = _write_config(tmp_path, "exp", preproc=preproc)
+    run_dir, corpus_dir, model, preds = tmp_path / "run", tmp_path / "corpus", tmp_path / "model.bin", tmp_path / "preds"
+    assert main(["run", "--config", str(path), "--out", str(run_dir)]) == 0
+    fold = json.loads((run_dir / "report.json").read_text())["folds"][0]
+    assert main(["synth", "--config", str(path), "--out", str(corpus_dir)]) == 0
+    assert main(["train", "--config", str(path), "--out", str(model)]) == 0
+    assert main(["gate", "--corpus", str(corpus_dir), "--model", str(model), "--tau", repr(fold["tau"]), "--out", str(preds)]) == 0
+    for s in fold["val_subjects"]:
+        name = f"pred_s{s:03d}.bin"
+        assert (preds / name).read_bytes() == (run_dir / "fold_000" / name).read_bytes(), name
+
+
+class TestEvalTolerance:
+    def _gate(self, tmp_path, path):
+        corpus_dir, model, preds = tmp_path / "corpus", tmp_path / "model.bin", tmp_path / "preds"
+        assert main(["synth", "--config", str(path), "--out", str(corpus_dir)]) == 0
+        assert main(["train", "--config", str(path), "--out", str(model)]) == 0
+        assert main(["gate", "--corpus", str(corpus_dir), "--model", str(model), "--tau", "0.3", "--out", str(preds)]) == 0
+        return corpus_dir, preds
+
+    def test_sparse_corpus_reports_no_nsd(self, exp_file, tmp_path):
+        corpus_dir, preds = self._gate(tmp_path, exp_file)
+        out = tmp_path / "evald"
+        assert main(["eval", "--corpus", str(corpus_dir), "--pred", str(preds), "--tolerance", "2", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["means"]["nsd"] is None and report["nsd_tolerance"] is None
+
+    def test_dense_corpus_reports_the_nsd_of_run(self, tmp_path):
+        synth = dict(EXP_CONFIG["synth"], sparsity=1.0)
+        path = _write_config(tmp_path, "dense", synth=synth, eval={"levels": ["leaf", "topmost"], "tolerance": 2})
+        run_dir = tmp_path / "run"
+        assert main(["run", "--config", str(path), "--out", str(run_dir)]) == 0
+        fold = json.loads((run_dir / "report.json").read_text())["folds"][0]
+        corpus_dir, _ = self._gate(tmp_path, path)
+        # a corpus of fold 0's validation subjects, with run's predictions for them
+        sub, preds = tmp_path / "val_corpus", tmp_path / "val_preds"
+        sub.mkdir()
+        preds.mkdir()
+        for name in ("hierarchy.json", "corpus.json"):
+            (sub / name).write_bytes((corpus_dir / name).read_bytes())
+        for i, s in enumerate(fold["val_subjects"]):
+            (corpus_dir / f"s{s:03d}").rename(sub / f"s{i:03d}")
+            (run_dir / "fold_000" / f"pred_s{s:03d}.bin").rename(preds / f"pred_s{i:03d}.bin")
+        for level_name, level in (("leaf", "0"), ("topmost", max(fold["levels"], key=int))):
+            out = tmp_path / f"eval_{level_name}"
+            assert main(["eval", "--corpus", str(sub), "--pred", str(preds), "--level", level_name, "--tolerance", "2", "--out", str(out)]) == 0
+            report = json.loads((out / "report.json").read_text())
+            assert report["means"]["nsd"] is not None
+            assert report["per_class"]["nsd"] == fold["levels"][level]["per_class"]["nsd"]
+            assert report["means"]["nsd"] == fold["levels"][level]["means"]["nsd"]

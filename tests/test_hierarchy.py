@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeseg.errors import ParseError, RangeError, StructureError, WeightError
+from treeseg.errors import ConfigError, ParseError, RangeError, StructureError, WeightError
 from treeseg.hierarchy import (
     EdgeWeightScheme,
     adjacency,
     assign_weights,
     level_nodes,
+    parse_level,
     parse_tree,
     random_tree,
+    resolve_level,
     serialize,
 )
 
@@ -262,6 +264,26 @@ class TestLevels:
             members = level_nodes(t, k)
             for leaf in range(t.n_leaves):
                 assert sum(1 for v in t.ancestors(leaf) if v in members) == 1
+
+
+class TestLevelSpelling:
+    @pytest.mark.parametrize("value, parsed", [("leaf", "leaf"), ("topmost", "topmost"), (1, 1), (np.int64(1), 1), ("1", 1), (-3, -3)])
+    def test_parse_accepts(self, value, parsed):
+        assert parse_level(value) == parsed
+
+    @pytest.mark.parametrize("value", ["junk", "", 1.0, True, None, [0]])
+    def test_parse_rejects(self, value):
+        with pytest.raises(ConfigError):
+            parse_level(value)
+
+    def test_resolve(self, three_leaf_tree):
+        t = three_leaf_tree
+        assert [resolve_level(t, v) for v in ("leaf", "topmost", 1, 0)] == [0, t.levels - 1, 1, 0]
+
+    @pytest.mark.parametrize("level", [-1, 2])
+    def test_resolve_out_of_range(self, three_leaf_tree, level):
+        with pytest.raises(RangeError):
+            resolve_level(three_leaf_tree, level)
 
 
 def test_random_tree_is_deterministic():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from treeseg.distances import distance_matrix
-from treeseg.errors import ConfigError
+from treeseg.errors import ConfigError, ParseError
 from treeseg.hierarchy import EdgeWeightScheme, assign_weights
 from treeseg.synth import (
     SynthConfig,
@@ -179,6 +179,26 @@ class TestDiskFormat:
         back = read_field(tmp_path / "labels.bin")
         assert back.dtype.kind == "i"
         assert np.array_equal(back, labels)
+
+    def test_one_channel_features_keep_their_channel_axis(self, tmp_path, rng):
+        feats = rng.random((8, 8, 1))
+        write_field(tmp_path / "features.bin", feats)
+        assert read_field(tmp_path / "features.bin").shape == (8, 8, 1)
+        corpus = generate(SynthConfig(**dict(SMALL, channels=1)))
+        loaded = load_corpus(save_corpus(corpus, tmp_path / "corpus"))
+        assert loaded.subjects[0].features.shape == (20, 20, 1)
+
+    @pytest.mark.parametrize("header", [b"4 x 1\n", b"4 6\n", b"4 6 1 1\n", b"0 6 1\n", b"\xff\n"])
+    def test_bad_header_is_parse_error(self, tmp_path, header):
+        (tmp_path / "labels.bin").write_bytes(header + bytes(8 * 24))
+        with pytest.raises(ParseError):
+            read_field(tmp_path / "labels.bin")
+
+    def test_truncated_payload_is_parse_error(self, tmp_path):
+        write_field(tmp_path / "labels.bin", np.zeros((4, 6), dtype=int))
+        (tmp_path / "labels.bin").write_bytes((tmp_path / "labels.bin").read_bytes()[:-3])
+        with pytest.raises(ParseError):
+            read_field(tmp_path / "labels.bin")
 
     def test_header_line(self, tmp_path):
         write_field(tmp_path / "labels.bin", np.zeros((4, 6), dtype=int))

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from treeseg.errors import ConfigError, DivergenceError, ShapeError
+from treeseg.errors import ConfigError, DivergenceError, ParseError, ShapeError
 from treeseg.hierarchy import EdgeWeightScheme
 from treeseg.losses import LossSpec, make_loss, seg_loss_ce
 from treeseg.seeding import substream
-from treeseg.synth import SynthConfig, generate
+from treeseg.synth import SynthConfig, generate, l1_normalize
 from treeseg.training import (
     ModelParams,
     TrainConfig,
@@ -183,3 +183,33 @@ class TestModelIO:
         assert loaded.kind == kind
         for a, b in zip(params.arrays, loaded.arrays):
             assert np.array_equal(a, b)
+
+    def test_round_trip_keeps_preproc(self, tmp_path, rng):
+        params = init_params("linear", 5, 7, 4, rng)
+        params.preproc = "l1"
+        save_model(params, tmp_path / "model.bin")
+        assert load_model(tmp_path / "model.bin").preproc == "l1"
+
+    def test_truncated_payload_is_shape_error(self, tmp_path, rng):
+        save_model(init_params("mlp", 5, 7, 4, rng), tmp_path / "model.bin")
+        data = (tmp_path / "model.bin").read_bytes()
+        for cut in (3, 8):
+            (tmp_path / "cut.bin").write_bytes(data[:-cut])
+            with pytest.raises(ShapeError):
+                load_model(tmp_path / "cut.bin")
+
+    @pytest.mark.parametrize("header", [b"linear 5 7\n", b"linear 5 7 standardize\n", b"mlp 5 7 4\n", b"linear 5 x none\n", b"\n"])
+    def test_bad_header_is_parse_error(self, tmp_path, rng, header):
+        save_model(init_params("linear", 5, 7, 4, rng), tmp_path / "model.bin")
+        payload = (tmp_path / "model.bin").read_bytes().split(b"\n", 1)[1]
+        (tmp_path / "bad.bin").write_bytes(header + payload)
+        with pytest.raises(ParseError):
+            load_model(tmp_path / "bad.bin")
+
+
+def test_l1_model_normalizes_raw_features(rng):
+    params = init_params("linear", 4, 6, 8, rng)
+    feats = rng.random((5, 5, 4)) * 7.0
+    plain = predict(params, l1_normalize(feats))
+    params.preproc = "l1"
+    assert np.array_equal(predict(params, feats), plain)

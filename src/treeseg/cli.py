@@ -59,7 +59,7 @@ def _config(args) -> exp.ExperimentConfig:
 
 
 def cmd_synth(args) -> int:
-    data = json.loads(Path(args.config).read_text()) if args.config else {}
+    data = exp.read_config_json(args.config) if args.config else {}
     if "synth" in data:  # an experiment config: the corpus that `run` and `train` generate
         config = _config(args)
         corpus = generate(replace(config.synth, seed=config.seed))

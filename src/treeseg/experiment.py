@@ -80,6 +80,14 @@ class ExperimentConfig:
             raise ConfigError(f"preproc must be one of {PREPROC_KINDS}, got {self.preproc!r}")
         self.gate_level = parse_level(self.gate_level)
         self.eval_levels = tuple(parse_level(level) for level in self.eval_levels)
+        if self.fold_subset is not None:
+            n_folds = self.n_subject_folds * self.n_label_folds
+            if not isinstance(self.fold_subset, (list, tuple)):
+                raise ConfigError("fold_subset must be a list of fold indices")
+            for i in self.fold_subset:
+                if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < n_folds:
+                    raise ConfigError(f"fold_subset index {i!r} is outside 0..{n_folds - 1}")
+            self.fold_subset = tuple(self.fold_subset)
 
 
 def read_tree(path: Path | str) -> LabelTree:
@@ -131,15 +139,26 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         preproc=d.get("preproc", "standardize"),
         n_subject_folds=int(d.get("n_subject_folds", 2)),
         n_label_folds=int(d.get("n_label_folds", 1)),
-        fold_subset=tuple(d["fold_subset"]) if "fold_subset" in d else None,
+        fold_subset=d.get("fold_subset"),
         seed=int(d.get("seed", 0)),
     )
+
+
+def read_config_json(path: Path | str) -> dict:
+    """The JSON object a config file holds; malformed JSON or another value is a ConfigError."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as e:  # JSONDecodeError, or a file that is not text
+        raise ConfigError(f"{path}: malformed config JSON: {e}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: a config file must hold a JSON object")
+    return data
 
 
 def load_config(path: Path | str) -> ExperimentConfig:
     """Load a config file; relative file references resolve against it."""
     path = Path(path)
-    data = json.loads(path.read_text())
+    data = read_config_json(path)
     for key in ("hierarchy", "corpus"):
         if isinstance(data.get(key), str) and not Path(data[key]).is_absolute():
             data[key] = str(path.parent / data[key])

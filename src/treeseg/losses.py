@@ -14,6 +14,11 @@ The semantic losses are the label-space Wasserstein loss (closed form
 ``p^T M g`` for crisp ground truth) and the tree-weighted cross-entropy
 over aggregated node probabilities; both can be compounded with a generic
 segmentation loss as ``alpha * semantic + beta * seg``.
+
+Each term has one kernel that reads a validated batch (``_Batch``) with
+its softmax already taken. The public functions run one kernel on one
+batch; a compound runs both kernels on the same batch, and ``make_loss``
+compiles the tree into the kernels' arrays once.
 """
 
 from __future__ import annotations
@@ -59,38 +64,68 @@ class LossSpec:
             raise ConfigError("seg='none' is only valid with the tree-weighted CE")
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
+def _shifted(logits: np.ndarray) -> np.ndarray:
     z = np.asarray(logits, dtype=float)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return z - z.max(axis=-1, keepdims=True)
+
+
+def _exp_normalize(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax of shifted logits ``z``, computed in z's own buffer; returns it and the row sums."""
+    p = np.exp(z, out=z)
+    s = p.sum(axis=-1, keepdims=True)
+    p /= s
+    return p, s
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    return _exp_normalize(_shifted(logits))[0]
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits, dtype=float)
-    z = z - z.max(axis=-1, keepdims=True)
+    z = _shifted(logits)
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def _flatten(logits: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-    logits = np.asarray(logits, dtype=float)
-    target = np.asarray(target)
-    shape = logits.shape
-    flat = logits.reshape(-1, shape[-1])
-    t = target.reshape(-1)
-    if t.shape[0] != flat.shape[0]:
-        raise LabelError(f"target has {t.shape[0]} pixels, logits have {flat.shape[0]}")
-    return flat, t, shape
+class _Batch:
+    """One validated loss call: the annotated rows, their true leaves and one shared softmax.
 
+    Every term reads the softmax ``p``, its row sums ``s`` and the true
+    leaf's shifted logit from here, and returns its gradient on the
+    annotated rows only; ``scatter`` places it back.
+    """
 
-def _annotated(target: np.ndarray, n_classes: int) -> np.ndarray:
-    if target.size and (target.min() < 0 or target.max() > n_classes):
-        bad = target[(target < 0) | (target > n_classes)][0]
-        raise LabelError(f"class code {bad} outside 0..{n_classes}")
-    idx = np.flatnonzero(target > 0)
-    if idx.size == 0:
-        raise EmptyMaskError("no annotated pixels")
-    return idx
+    def __init__(self, logits: np.ndarray, target: np.ndarray, n_classes: int):
+        logits = np.asarray(logits, dtype=float)
+        self.shape = logits.shape
+        flat = logits.reshape(-1, self.shape[-1])
+        t = np.asarray(target).reshape(-1)
+        if t.shape[0] != flat.shape[0]:
+            raise LabelError(f"target has {t.shape[0]} pixels, logits have {flat.shape[0]}")
+        if flat.shape[1] != n_classes:
+            raise LabelError(f"expected {n_classes} logit columns, got {flat.shape[1]}")
+        if t.size and (t.min() < 0 or t.max() > n_classes):
+            bad = t[(t < 0) | (t > n_classes)][0]
+            raise LabelError(f"class code {bad} outside 0..{n_classes}")
+        idx = np.flatnonzero(t > 0)
+        if idx.size == 0:
+            raise EmptyMaskError("no annotated pixels")
+        self.n_pixels, self.n = t.size, idx.size
+        # fully annotated (every training batch): no gather and no scatter
+        self.idx = None if idx.size == t.size else idx
+        x = np.ascontiguousarray(flat) if self.idx is None else flat[idx]
+        self.leaf = (t if self.idx is None else t[idx]) - 1
+        self.rows = np.arange(self.n)
+        z = _shifted(x)
+        self.z_true = z[self.rows, self.leaf]
+        self.p, self.s = _exp_normalize(z)
+
+    def scatter(self, rows: np.ndarray) -> np.ndarray:
+        """A gradient on the annotated rows, in the logits' shape; unannotated rows are zero."""
+        if self.idx is not None:
+            full = np.zeros((self.n_pixels, rows.shape[1]))
+            full[self.idx] = rows
+            rows = full
+        return rows.reshape(self.shape)
 
 
 def ancestor_matrix(tree: LabelTree) -> np.ndarray:
@@ -109,6 +144,22 @@ def edge_weight_vector(tree: LabelTree) -> np.ndarray:
     return w
 
 
+def _aggregation_plan(tree: LabelTree) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(node, children) of every inner node, children before parents."""
+    return tuple((v, tuple(tree.nodes[v].children)) for v in tree.deepest_first() if tree.nodes[v].children)
+
+
+def _sum_up(p: np.ndarray, plan: tuple, n_nodes: int) -> np.ndarray:
+    """(n, C) leaf probabilities -> (n, N) subtree masses, summing children into parents."""
+    out = np.zeros((p.shape[0], n_nodes))
+    out[:, : p.shape[1]] = p
+    for v, kids in plan:
+        out[:, v] = out[:, kids[0]]
+        for c in kids[1:]:
+            out[:, v] += out[:, c]
+    return out
+
+
 def aggregate(tree: LabelTree, probs: np.ndarray) -> np.ndarray:
     """Extend leaf probabilities to all nodes by one leaf-to-root pass.
 
@@ -123,22 +174,123 @@ def aggregate(tree: LabelTree, probs: np.ndarray) -> np.ndarray:
         raise NormalizationError(f"expected {tree.n_leaves} leaf columns, got {p.shape[1]}")
     if np.any(p < -1e-9) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-9):
         raise NormalizationError("rows must be probability vectors over the leaves")
-    out = np.zeros((p.shape[0], tree.n_nodes))
-    out[:, : tree.n_leaves] = p
-    for v in tree.deepest_first():
-        kids = tree.nodes[v].children
-        if kids:
-            acc = out[:, kids[0]].copy()
-            for c in kids[1:]:
-                acc += out[:, c]
-            out[:, v] = acc
-    return out.reshape(*lead, tree.n_nodes)
+    return _sum_up(p, _aggregation_plan(tree), tree.n_nodes).reshape(*lead, tree.n_nodes)
 
 
 def _chain_softmax(p: np.ndarray, dldp: np.ndarray) -> np.ndarray:
-    """Push a gradient w.r.t. probabilities through the softmax Jacobian."""
+    """Push a gradient w.r.t. probabilities through the softmax Jacobian, in dldp's buffer."""
     inner = np.sum(p * dldp, axis=1, keepdims=True)
-    return p * (dldp - inner)
+    dldp -= inner
+    dldp *= p
+    return dldp
+
+
+# --- term kernels: (batch) -> (loss, gradient on the annotated rows) ---------
+
+
+class _Wasserstein:
+    """Closed-form label-space Wasserstein term over a fixed ground metric."""
+
+    def __init__(self, m: np.ndarray):
+        m = np.asarray(m, dtype=float)
+        self.n_classes = m.shape[0]
+        self.mt = np.ascontiguousarray(m.T)  # mt[g] = M[:, g], a contiguous row per true leaf
+
+    def __call__(self, b: _Batch) -> tuple[float, np.ndarray]:
+        cols = self.mt[b.leaf]  # (n, C): distance of every leaf to the true leaf
+        per = np.sum(b.p * cols, axis=1)  # the per-pixel loss is also the softmax chain's inner product
+        loss = float(per.mean())
+        cols -= per[:, None]
+        cols *= b.p
+        cols /= b.n
+        return loss, cols
+
+
+class _TreeCE:
+    """Tree-weighted CE term over a weighted tree compiled into arrays."""
+
+    def __init__(self, tree: LabelTree):
+        self.n_classes = tree.n_leaves
+        self.u = ancestor_matrix(tree)
+        # chains[g] = w * u[:, g]: the true leaf's ancestor chain, weighted per edge
+        self.chains = np.ascontiguousarray(self.u.T) * edge_weight_vector(tree)
+        self.plan = _aggregation_plan(tree)
+
+    def __call__(self, b: _Batch) -> tuple[float, np.ndarray]:
+        node_p = _sum_up(b.p, self.plan, self.u.shape[0])
+        contrib = self.chains[b.leaf]  # (n, N)
+        live = node_p > LOG_GUARD
+        clamped = np.maximum(node_p, LOG_GUARD, out=node_p)
+        inv = np.divide(1.0, clamped, out=np.zeros_like(clamped), where=live)
+        logp = np.log(clamped, out=clamped)
+        logp *= contrib
+        loss = float(-logp.sum(axis=1).mean())
+        inv *= contrib
+        dldp = np.negative(inv, out=inv) @ self.u  # (n, C)
+        grad = _chain_softmax(b.p, dldp)
+        grad /= b.n
+        return loss, grad
+
+
+def _ce(b: _Batch) -> tuple[float, np.ndarray]:
+    loss = float(-(b.z_true - np.log(b.s[:, 0])).mean())
+    grad = b.p.copy()
+    grad[b.rows, b.leaf] -= 1.0
+    grad /= b.n
+    return loss, grad
+
+
+def _dice(b: _Batch) -> tuple[float, np.ndarray]:
+    if b.idx is not None:
+        raise ConfigError("soft Dice requires a dense target (no unannotated pixels)")
+    p = b.p
+    onehot = np.zeros_like(p)
+    onehot[b.rows, b.leaf] = 1.0
+    num = 2.0 * np.sum(p * onehot, axis=0) + DICE_SMOOTH
+    den = p.sum(axis=0) + onehot.sum(axis=0) + DICE_SMOOTH
+    loss = float(np.mean(1.0 - num / den))
+    # d(1 - num_c/den_c)/dp_ic = -(2 g_ic den_c - num_c) / den_c^2, averaged over classes
+    dldp = -(2.0 * onehot * den - num) / (den * den) / p.shape[1]
+    return loss, _chain_softmax(p, dldp)
+
+
+def _one_term(term, n_classes: int, logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    b = _Batch(logits, target, n_classes)
+    loss, grad = term(b)
+    return loss, b.scatter(grad)
+
+
+def _compound(
+    spec: LossSpec, semantic: _Wasserstein | _TreeCE, logits: np.ndarray, target: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """alpha * semantic + beta * seg on one batch and one softmax.
+
+    The arithmetic is that of summing the separate terms, so the result is
+    the same to the bit; ``alpha == 0`` (the plain-CE baseline) skips the
+    semantic term, whose products would all be zero.
+    """
+    b = _Batch(logits, target, semantic.n_classes)
+    loss, grad = 0.0, None
+    if spec.alpha:
+        sem, grad = semantic(b)
+        loss = spec.alpha * sem
+        grad *= spec.alpha
+    if spec.seg != "none":
+        seg, seg_grad = _ce(b)
+        if spec.seg == "dice_ce":
+            dc, dc_grad = _dice(b)
+            seg = seg + dc
+            seg_grad += dc_grad
+        seg_grad *= spec.beta
+        loss += spec.beta * seg
+        if grad is None:
+            grad = seg_grad
+        else:
+            grad += seg_grad
+    return loss, b.scatter(np.zeros_like(b.p) if grad is None else grad)
+
+
+# --- public entry points ------------------------------------------------------
 
 
 def wasserstein_crisp(m: np.ndarray, logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -148,30 +300,13 @@ def wasserstein_crisp(m: np.ndarray, logits: np.ndarray, target: np.ndarray) -> 
     expected tree distance between the prediction and the true leaf;
     averaged over annotated pixels.
     """
-    flat, t, shape = _flatten(logits, target)
-    m = np.asarray(m, dtype=float)
-    idx = _annotated(t, m.shape[0])
-    p = softmax(flat[idx])
-    cols = m[:, t[idx] - 1].T  # (n, C): distance of every leaf to the true leaf
-    per_pixel = np.sum(p * cols, axis=1)
-    loss = float(per_pixel.mean())
-    grad = np.zeros_like(flat)
-    grad[idx] = _chain_softmax(p, cols) / idx.size
-    return loss, grad.reshape(shape)
+    term = _Wasserstein(m)
+    return _one_term(term, term.n_classes, logits, target)
 
 
 def seg_loss_ce(logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Standard softmax cross-entropy over annotated pixels."""
-    flat, t, shape = _flatten(logits, target)
-    idx = _annotated(t, flat.shape[1])
-    logp = log_softmax(flat[idx])
-    rows = np.arange(idx.size)
-    loss = float(-logp[rows, t[idx] - 1].mean())
-    grad = np.zeros_like(flat)
-    g = softmax(flat[idx])
-    g[rows, t[idx] - 1] -= 1.0
-    grad[idx] = g / idx.size
-    return loss, grad.reshape(shape)
+    return _one_term(_ce, np.shape(logits)[-1], logits, target)
 
 
 def seg_loss_dice(logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -180,22 +315,7 @@ def seg_loss_dice(logits: np.ndarray, target: np.ndarray) -> tuple[float, np.nda
     Per class: 1 - (2 sum(p*g) + eps) / (sum(p) + sum(g) + eps), with the
     sums running over all pixels.
     """
-    flat, t, shape = _flatten(logits, target)
-    n_classes = flat.shape[1]
-    if t.size and (t.min() < 0 or t.max() > n_classes):
-        raise LabelError(f"class code outside 0..{n_classes}")
-    if np.any(t == 0):
-        raise ConfigError("soft Dice requires a dense target (no unannotated pixels)")
-    p = softmax(flat)
-    onehot = np.zeros_like(p)
-    onehot[np.arange(t.size), t - 1] = 1.0
-    num = 2.0 * np.sum(p * onehot, axis=0) + DICE_SMOOTH
-    den = p.sum(axis=0) + onehot.sum(axis=0) + DICE_SMOOTH
-    loss = float(np.mean(1.0 - num / den))
-    # d(1 - num_c/den_c)/dp_ic = -(2 g_ic den_c - num_c) / den_c^2, averaged over classes
-    dldp = -(2.0 * onehot * den - num) / (den * den) / n_classes
-    grad = _chain_softmax(p, dldp)
-    return loss, grad.reshape(shape)
+    return _one_term(_dice, np.shape(logits)[-1], logits, target)
 
 
 def tree_weighted_ce(tree: LabelTree, logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -205,39 +325,8 @@ def tree_weighted_ce(tree: LabelTree, logits: np.ndarray, target: np.ndarray) ->
     the aggregated probability of a node is the mass of its subtree. With
     unit weights on leaf edges and zero elsewhere this is the standard CE.
     """
-    flat, t, shape = _flatten(logits, target)
-    if flat.shape[1] != tree.n_leaves:
-        raise LabelError(f"expected {tree.n_leaves} logit columns, got {flat.shape[1]}")
-    idx = _annotated(t, tree.n_leaves)
-    u = ancestor_matrix(tree)
-    w = edge_weight_vector(tree)
-    p = softmax(flat[idx])
-    node_p = aggregate(tree, p)
-    anc = u[:, t[idx] - 1].T  # (n, N) indicator of the true leaf's ancestor chain
-    contrib = w[None, :] * anc
-    loss = float(-(contrib * np.log(np.maximum(node_p, LOG_GUARD))).sum(axis=1).mean())
-    inv = np.where(node_p > LOG_GUARD, 1.0 / np.maximum(node_p, LOG_GUARD), 0.0)
-    dldp = -(contrib * inv) @ u  # (n, C)
-    grad = np.zeros_like(flat)
-    grad[idx] = _chain_softmax(p, dldp) / idx.size
-    return loss, grad.reshape(shape)
-
-
-def seg_loss(kind: str, logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Generic segmentation term: 'ce', 'dice_ce' (sum of both) or 'none'."""
-    if kind == "ce":
-        return seg_loss_ce(logits, target)
-    if kind == "dice_ce":
-        t = np.asarray(target).reshape(-1)
-        if np.any(t == 0):
-            raise ConfigError("seg='dice_ce' requires dense annotations")
-        ce, ce_grad = seg_loss_ce(logits, target)
-        dc, dc_grad = seg_loss_dice(logits, target)
-        return ce + dc, ce_grad + dc_grad
-    if kind == "none":
-        flat = np.asarray(logits, dtype=float)
-        return 0.0, np.zeros_like(flat)
-    raise ConfigError(f"unknown seg loss {kind!r}")
+    term = _TreeCE(tree)
+    return _one_term(term, term.n_classes, logits, target)
 
 
 def compound_wass(
@@ -253,9 +342,7 @@ def compound_wass(
         raise ConfigError(f"compound_wass needs semantic='wass', got {spec.semantic!r}")
     if m is None:
         m = distance_matrix(assign_weights(tree, spec.scheme))
-    sem, sem_grad = wasserstein_crisp(m, logits, target)
-    seg, seg_grad = seg_loss(spec.seg, logits, target)
-    return spec.alpha * sem + spec.beta * seg, spec.alpha * sem_grad + spec.beta * seg_grad
+    return _compound(spec, _Wasserstein(m), logits, target)
 
 
 def compound_twce(
@@ -269,25 +356,20 @@ def compound_twce(
     if spec.semantic != "twce":
         raise ConfigError(f"compound_twce needs semantic='twce', got {spec.semantic!r}")
     wt = weighted_tree if weighted_tree is not None else assign_weights(tree, spec.scheme)
-    sem, sem_grad = tree_weighted_ce(wt, logits, target)
-    if spec.seg == "none":
-        return spec.alpha * sem, spec.alpha * sem_grad
-    seg, seg_grad = seg_loss(spec.seg, logits, target)
-    return spec.alpha * sem + spec.beta * seg, spec.alpha * sem_grad + spec.beta * seg_grad
+    return _compound(spec, _TreeCE(wt), logits, target)
 
 
 def make_loss(tree: LabelTree, spec: LossSpec) -> Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]]:
-    """Bind a LossSpec to a tree, precomputing weights and distances."""
+    """Bind a LossSpec to a tree, compiling the weighted tree into arrays once.
+
+    The returned ``loss_fn(logits, target)`` walks no tree: the Wasserstein
+    term reads a precomputed distance matrix, the tree-weighted CE a
+    precomputed ancestor matrix, weighted chains and aggregation order.
+    """
     weighted = assign_weights(tree, spec.scheme)
-    if spec.semantic == "wass":
-        m = distance_matrix(weighted)
+    semantic = _Wasserstein(distance_matrix(weighted)) if spec.semantic == "wass" else _TreeCE(weighted)
 
-        def loss_fn(logits, target):
-            return compound_wass(spec, tree, logits, target, m=m)
-
-    else:
-
-        def loss_fn(logits, target):
-            return compound_twce(spec, tree, logits, target, weighted_tree=weighted)
+    def loss_fn(logits, target):
+        return _compound(spec, semantic, logits, target)
 
     return loss_fn

@@ -251,6 +251,28 @@ def test_unknown_config_key_exits_one(tmp_path, capsys, block, key):
     assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "synth"])
+@pytest.mark.parametrize("text", ['{"loss": {', "[1, 2]"])
+def test_malformed_config_json_exits_one(tmp_path, capsys, command, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subset", [[7], [-1], [0, 2], "0"])
+def test_fold_subset_out_of_range_exits_one(tmp_path, monkeypatch, capsys, subset):
+    import treeseg.experiment
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(treeseg.experiment, "train", no_training)
+    path = _write_config(tmp_path, "subset", fold_subset=subset)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "fold_subset" in capsys.readouterr().err
+
+
 def test_truncated_model_file_exits_one(exp_file, tmp_path):
     corpus_dir, model = tmp_path / "corpus", tmp_path / "model.bin"
     assert main(["synth", "--config", str(exp_file), "--out", str(corpus_dir)]) == 0

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treeseg.losses as losses
 from treeseg.distances import distance_matrix, solve_transport_lp
 from treeseg.errors import ConfigError, EmptyMaskError, LabelError
-from treeseg.hierarchy import EdgeWeightScheme, adjacency, assign_weights, parse_tree
+from treeseg.hierarchy import EdgeWeightScheme, LabelTree, adjacency, assign_weights, parse_tree
 from treeseg.losses import (
     LossSpec,
     aggregate,
@@ -329,3 +330,178 @@ class TestGradients:
         for fn in (lambda z: wasserstein_crisp(m, z, target), lambda z: tree_weighted_ce(equal_weighted(t), z, target)):
             _, grad = fn(logits)
             assert np.abs(grad.sum(axis=1)).max() <= 1e-8
+
+
+# --- frozen reference --------------------------------------------------------
+# The composition the fused loss replaced: every term takes its own softmax
+# (the CE term two), and a compound sums the separately scattered terms.
+# make_loss must reproduce it to the bit.
+
+
+def ref_softmax(z):
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def ref_log_softmax(z):
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def ref_chain_softmax(p, dldp):
+    inner = np.sum(p * dldp, axis=1, keepdims=True)
+    return p * (dldp - inner)
+
+
+def ref_split(logits, target):
+    flat = logits.reshape(-1, logits.shape[-1])
+    t = target.reshape(-1)
+    return flat, t, np.flatnonzero(t > 0)
+
+
+def ref_wasserstein(m, logits, target):
+    flat, t, idx = ref_split(logits, target)
+    p = ref_softmax(flat[idx])
+    cols = m[:, t[idx] - 1].T
+    loss = float(np.sum(p * cols, axis=1).mean())
+    grad = np.zeros_like(flat)
+    grad[idx] = ref_chain_softmax(p, cols) / idx.size
+    return loss, grad.reshape(logits.shape)
+
+
+def ref_ce(logits, target):
+    flat, t, idx = ref_split(logits, target)
+    logp = ref_log_softmax(flat[idx])
+    rows = np.arange(idx.size)
+    loss = float(-logp[rows, t[idx] - 1].mean())
+    grad = np.zeros_like(flat)
+    g = ref_softmax(flat[idx])
+    g[rows, t[idx] - 1] -= 1.0
+    grad[idx] = g / idx.size
+    return loss, grad.reshape(logits.shape)
+
+
+def ref_dice(logits, target):
+    flat, t, _ = ref_split(logits, target)
+    p = ref_softmax(flat)
+    onehot = np.zeros_like(p)
+    onehot[np.arange(t.size), t - 1] = 1.0
+    num = 2.0 * np.sum(p * onehot, axis=0) + losses.DICE_SMOOTH
+    den = p.sum(axis=0) + onehot.sum(axis=0) + losses.DICE_SMOOTH
+    loss = float(np.mean(1.0 - num / den))
+    dldp = -(2.0 * onehot * den - num) / (den * den) / flat.shape[1]
+    return loss, ref_chain_softmax(p, dldp).reshape(logits.shape)
+
+
+def ref_aggregate(tree, p):
+    out = np.zeros((p.shape[0], tree.n_nodes))
+    out[:, : tree.n_leaves] = p
+    for v in tree.deepest_first():
+        kids = tree.nodes[v].children
+        if kids:
+            acc = out[:, kids[0]].copy()
+            for c in kids[1:]:
+                acc += out[:, c]
+            out[:, v] = acc
+    return out
+
+
+def ref_twce(tree, logits, target):
+    flat, t, idx = ref_split(logits, target)
+    u = np.zeros((tree.n_nodes, tree.n_leaves))
+    for v in range(tree.n_nodes):
+        u[v, tree.leaves_under(v)] = 1.0
+    w = np.zeros(tree.n_nodes)
+    for v, weight in tree.edge_weight.items():
+        w[v] = weight
+    p = ref_softmax(flat[idx])
+    node_p = ref_aggregate(tree, p)
+    contrib = w[None, :] * u[:, t[idx] - 1].T
+    loss = float(-(contrib * np.log(np.maximum(node_p, losses.LOG_GUARD))).sum(axis=1).mean())
+    inv = np.where(node_p > losses.LOG_GUARD, 1.0 / np.maximum(node_p, losses.LOG_GUARD), 0.0)
+    grad = np.zeros_like(flat)
+    grad[idx] = ref_chain_softmax(p, -(contrib * inv) @ u) / idx.size
+    return loss, grad.reshape(logits.shape)
+
+
+def ref_compound(spec, tree, logits, target):
+    weighted = assign_weights(tree, spec.scheme)
+    if spec.semantic == "wass":
+        sem, sem_grad = ref_wasserstein(distance_matrix(weighted), logits, target)
+    else:
+        sem, sem_grad = ref_twce(weighted, logits, target)
+    if spec.seg == "none":
+        return spec.alpha * sem, spec.alpha * sem_grad
+    seg, seg_grad = ref_ce(logits, target)
+    if spec.seg == "dice_ce":
+        dc, dc_grad = ref_dice(logits, target)
+        seg, seg_grad = seg + dc, seg_grad + dc_grad
+    return spec.alpha * sem + spec.beta * seg, spec.alpha * sem_grad + spec.beta * seg_grad
+
+
+ORACLE_CASES = [
+    (semantic, seg, alpha, sparse)
+    for semantic, seg in (("wass", "ce"), ("wass", "dice_ce"), ("twce", "ce"), ("twce", "dice_ce"), ("twce", "none"))
+    for alpha in (0.0, 0.5)
+    for sparse in (False, True)
+    if not (sparse and seg == "dice_ce")
+]
+
+
+def oracle_batch(rng, c, shape, sparse):
+    logits = 3.0 * rng.normal(size=(*shape, c))
+    target = rng.integers(1, c + 1, size=shape)
+    if sparse:
+        target[rng.random(shape) < 0.4] = 0
+        target.flat[0] = 1
+    return logits, target
+
+
+class TestFusedMatchesReference:
+    @pytest.mark.parametrize("semantic,seg,alpha,sparse", ORACLE_CASES)
+    def test_make_loss_is_bitwise_equal(self, semantic, seg, alpha, sparse):
+        for seed, ragged in ((0, True), (1, True), (2, False)):
+            tree = make_random_tree(seed, depth=3, branching=(2, 4), ragged=ragged)
+            spec = LossSpec(semantic, EdgeWeightScheme("hier", kappa=2.0), seg=seg, alpha=alpha, beta=0.5)
+            fn = make_loss(tree, spec)
+            rng = np.random.default_rng(seed + 40)
+            for shape in ((1,), (37,), (2000,), (9, 11)):
+                logits, target = oracle_batch(rng, tree.n_leaves, shape, sparse)
+                loss, grad = fn(logits, target)
+                ref_loss, ref_grad = ref_compound(spec, tree, logits, target)
+                assert np.array_equal(loss, ref_loss)
+                assert np.array_equal(grad, ref_grad)
+
+    def test_single_terms_are_bitwise_equal(self):
+        tree = assign_weights(make_random_tree(3, ragged=True), EdgeWeightScheme("hier", kappa=2.0))
+        m = distance_matrix(tree)
+        rng = np.random.default_rng(43)
+        sparse_logits, sparse = oracle_batch(rng, tree.n_leaves, (500,), True)
+        dense_logits, dense = oracle_batch(rng, tree.n_leaves, (500,), False)
+        pairs = [
+            (wasserstein_crisp(m, sparse_logits, sparse), ref_wasserstein(m, sparse_logits, sparse)),
+            (seg_loss_ce(sparse_logits, sparse), ref_ce(sparse_logits, sparse)),
+            (seg_loss_dice(dense_logits, dense), ref_dice(dense_logits, dense)),
+            (tree_weighted_ce(tree, sparse_logits, sparse), ref_twce(tree, sparse_logits, sparse)),
+        ]
+        for (loss, grad), (ref_loss, ref_grad) in pairs:
+            assert loss == ref_loss
+            assert np.array_equal(grad, ref_grad)
+
+
+@pytest.mark.parametrize("semantic", ["wass", "twce"])
+def test_loss_fn_walks_no_tree(monkeypatch, semantic):
+    tree = make_random_tree(31, ragged=True)
+    fn = make_loss(tree, LossSpec(semantic, EdgeWeightScheme("hier", kappa=2.0)))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the tree was walked after make_loss")
+
+    monkeypatch.setattr(LabelTree, "leaves_under", forbidden)
+    monkeypatch.setattr(LabelTree, "deepest_first", forbidden)
+    monkeypatch.setattr(losses, "ancestor_matrix", forbidden)
+    monkeypatch.setattr(losses, "distance_matrix", forbidden)
+    logits, target = oracle_batch(np.random.default_rng(5), tree.n_leaves, (64,), True)
+    loss, grad = fn(logits, target)
+    assert np.isfinite(loss) and grad.shape == logits.shape

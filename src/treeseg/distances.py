@@ -13,7 +13,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import NormalizationError
-from .hierarchy import LabelTree
+from .hierarchy import LabelTree, edge_weight_vector
 
 _MASS_TOL = 1e-9
 
@@ -21,26 +21,16 @@ _MASS_TOL = 1e-9
 def distance_matrix(tree: LabelTree) -> np.ndarray:
     """C x C symmetric matrix of weighted path lengths between leaves."""
     c = tree.n_leaves
-    root = tree.root
-    # prefix weight from each node up to the root
-    wsum = {root: 0.0}
-    for v in tree.deepest_first()[::-1]:  # parents before children
-        if v != root:
-            wsum[v] = wsum[tree.parent[v]] + tree.edge_weight[v]
-
-    def lca(a: int, b: int) -> int:
-        while a != b:
-            if tree.depth[a] >= tree.depth[b]:
-                a = tree.parent[a]
-            else:
-                b = tree.parent[b]
-        return a
-
-    m = np.zeros((c, c))
-    for i in range(c):
-        for j in range(i + 1, c):
-            d = wsum[i] + wsum[j] - 2.0 * wsum[lca(i, j)]
-            m[i, j] = m[j, i] = d
+    chain = tree.ancestor_table[:c]
+    # prefix weight from the root down each leaf's chain; the entries past a
+    # leaf's own depth repeat the leaf and add nothing
+    own = np.arange(tree.levels + 1) <= np.array([tree.depth[v] for v in range(c)])[:, None]
+    wsum = np.cumsum(np.where(own, edge_weight_vector(tree)[chain], 0.0), axis=1)
+    # two chains agree exactly down to their LCA, so its depth is the count of agreeing entries minus one
+    lca_depth = (chain[:, None, :] == chain[None, :, :]).sum(axis=2) - 1
+    ws = wsum[:, -1]
+    m = ws[:, None] + ws[None, :] - 2.0 * wsum[np.arange(c)[:, None], lca_depth]
+    np.fill_diagonal(m, 0.0)
     return m
 
 

@@ -1,9 +1,11 @@
-"""Exception types shared across the package, and the config-key check.
+"""Exception types shared across the package, and the config-block checks.
 
 Validation-style errors (bad inputs, bad configs) all derive from
 ``ValidationError`` so the CLI can map them to exit code 1; everything
 else is treated as a runtime failure (exit code 2).
 """
+
+from dataclasses import fields
 
 
 class TreesegError(Exception):
@@ -69,3 +71,23 @@ def check_keys(block, allowed, name: str) -> None:
     unknown = sorted(set(block) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r} in the {name} block")
+
+
+def number(block: dict, key: str, default, name: str = "", integer: bool = False):
+    """``block[key]`` (``default`` when absent) if it is a number, an integer if ``integer``;
+    null passes only where the default is None. Anything else is a ConfigError naming the key."""
+    value = block.get(key, default)
+    if value is None and default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ConfigError(f"{name}{key} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return value
+
+
+def check_fields(block, cls, name: str, skip=()) -> None:
+    """``check_keys`` on the fields of dataclass ``cls``; an int or float field takes only such a number."""
+    defaults = {f.name: f.default for f in fields(cls) if f.name not in skip}
+    check_keys(block, defaults, name)
+    for key, default in defaults.items():
+        if key in block and type(default) in (int, float):
+            number(block, key, default, f"{name}.", integer=type(default) is int)

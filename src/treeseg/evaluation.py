@@ -19,12 +19,12 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ConfigError, EmptyEvalError, LabelError
-from .hierarchy import LabelTree, leaf_level_map, level_nodes
+from .hierarchy import LabelTree, leaf_level_map
 
 
 def level_classes(tree: LabelTree, k: int) -> list[int]:
     """Class codes (node id + 1) of the level-k cut, ascending."""
-    return [v + 1 for v in sorted(level_nodes(tree, k))]
+    return (np.unique(leaf_level_map(tree, k)) + 1).tolist()
 
 
 def nanmean_axis0(stack: np.ndarray) -> np.ndarray:
@@ -44,28 +44,32 @@ def map_to_level(tree: LabelTree, codes: np.ndarray, k: int) -> np.ndarray:
     return lut[codes]
 
 
-def _resolve_domain(truth: np.ndarray, domain: np.ndarray | None) -> np.ndarray:
-    if domain is None:
-        domain = truth > 0
-    domain = np.asarray(domain, dtype=bool)
-    if not domain.any():
+def _count_table(pred: np.ndarray, truth: np.ndarray, classes: list[int], domain: np.ndarray | None) -> np.ndarray:
+    """(m+1, m+1) pixel counts on the domain (annotated truth if None), rows
+    true and columns predicted: slot i is ``classes[i]``, slot m every other code."""
+    pred = np.asarray(pred).reshape(-1)
+    truth = np.asarray(truth).reshape(-1)
+    dom = truth > 0 if domain is None else np.asarray(domain, dtype=bool).reshape(-1)
+    if not dom.any():
         raise EmptyEvalError("empty annotation domain")
-    return domain
+    codes = np.asarray(classes, dtype=np.int64)
+    m = codes.size
+    if np.unique(codes).size < m or np.any(codes < 0):
+        raise ConfigError("class codes must be distinct and non-negative")
+    top = int(codes.max(initial=0)) + 1
+    lut = np.full(top + 1, m)  # lut[top], also reached as lut[-1], is the pool slot
+    lut[codes] = np.arange(m)
+    pair = lut[np.clip(truth[dom], -1, top)] * (m + 1) + lut[np.clip(pred[dom], -1, top)]
+    return np.bincount(pair, minlength=(m + 1) ** 2).reshape(m + 1, m + 1)
 
 
 def dice_scores(pred: np.ndarray, truth: np.ndarray, classes: list[int], domain: np.ndarray | None = None) -> np.ndarray:
     """Per-class Dice 2|P&G| / (|P|+|G|); NaN where the class is absent from both."""
-    pred = np.asarray(pred).reshape(-1)
-    truth = np.asarray(truth).reshape(-1)
-    dom = _resolve_domain(truth, domain).reshape(-1)
-    p, g = pred[dom], truth[dom]
-    out = np.full(len(classes), np.nan)
-    for i, c in enumerate(classes):
-        pc, gc = p == c, g == c
-        total = pc.sum() + gc.sum()
-        if total:
-            out[i] = 2.0 * np.sum(pc & gc) / total
-    return out
+    table = _count_table(pred, truth, classes, domain)
+    m = len(table) - 1
+    tp = table.diagonal()[:m]
+    total = table[:, :m].sum(axis=0) + table[:m].sum(axis=1)
+    return np.divide(2.0 * tp, total, out=np.full(m, np.nan), where=total > 0)
 
 
 def _boundary(mask: np.ndarray) -> np.ndarray:
@@ -127,24 +131,16 @@ def ovr_scores(
     Classes with zero annotated positives are NaN (excluded from means).
     A class with no negatives gets the vacuous TNR of 1.
     """
-    pred = np.asarray(pred).reshape(-1)
-    truth = np.asarray(truth).reshape(-1)
-    dom = _resolve_domain(truth, domain).reshape(-1)
-    p, g = pred[dom], truth[dom]
-    n = len(classes)
-    tpr = np.full(n, np.nan)
-    tnr = np.full(n, np.nan)
-    f1 = np.full(n, np.nan)
-    for i, c in enumerate(classes):
-        pos, neg = g == c, g != c
-        n_pos, n_neg = int(pos.sum()), int(neg.sum())
-        if n_pos == 0:
-            continue
-        tp = int(np.sum(pos & (p == c)))
-        fp = int(np.sum(neg & (p == c)))
-        tpr[i] = tp / n_pos
-        tnr[i] = (n_neg - fp) / n_neg if n_neg else 1.0
-        f1[i] = 2.0 * tp / (2.0 * tp + fp + (n_pos - tp))
+    table = _count_table(pred, truth, classes, domain)
+    m = len(table) - 1
+    tp = table.diagonal()[:m]
+    n_pos = table[:m].sum(axis=1)
+    n_neg = table.sum() - n_pos
+    fp = table[:, :m].sum(axis=0) - tp
+    seen = n_pos > 0
+    tpr = np.divide(tp, n_pos, out=np.full(m, np.nan), where=seen)
+    tnr = np.divide(n_neg - fp, n_neg, out=np.where(seen, 1.0, np.nan), where=seen & (n_neg > 0))
+    f1 = np.divide(2.0 * tp, 2.0 * tp + fp + (n_pos - tp), out=np.full(m, np.nan), where=seen)
     return {"tpr": tpr, "tnr": tnr, "bacc": (tpr + tnr) / 2.0, "f1": f1}
 
 
@@ -311,16 +307,7 @@ def confusion(
     m = len(codes)
     per_fold = np.zeros((len(fold_preds), m, m))
     for f, (pred, truth) in enumerate(zip(fold_preds, fold_truths)):
-        pred = np.asarray(pred).reshape(-1)
-        truth = np.asarray(truth).reshape(-1)
-        dom = _resolve_domain(truth, domains[f] if domains else None).reshape(-1)
-        p, t = pred[dom], truth[dom]
-        lut = np.full(int(max(p.max(initial=0), t.max(initial=0), max(codes))) + 1, -1, dtype=np.int64)
-        for i, c in enumerate(codes):
-            lut[c] = i
-        ti, pi = lut[t], lut[p]
-        keep = (ti >= 0) & (pi >= 0)
-        np.add.at(per_fold[f], (ti[keep], pi[keep]), 1.0)
+        per_fold[f] = _count_table(pred, truth, codes, domains[f] if domains else None)[:m, :m]
     return ConfusionTensor(classes=codes, per_fold=per_fold)
 
 

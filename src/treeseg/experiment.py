@@ -13,13 +13,13 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .distances import distance_matrix
-from .errors import ConfigError, check_keys
+from .errors import ConfigError, check_fields, check_keys, number
 from .evaluation import EvalReport, confusion, evaluate_level, level_classes, map_to_level, pool_nsd
 from .gating import ThresholdPolicy, default_grid, gate, sweep_tau
 from .hierarchy import EdgeWeightScheme, LabelTree, assign_weights, parse_level, parse_tree, resolve_level
@@ -79,6 +79,8 @@ class ExperimentConfig:
         if self.preproc not in PREPROC_KINDS:
             raise ConfigError(f"preproc must be one of {PREPROC_KINDS}, got {self.preproc!r}")
         self.gate_level = parse_level(self.gate_level)
+        if not isinstance(self.eval_levels, (list, tuple)):
+            raise ConfigError(f"eval.levels must be a list of levels, got {self.eval_levels!r}")
         self.eval_levels = tuple(parse_level(level) for level in self.eval_levels)
         if self.fold_subset is not None:
             n_folds = self.n_subject_folds * self.n_label_folds
@@ -99,13 +101,13 @@ def read_tree(path: Path | str) -> LabelTree:
 
 def loss_spec_from_dict(d: dict) -> LossSpec:
     check_keys(d, ("semantic", "scheme", "kappa", "seg", "alpha", "beta"), "loss")
-    scheme = EdgeWeightScheme(d.get("scheme", "equal"), kappa=float(d.get("kappa", 10.0)))
+    scheme = EdgeWeightScheme(d.get("scheme", "equal"), kappa=float(number(d, "kappa", 10.0, "loss.")))
     return LossSpec(
         semantic=d.get("semantic", "wass"),
         scheme=scheme,
         seg=d.get("seg", "ce"),
-        alpha=float(d.get("alpha", 0.5)),
-        beta=float(d.get("beta", 0.5)),
+        alpha=float(number(d, "alpha", 0.5, "loss.")),
+        beta=float(number(d, "beta", 0.5, "loss.")),
     )
 
 
@@ -113,7 +115,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from the JSON config file layout; unknown block keys are rejected."""
     loss = loss_spec_from_dict(d.get("loss", {}))
     train_block = d.get("train", {})
-    check_keys(train_block, {f.name for f in fields(TrainConfig)}, "train")
+    check_fields(train_block, TrainConfig, "train")
     tree = None
     if d.get("hierarchy") is not None:
         if "synth" not in d:
@@ -132,15 +134,15 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         synth=synth_config_from_dict(d["synth"], tree) if "synth" in d else None,
         corpus_path=corpus_path,
         gate_level=gate_block.get("level", "topmost"),
-        tau=gate_block.get("tau"),
-        grid_step=float(gate_block.get("grid_step", 0.01)),
-        eval_levels=tuple(eval_block.get("levels", ("leaf", "topmost"))),
-        nsd_tolerance=eval_block.get("tolerance"),
+        tau=number(gate_block, "tau", None, "gate."),
+        grid_step=float(number(gate_block, "grid_step", 0.01, "gate.")),
+        eval_levels=eval_block.get("levels", ("leaf", "topmost")),
+        nsd_tolerance=number(eval_block, "tolerance", None, "eval."),
         preproc=d.get("preproc", "standardize"),
-        n_subject_folds=int(d.get("n_subject_folds", 2)),
-        n_label_folds=int(d.get("n_label_folds", 1)),
+        n_subject_folds=number(d, "n_subject_folds", 2, "", integer=True),
+        n_label_folds=number(d, "n_label_folds", 1, "", integer=True),
         fold_subset=d.get("fold_subset"),
-        seed=int(d.get("seed", 0)),
+        seed=number(d, "seed", 0, "", integer=True),
     )
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .evaluation import ovr_scores
-from .hierarchy import LabelTree, leaf_level_map, level_nodes, parse_level, resolve_level
+from .hierarchy import LabelTree, leaf_level_map, parse_level, resolve_level
 from .losses import aggregate
 
 
@@ -51,7 +51,7 @@ def score_at_level(tree: LabelTree, probs: np.ndarray, k: int) -> tuple[np.ndarr
     Returns ``(scores, node_ids)`` with score columns in ascending node-id
     order. For k = 0 the scores are the raw leaf probabilities.
     """
-    node_ids = sorted(level_nodes(tree, k))
+    node_ids = np.unique(leaf_level_map(tree, k)).tolist()
     node_probs = aggregate(tree, probs)
     return node_probs[..., node_ids], node_ids
 
@@ -68,14 +68,15 @@ def gate(tree: LabelTree, probs: np.ndarray, policy: ThresholdPolicy) -> Predict
     keep = scores[np.arange(len(best)), best] > policy.tau
     level_class = np.asarray(node_ids, dtype=np.int64)[best]
 
+    level_of_leaf = leaf_level_map(tree, k)
     labels = np.zeros(flat.shape[0], dtype=np.int64)
     for slot, node in enumerate(node_ids):
         rows = keep & (best == slot)
         if not rows.any():
             continue
-        leaves = tree.leaves_under(node)
+        leaves = np.flatnonzero(level_of_leaf == node)
         sub = flat[np.ix_(rows, leaves)]
-        labels[rows] = np.asarray(leaves)[np.argmax(sub, axis=1)] + 1
+        labels[rows] = leaves[np.argmax(sub, axis=1)] + 1
     return PredictionField(labels=labels.reshape(lead), level_class=level_class.reshape(lead), level=k)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -88,16 +89,23 @@ class LabelTree:
     def leaf_names(self) -> list[str]:
         return [self.nodes[i].name for i in range(self.n_leaves)]
 
+    @cached_property
+    def ancestor_table(self) -> np.ndarray:
+        """(N, K+1) node ids, built once: entry (v, d) is v's ancestor at depth d,
+        and v itself from v's own depth on. Every ancestry query reads it."""
+        n = self.n_nodes
+        depth = np.array([self.depth[v] for v in range(n)])
+        parent = np.array([self.parent.get(v, v) for v in range(n)])
+        table = np.repeat(np.arange(n)[:, None], self.levels + 1, axis=1)
+        for d in range(1, self.levels + 1):
+            at = np.flatnonzero(depth == d)
+            table[at, :d] = table[parent[at], :d]
+        table.flags.writeable = False
+        return table
+
     def leaves_under(self, v: int) -> list[int]:
         """Leaf ids in the subtree rooted at v, ascending."""
-        out, stack = [], [v]
-        while stack:
-            u = stack.pop()
-            if self.nodes[u].is_leaf:
-                out.append(u)
-            else:
-                stack.extend(self.nodes[u].children)
-        return sorted(out)
+        return np.flatnonzero(self.ancestor_table[: self.n_leaves, self.depth[v]] == v).tolist()
 
     def height(self, v: int) -> int:
         """Edge distance from v to its deepest descendant leaf."""
@@ -111,10 +119,7 @@ class LabelTree:
 
     def ancestors(self, v: int) -> list[int]:
         """Chain from v up to and including the root."""
-        chain = [v]
-        while chain[-1] != self.root:
-            chain.append(self.parent[chain[-1]])
-        return chain
+        return self.ancestor_table[v, self.depth[v] :: -1].tolist()
 
     def to_dict(self) -> dict:
         def rec(v: int) -> dict:
@@ -310,17 +315,20 @@ def assign_weights(tree: LabelTree, scheme: EdgeWeightScheme) -> LabelTree:
     return replace(tree, edge_weight=weights)
 
 
+def edge_weight_vector(tree: LabelTree) -> np.ndarray:
+    """Per-node weight of the edge to the parent; 0 for the root."""
+    w = np.zeros(tree.n_nodes)
+    for v, weight in tree.edge_weight.items():
+        w[v] = weight
+    return w
+
+
 def adjacency(tree: LabelTree) -> np.ndarray:
     """N x N 0/1 matrix with A[parent, child] = 1."""
     a = np.zeros((tree.n_nodes, tree.n_nodes))
     for child, par in tree.parent.items():
         a[par, child] = 1.0
     return a
-
-
-def level_of_band(tree: LabelTree, v: int) -> int:
-    """Distance-to-root band of v: root children sit at band K-1."""
-    return tree.levels - tree.depth[v]
 
 
 def parse_level(value) -> int | str:
@@ -346,33 +354,22 @@ def resolve_level(tree: LabelTree, level: int | str) -> int:
     return k
 
 
+def leaf_level_map(tree: LabelTree, k: int) -> np.ndarray:
+    """For each leaf, the id of its unique level-k cut node: its ancestor at
+    depth K-k, or itself if shallow, as the ancestor table holds it."""
+    if not 0 <= k <= tree.levels - 1:
+        raise RangeError(f"level {k} out of range [0, {tree.levels - 1}]")
+    return tree.ancestor_table[: tree.n_leaves, tree.levels - k].copy()
+
+
 def level_nodes(tree: LabelTree, k: int) -> set[int]:
     """Node ids forming level k.
 
-    Level k is a cut: internal nodes whose band equals k plus every leaf
-    at band >= k. Level 0 is therefore all leaves and level K-1 the
-    children of the root, including on ragged trees.
+    Level k is a cut: internal nodes at depth K-k plus every leaf no deeper
+    than that. Level 0 is therefore all leaves and level K-1 the children
+    of the root, including on ragged trees.
     """
-    if not 0 <= k <= tree.levels - 1:
-        raise RangeError(f"level {k} out of range [0, {tree.levels - 1}]")
-    out = set()
-    for v in range(tree.n_nodes):
-        if v == tree.root:
-            continue
-        band = level_of_band(tree, v)
-        if (band >= k) if tree.nodes[v].is_leaf else (band == k):
-            out.add(v)
-    return out
-
-
-def leaf_level_map(tree: LabelTree, k: int) -> np.ndarray:
-    """For each leaf, the id of its unique level-k cut node (itself if shallow)."""
-    members = level_nodes(tree, k)
-    out = np.empty(tree.n_leaves, dtype=np.int64)
-    for leaf in range(tree.n_leaves):
-        hit = [v for v in tree.ancestors(leaf) if v in members]
-        out[leaf] = hit[0] if hit else leaf
-    return out
+    return set(np.unique(leaf_level_map(tree, k)).tolist())
 
 
 def random_tree(rng: np.random.Generator, depth: int = 3, branching: tuple[int, int] = (2, 3), ragged: bool = False) -> LabelTree:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .distances import distance_matrix
 from .errors import ConfigError, EmptyMaskError, LabelError, NormalizationError
-from .hierarchy import EdgeWeightScheme, LabelTree, assign_weights
+from .hierarchy import EdgeWeightScheme, LabelTree, assign_weights, edge_weight_vector
 
 LOG_GUARD = 1e-12  # aggregated probabilities are sums of softmax outputs, clamp before log
 DICE_SMOOTH = 1e-5
@@ -131,17 +131,8 @@ class _Batch:
 def ancestor_matrix(tree: LabelTree) -> np.ndarray:
     """N x C 0/1 matrix: entry (v, l) is 1 iff leaf l lies in the subtree of v."""
     u = np.zeros((tree.n_nodes, tree.n_leaves))
-    for v in range(tree.n_nodes):
-        u[v, tree.leaves_under(v)] = 1.0
+    u[tree.ancestor_table[: tree.n_leaves], np.arange(tree.n_leaves)[:, None]] = 1.0
     return u
-
-
-def edge_weight_vector(tree: LabelTree) -> np.ndarray:
-    """Per-node weight of the edge to the parent; 0 for the root."""
-    w = np.zeros(tree.n_nodes)
-    for v, weight in tree.edge_weight.items():
-        w[v] = weight
-    return w
 
 
 def _aggregation_plan(tree: LabelTree) -> tuple[tuple[int, tuple[int, ...]], ...]:

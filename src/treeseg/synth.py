@@ -14,12 +14,12 @@ cannot change the output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, check_keys
+from .errors import ConfigError, ParseError, check_fields
 from .hierarchy import LabelTree, parse_tree, random_tree, serialize
 from .seeding import substream
 
@@ -56,8 +56,8 @@ class SynthConfig:
 
 
 def synth_config_from_dict(block: dict, tree: LabelTree | None = None) -> SynthConfig:
-    """SynthConfig from a JSON synth block: lists become tuples, unknown keys are rejected."""
-    check_keys(block, {f.name for f in fields(SynthConfig)} - {"tree"}, "synth")
+    """SynthConfig from a JSON synth block: lists become tuples, unknown keys and non-numbers are rejected."""
+    check_fields(block, SynthConfig, "synth", skip=("tree",))
     kwargs = dict(block)
     for key in ("tree_branching", "held_out"):
         if key in kwargs:
@@ -245,7 +245,7 @@ def write_field(path: Path, arr: np.ndarray) -> None:
 
 
 def read_field(path: Path) -> np.ndarray:
-    """Read a field file: features come back as (H, W, d), label fields as (H, W)."""
+    """Read a field file: features come back as (H, W, d), label fields as (H, W); non-finite features are a ParseError."""
     features = path.name.startswith("features")
     with open(path, "rb") as f:
         try:
@@ -258,6 +258,8 @@ def read_field(path: Path) -> np.ndarray:
     if len(payload) != 8 * h * w * d:
         raise ParseError(f"{path}: payload of {len(payload)} bytes != 8*{h}*{w}*{d}")
     arr = np.frombuffer(payload, dtype="<f8" if features else "<i8")
+    if features and not np.isfinite(arr).all():
+        raise ParseError(f"{path}: non-finite feature values")
     return arr.reshape((h, w, d) if features else (h, w)).copy()
 
 

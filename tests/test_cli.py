@@ -273,6 +273,51 @@ def test_fold_subset_out_of_range_exits_one(tmp_path, monkeypatch, capsys, subse
     assert "fold_subset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "changes, key",
+    [
+        ({"seed": "abc"}, "seed"),
+        ({"n_subject_folds": "two"}, "n_subject_folds"),
+        ({"loss": dict(EXP_CONFIG["loss"], alpha="x")}, "loss.alpha"),
+        ({"gate": {"level": "topmost", "tau": "x"}}, "gate.tau"),
+        ({"gate": {"level": "topmost", "grid_step": "x"}}, "gate.grid_step"),
+        ({"synth": dict(EXP_CONFIG["synth"], height="x")}, "synth.height"),
+        ({"train": dict(EXP_CONFIG["train"], lr="x")}, "train.lr"),
+        ({"eval": {"levels": ["leaf"], "tolerance": "x"}}, "eval.tolerance"),
+    ],
+)
+def test_non_numeric_config_value_exits_one(tmp_path, monkeypatch, capsys, changes, key):
+    import treeseg.experiment
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(treeseg.experiment, "train", no_training)
+    path = _write_config(tmp_path, "nan", **changes)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert f"{key} must be" in capsys.readouterr().err
+
+
+def test_string_eval_levels_asks_for_a_list(tmp_path, capsys):
+    path = _write_config(tmp_path, "levels", eval={"levels": "leaf"})
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "eval.levels must be a list" in capsys.readouterr().err
+
+
+def test_non_finite_feature_file_exits_one(exp_file, tmp_path, capsys):
+    corpus_dir = tmp_path / "corpus"
+    assert main(["synth", "--config", str(exp_file), "--out", str(corpus_dir)]) == 0
+    features = corpus_dir / "s001" / "features.bin"
+    data = bytearray(features.read_bytes())
+    data[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+    features.write_bytes(bytes(data))
+    cfg = tmp_path / "disk.json"
+    cfg.write_text(json.dumps({k: v for k, v in EXP_CONFIG.items() if k != "synth"} | {"corpus": str(corpus_dir)}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert str(features) in err and "non-finite" in err
+
+
 def test_truncated_model_file_exits_one(exp_file, tmp_path):
     corpus_dir, model = tmp_path / "corpus", tmp_path / "model.bin"
     assert main(["synth", "--config", str(exp_file), "--out", str(corpus_dir)]) == 0

@@ -1,0 +1,303 @@
+"""Bitwise references for the ancestor table and the count table.
+
+The per-class counting loops and the parent-chain tree walks below are the
+earlier implementations, frozen. Every level query, subtree, ancestor
+matrix and distance matrix now reads ``LabelTree.ancestor_table``, and
+Dice, one-vs-rest scores and confusion counts all read one pixel count
+table; these tests hold them equal to the walks and loops, bit for bit.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from treeseg.distances import distance_matrix
+from treeseg.errors import ConfigError, EmptyEvalError
+from treeseg.evaluation import confusion, dice_scores, evaluate_level, level_classes, ovr_scores
+from treeseg.gating import ThresholdPolicy, default_grid, gate, score_at_level, sweep_tau
+from treeseg.hierarchy import EdgeWeightScheme, LabelTree, assign_weights, leaf_level_map, level_nodes, random_tree
+from treeseg.losses import ancestor_matrix
+
+# -- frozen tree walks -------------------------------------------------------
+
+
+def ref_ancestors(tree, v):
+    chain = [v]
+    while chain[-1] != tree.root:
+        chain.append(tree.parent[chain[-1]])
+    return chain
+
+
+def ref_leaves_under(tree, v):
+    out, stack = [], [v]
+    while stack:
+        u = stack.pop()
+        if tree.nodes[u].is_leaf:
+            out.append(u)
+        else:
+            stack.extend(tree.nodes[u].children)
+    return sorted(out)
+
+
+def ref_level_nodes(tree, k):
+    out = set()
+    for v in range(tree.n_nodes):
+        if v == tree.root:
+            continue
+        band = tree.levels - tree.depth[v]
+        if (band >= k) if tree.nodes[v].is_leaf else (band == k):
+            out.add(v)
+    return out
+
+
+def ref_leaf_level_map(tree, k):
+    members = ref_level_nodes(tree, k)
+    out = np.empty(tree.n_leaves, dtype=np.int64)
+    for leaf in range(tree.n_leaves):
+        hit = [v for v in ref_ancestors(tree, leaf) if v in members]
+        out[leaf] = hit[0] if hit else leaf
+    return out
+
+
+def ref_ancestor_matrix(tree):
+    u = np.zeros((tree.n_nodes, tree.n_leaves))
+    for v in range(tree.n_nodes):
+        u[v, ref_leaves_under(tree, v)] = 1.0
+    return u
+
+
+def ref_distance_matrix(tree):
+    c = tree.n_leaves
+    root = tree.root
+    wsum = {root: 0.0}
+    for v in sorted(range(tree.n_nodes), key=lambda v: (tree.depth[v], -v)):
+        if v != root:
+            wsum[v] = wsum[tree.parent[v]] + tree.edge_weight[v]
+
+    def lca(a, b):
+        while a != b:
+            if tree.depth[a] >= tree.depth[b]:
+                a = tree.parent[a]
+            else:
+                b = tree.parent[b]
+        return a
+
+    m = np.zeros((c, c))
+    for i in range(c):
+        for j in range(i + 1, c):
+            d = wsum[i] + wsum[j] - 2.0 * wsum[lca(i, j)]
+            m[i, j] = m[j, i] = d
+    return m
+
+
+# -- frozen per-class counting loops -----------------------------------------
+
+
+def ref_domain(truth, domain):
+    if domain is None:
+        domain = truth > 0
+    domain = np.asarray(domain, dtype=bool)
+    if not domain.any():
+        raise EmptyEvalError("empty annotation domain")
+    return domain
+
+
+def ref_dice_scores(pred, truth, classes, domain=None):
+    pred = np.asarray(pred).reshape(-1)
+    truth = np.asarray(truth).reshape(-1)
+    dom = ref_domain(truth, domain).reshape(-1)
+    p, g = pred[dom], truth[dom]
+    out = np.full(len(classes), np.nan)
+    for i, c in enumerate(classes):
+        pc, gc = p == c, g == c
+        total = pc.sum() + gc.sum()
+        if total:
+            out[i] = 2.0 * np.sum(pc & gc) / total
+    return out
+
+
+def ref_ovr_scores(pred, truth, classes, domain=None):
+    pred = np.asarray(pred).reshape(-1)
+    truth = np.asarray(truth).reshape(-1)
+    dom = ref_domain(truth, domain).reshape(-1)
+    p, g = pred[dom], truth[dom]
+    n = len(classes)
+    tpr = np.full(n, np.nan)
+    tnr = np.full(n, np.nan)
+    f1 = np.full(n, np.nan)
+    for i, c in enumerate(classes):
+        pos, neg = g == c, g != c
+        n_pos, n_neg = int(pos.sum()), int(neg.sum())
+        if n_pos == 0:
+            continue
+        tp = int(np.sum(pos & (p == c)))
+        fp = int(np.sum(neg & (p == c)))
+        tpr[i] = tp / n_pos
+        tnr[i] = (n_neg - fp) / n_neg if n_neg else 1.0
+        f1[i] = 2.0 * tp / (2.0 * tp + fp + (n_pos - tp))
+    return {"tpr": tpr, "tnr": tnr, "bacc": (tpr + tnr) / 2.0, "f1": f1}
+
+
+def ref_confusion_counts(fold_preds, fold_truths, classes, domains=None, include_background=False):
+    codes = list(classes) + ([0] if include_background else [])
+    m = len(codes)
+    per_fold = np.zeros((len(fold_preds), m, m))
+    for f, (pred, truth) in enumerate(zip(fold_preds, fold_truths)):
+        pred = np.asarray(pred).reshape(-1)
+        truth = np.asarray(truth).reshape(-1)
+        dom = ref_domain(truth, domains[f] if domains else None).reshape(-1)
+        p, t = pred[dom], truth[dom]
+        lut = np.full(int(max(p.max(initial=0), t.max(initial=0), max(codes))) + 1, -1, dtype=np.int64)
+        for i, c in enumerate(codes):
+            lut[c] = i
+        ti, pi = lut[t], lut[p]
+        keep = (ti >= 0) & (pi >= 0)
+        np.add.at(per_fold[f], (ti[keep], pi[keep]), 1.0)
+    return per_fold
+
+
+# -- random inputs -----------------------------------------------------------
+
+
+def weighted_trees(seed, count):
+    """Random trees, ragged or full, under every scheme and with random real weights."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        tree = random_tree(rng, depth=int(rng.integers(1, 5)), branching=(1, 4), ragged=bool(rng.random() < 0.7))
+        kind = rng.choice(["top", "leaf", "equal", "hier", "random"])
+        if kind == "random":
+            raw = rng.random(tree.n_nodes) * 10.0 ** rng.integers(-3, 4)
+            raw[rng.random(tree.n_nodes) < 0.2] = 0.0
+            yield replace(tree, edge_weight={v: float(raw[v]) for v in tree.edge_weight})
+        else:
+            yield assign_weights(tree, EdgeWeightScheme(str(kind), kappa=float(rng.uniform(0.1, 12.0))))
+
+
+def random_codes(rng, n_codes, size):
+    """Codes 0..n_codes+2: background, classes, and codes above every class."""
+    return rng.integers(0, n_codes + 3, size=size)
+
+
+def random_classes(rng, n_codes):
+    """A shuffled subset of 1..n_codes+1, so some classes never occur and some codes are not classes."""
+    picked = rng.permutation(np.arange(1, n_codes + 2))[: int(rng.integers(1, n_codes + 2))]
+    return [int(c) for c in picked]
+
+
+# -- tree queries ------------------------------------------------------------
+
+
+def test_tree_queries_match_the_walks():
+    checked = 0
+    for tree in weighted_trees(0, 300):
+        for k in range(tree.levels):
+            assert np.array_equal(leaf_level_map(tree, k), ref_leaf_level_map(tree, k))
+            assert level_nodes(tree, k) == ref_level_nodes(tree, k)
+            assert score_at_level(tree, np.full((1, tree.n_leaves), 1.0 / tree.n_leaves), k)[1] == sorted(ref_level_nodes(tree, k))
+            assert level_classes(tree, k) == [v + 1 for v in sorted(ref_level_nodes(tree, k))]
+        for v in range(tree.n_nodes):
+            assert tree.leaves_under(v) == ref_leaves_under(tree, v)
+            assert tree.ancestors(v) == ref_ancestors(tree, v)
+        assert np.array_equal(ancestor_matrix(tree), ref_ancestor_matrix(tree))
+        assert np.array_equal(distance_matrix(tree), ref_distance_matrix(tree))
+        checked += tree.levels > 1
+    assert checked > 100  # most trees have more than one level
+
+
+def test_distance_matrix_matches_the_lca_walk_on_weighted_trees():
+    for tree in weighted_trees(1, 1500):
+        assert np.array_equal(distance_matrix(tree), ref_distance_matrix(tree))
+
+
+# -- pixel counts ------------------------------------------------------------
+
+
+def test_scores_match_the_per_class_loops():
+    rng = np.random.default_rng(2)
+    for trial in range(400):
+        n_codes = int(rng.integers(1, 25))
+        shape = (int(rng.integers(1, 40)), int(rng.integers(1, 40)))
+        pred = random_codes(rng, n_codes, shape)
+        truth = random_codes(rng, n_codes, shape)
+        classes = random_classes(rng, n_codes)
+        domain = None if trial % 3 == 0 else rng.random(shape) < rng.random()
+        empty = not (truth > 0).any() if domain is None else not domain.any()
+        if empty:
+            with pytest.raises(EmptyEvalError):
+                dice_scores(pred, truth, classes, domain)
+            continue
+        assert np.array_equal(dice_scores(pred, truth, classes, domain), ref_dice_scores(pred, truth, classes, domain), equal_nan=True)
+        got, ref = ovr_scores(pred, truth, classes, domain), ref_ovr_scores(pred, truth, classes, domain)
+        assert got.keys() == ref.keys()
+        for key in ref:
+            assert np.array_equal(got[key], ref[key], equal_nan=True), key
+
+
+def test_confusion_matches_the_counting_loop():
+    rng = np.random.default_rng(3)
+    for trial in range(200):
+        n_codes = int(rng.integers(1, 20))
+        n_folds = int(rng.integers(1, 4))
+        shapes = [(int(rng.integers(1, 30)),) for _ in range(n_folds)]
+        preds = [random_codes(rng, n_codes, s) for s in shapes]
+        truths = [random_codes(rng, n_codes, s) for s in shapes]
+        for t in truths:
+            t[0] = 1  # a nonempty default domain
+        domains = None if trial % 2 else [rng.random(s) < 0.7 for s in shapes]
+        if domains is not None:
+            for d in domains:
+                d[0] = True
+        classes = random_classes(rng, n_codes)
+        for background in (False, True):
+            got = confusion(preds, truths, classes, domains, include_background=background)
+            assert np.array_equal(got.per_fold, ref_confusion_counts(preds, truths, classes, domains, background))
+
+
+def test_scores_reject_repeated_class_codes():
+    with pytest.raises(ConfigError, match="distinct and non-negative"):
+        ovr_scores(np.array([1, 2]), np.array([1, 2]), [1, 2, 1])
+
+
+def test_empty_class_list_scores_nothing():
+    assert dice_scores(np.array([1]), np.array([1]), []).shape == (0,)
+    assert all(v.shape == (0,) for v in ovr_scores(np.array([1]), np.array([1]), []).values())
+
+
+# -- compile once ------------------------------------------------------------
+
+
+def test_level_path_walks_no_parent_chain(monkeypatch):
+    """Once the ancestor table is built, gating, sweeping, evaluation and the
+    tree matrices never walk a parent chain again."""
+    tree = assign_weights(random_tree(np.random.default_rng(7), depth=3, ragged=True), EdgeWeightScheme("hier", kappa=3.0))
+    tree.ancestor_table  # noqa: B018 - build the table before walks are forbidden
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a parent chain was walked after the ancestor table was built")
+
+    monkeypatch.setattr(LabelTree, "ancestors", forbidden)
+    rng = np.random.default_rng(8)
+    probs = rng.dirichlet(np.ones(tree.n_leaves), size=(6, 5))
+    truth = rng.integers(1, tree.n_leaves + 1, size=(6, 5))
+    for k in range(tree.levels):
+        field = gate(tree, probs, ThresholdPolicy(0.3, level=k))
+        tau, curve = sweep_tau(tree, [probs], [truth], k, default_grid(0.1))
+        assert 0.0 <= tau < 1.0 and curve.shape == (10, 4)
+        report = evaluate_level(tree, field.labels, truth, k, domain=field.labels >= 0)
+        assert len(report.classes) == len(level_nodes(tree, k))
+        assert leaf_level_map(tree, k).shape == (tree.n_leaves,)
+    assert all(tree.leaves_under(v) for v in range(tree.n_nodes))
+    assert ancestor_matrix(tree).sum() > 0
+    assert distance_matrix(tree).shape == (tree.n_leaves, tree.n_leaves)
+
+
+def test_ancestor_table_is_read_only(three_leaf_tree):
+    table = three_leaf_tree.ancestor_table
+    assert table.shape == (three_leaf_tree.n_nodes, three_leaf_tree.levels + 1)
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    leaf_level_map(three_leaf_tree, 0)[0] = 99  # a copy, not a view of the cache
+    assert np.array_equal(leaf_level_map(three_leaf_tree, 0), np.arange(three_leaf_tree.n_leaves))

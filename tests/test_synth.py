@@ -200,6 +200,14 @@ class TestDiskFormat:
         with pytest.raises(ParseError):
             read_field(tmp_path / "labels.bin")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_are_parse_error(self, tmp_path, rng, bad):
+        feats = rng.random((4, 6, 2))
+        feats[1, 2, 1] = bad
+        write_field(tmp_path / "features.bin", feats)
+        with pytest.raises(ParseError, match="non-finite"):
+            read_field(tmp_path / "features.bin")
+
     def test_header_line(self, tmp_path):
         write_field(tmp_path / "labels.bin", np.zeros((4, 6), dtype=int))
         with open(tmp_path / "labels.bin", "rb") as f:

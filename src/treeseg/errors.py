@@ -85,9 +85,15 @@ def number(block: dict, key: str, default, name: str = "", integer: bool = False
 
 
 def check_fields(block, cls, name: str, skip=()) -> None:
-    """``check_keys`` on the fields of dataclass ``cls``; an int or float field takes only such a number."""
+    """``check_keys`` on the fields of dataclass ``cls``; an int or float field takes only
+    such a number, a bool field only true or false."""
     defaults = {f.name: f.default for f in fields(cls) if f.name not in skip}
     check_keys(block, defaults, name)
     for key, default in defaults.items():
-        if key in block and type(default) in (int, float):
+        if key not in block:
+            continue
+        if type(default) is bool:
+            if not isinstance(block[key], bool):
+                raise ConfigError(f"{name}.{key} must be true or false, got {block[key]!r}")
+        elif type(default) in (int, float):
             number(block, key, default, f"{name}.", integer=type(default) is int)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigError, EmptyEvalError, LabelError
 from .hierarchy import LabelTree, leaf_level_map
@@ -44,6 +43,18 @@ def map_to_level(tree: LabelTree, codes: np.ndarray, k: int) -> np.ndarray:
     return lut[codes]
 
 
+def class_slots(codes: np.ndarray, classes: list[int]) -> np.ndarray:
+    """Slot of every code: slot i is ``classes[i]``, slot m pools every other code."""
+    table = np.asarray(classes, dtype=np.int64)
+    m = table.size
+    if np.unique(table).size < m or np.any(table < 0):
+        raise ConfigError("class codes must be distinct and non-negative")
+    top = int(table.max(initial=0)) + 1
+    lut = np.full(top + 1, m)  # lut[top], also reached as lut[-1], is the pool slot
+    lut[table] = np.arange(m)
+    return lut[np.clip(codes, -1, top)]
+
+
 def _count_table(pred: np.ndarray, truth: np.ndarray, classes: list[int], domain: np.ndarray | None) -> np.ndarray:
     """(m+1, m+1) pixel counts on the domain (annotated truth if None), rows
     true and columns predicted: slot i is ``classes[i]``, slot m every other code."""
@@ -52,14 +63,8 @@ def _count_table(pred: np.ndarray, truth: np.ndarray, classes: list[int], domain
     dom = truth > 0 if domain is None else np.asarray(domain, dtype=bool).reshape(-1)
     if not dom.any():
         raise EmptyEvalError("empty annotation domain")
-    codes = np.asarray(classes, dtype=np.int64)
-    m = codes.size
-    if np.unique(codes).size < m or np.any(codes < 0):
-        raise ConfigError("class codes must be distinct and non-negative")
-    top = int(codes.max(initial=0)) + 1
-    lut = np.full(top + 1, m)  # lut[top], also reached as lut[-1], is the pool slot
-    lut[codes] = np.arange(m)
-    pair = lut[np.clip(truth[dom], -1, top)] * (m + 1) + lut[np.clip(pred[dom], -1, top)]
+    m = len(classes)
+    pair = class_slots(truth[dom], classes) * (m + 1) + class_slots(pred[dom], classes)
     return np.bincount(pair, minlength=(m + 1) ** 2).reshape(m + 1, m + 1)
 
 
@@ -72,19 +77,17 @@ def dice_scores(pred: np.ndarray, truth: np.ndarray, classes: list[int], domain:
     return np.divide(2.0 * tp, total, out=np.full(m, np.nan), where=total > 0)
 
 
-def _boundary(mask: np.ndarray) -> np.ndarray:
-    """Face-adjacency boundary; out-of-image counts as background, so pixels
-    on the image border are boundary."""
-    mask = np.asarray(mask, dtype=bool)
-    padded = np.pad(mask, 1, constant_values=False)
-    core = tuple(slice(1, -1) for _ in range(mask.ndim))
-    all_in = mask.copy()
-    for axis in range(mask.ndim):
-        for off in (-1, 1):
-            sl = list(core)
-            sl[axis] = slice(1 + off, padded.shape[axis] - 1 + off)
-            all_in &= padded[tuple(sl)]
-    return mask & ~all_in
+def _surface(img: np.ndarray) -> np.ndarray:
+    """Boundary of every label region at once: a pixel is on its label's
+    boundary when a face neighbour has another label or lies outside the image."""
+    edge = np.zeros(img.shape, dtype=bool)
+    for axis in range(img.ndim):
+        a, e = np.moveaxis(img, axis, 0), np.moveaxis(edge, axis, 0)
+        e[0] = e[-1] = True
+        step = a[1:] != a[:-1]
+        e[1:] |= step
+        e[:-1] |= step
+    return edge
 
 
 def nsd_scores(
@@ -98,6 +101,10 @@ def nsd_scores(
 
     Fraction of boundary elements of each surface lying within
     ``tolerance`` of the other surface, symmetrized over both surfaces.
+    Every class is scored in one pass: a boundary pixel counts when some
+    integer offset inside the tolerance ball, measured as scipy's
+    Euclidean distance transform measures it, lands on a boundary pixel of
+    the same class on the other side.
     """
     if tolerance < 0:
         raise ConfigError("tolerance must be >= 0")
@@ -105,21 +112,38 @@ def nsd_scores(
     truth = np.asarray(truth)
     if pred.shape != truth.shape or pred.ndim < 2:
         raise ConfigError("nsd needs two dense label images of the same spatial shape")
-    out = np.full(len(classes), np.nan)
-    for i, c in enumerate(classes):
-        sp = _boundary(pred == c)
-        sg = _boundary(truth == c)
-        np_, ng = int(sp.sum()), int(sg.sum())
-        if np_ == 0 and ng == 0:
-            continue
-        if np_ == 0 or ng == 0:
-            out[i] = 0.0
-            continue
-        dist_to_g = ndimage.distance_transform_edt(~sg, sampling=spacing)
-        dist_to_p = ndimage.distance_transform_edt(~sp, sampling=spacing)
-        ok = np.sum(dist_to_g[sp] <= tolerance) + np.sum(dist_to_p[sg] <= tolerance)
-        out[i] = ok / (np_ + ng)
-    return out
+    m = len(classes)
+    if pred.size == 0:
+        return np.full(m, np.nan)
+    shape = np.array(pred.shape)
+    sampling = np.ones(pred.ndim) if spacing is None else np.broadcast_to(np.asarray(spacing, dtype=float), (pred.ndim,))
+    # integer offsets inside the tolerance ball; the reach bounds them and clips them to the image
+    reach = np.minimum(shape - 1, np.floor(tolerance / sampling) + 1).astype(np.int64)
+    ball = np.indices(2 * reach + 1).reshape(pred.ndim, -1)
+    sq = (ball - reach[:, None]) * sampling[:, None]
+    sq *= sq
+    ball = ball[:, np.sqrt(np.add.reduce(sq, axis=0)) <= tolerance]
+    # each side's boundary slots, -1 elsewhere, padded by the reach: an offset is one flat shift
+    padded = shape + 2 * reach
+    shifts = np.ravel_multi_index(tuple(ball), padded) - np.ravel_multi_index(tuple(reach), padded)
+    flat = []
+    for img in (pred, truth):
+        slot = class_slots(img, classes)
+        slot[(slot == m) | ~_surface(img)] = -1
+        pad = np.full(padded, -1)
+        pad[tuple(slice(r, r + n) for r, n in zip(reach, shape))] = slot
+        flat.append(pad.reshape(-1))
+    ok = np.zeros(m, dtype=np.int64)
+    total = np.zeros(m, dtype=np.int64)
+    for own, other in (flat, flat[::-1]):
+        at = np.flatnonzero(own >= 0)
+        label = own[at]
+        hit = np.zeros(at.size, dtype=bool)
+        for shift in shifts:
+            hit |= other[at + shift] == label
+        ok += np.bincount(label[hit], minlength=m)
+        total += np.bincount(label, minlength=m)
+    return np.divide(ok, total, out=np.full(m, np.nan), where=total > 0)
 
 
 def ovr_scores(
@@ -135,12 +159,18 @@ def ovr_scores(
     m = len(table) - 1
     tp = table.diagonal()[:m]
     n_pos = table[:m].sum(axis=1)
-    n_neg = table.sum() - n_pos
-    fp = table[:, :m].sum(axis=0) - tp
+    return ovr_from_counts(tp, table[:, :m].sum(axis=0) - tp, n_pos, table.sum() - n_pos)
+
+
+def ovr_from_counts(tp: np.ndarray, fp: np.ndarray, n_pos: np.ndarray, n_neg: np.ndarray) -> dict[str, np.ndarray]:
+    """One-vs-rest TPR/TNR/BACC/F1 from integer counts, all of one shape (..., m).
+
+    A class without positives is NaN; one without negatives gets TNR 1.
+    """
     seen = n_pos > 0
-    tpr = np.divide(tp, n_pos, out=np.full(m, np.nan), where=seen)
+    tpr = np.divide(tp, n_pos, out=np.full(tp.shape, np.nan), where=seen)
     tnr = np.divide(n_neg - fp, n_neg, out=np.where(seen, 1.0, np.nan), where=seen & (n_neg > 0))
-    f1 = np.divide(2.0 * tp, 2.0 * tp + fp + (n_pos - tp), out=np.full(m, np.nan), where=seen)
+    f1 = np.divide(2.0 * tp, 2.0 * tp + fp + (n_pos - tp), out=np.full(tp.shape, np.nan), where=seen)
     return {"tpr": tpr, "tnr": tnr, "bacc": (tpr + tnr) / 2.0, "f1": f1}
 
 

@@ -82,6 +82,8 @@ class ExperimentConfig:
         if not isinstance(self.eval_levels, (list, tuple)):
             raise ConfigError(f"eval.levels must be a list of levels, got {self.eval_levels!r}")
         self.eval_levels = tuple(parse_level(level) for level in self.eval_levels)
+        if self.nsd_tolerance is not None and self.nsd_tolerance < 0:
+            raise ConfigError(f"eval.tolerance must be >= 0, got {self.nsd_tolerance!r}")
         if self.fold_subset is not None:
             n_folds = self.n_subject_folds * self.n_label_folds
             if not isinstance(self.fold_subset, (list, tuple)):

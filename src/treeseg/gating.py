@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .evaluation import ovr_scores
+from .evaluation import class_slots, ovr_from_counts
 from .hierarchy import LabelTree, leaf_level_map, parse_level, resolve_level
-from .losses import aggregate
+# gating.aggregate stays importable: perfbench/test_perfbench.py rebinds it
+from .losses import _aggregation_plan, _sum_up, aggregate, leaf_rows  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -49,11 +50,15 @@ def score_at_level(tree: LabelTree, probs: np.ndarray, k: int) -> tuple[np.ndarr
     """Aggregated probabilities restricted to the level-k nodes.
 
     Returns ``(scores, node_ids)`` with score columns in ascending node-id
-    order. For k = 0 the scores are the raw leaf probabilities.
+    order. Only the subtrees under the level are summed; for k = 0 nothing
+    is, and the scores are the checked leaf probabilities themselves.
     """
     node_ids = np.unique(leaf_level_map(tree, k)).tolist()
-    node_probs = aggregate(tree, probs)
-    return node_probs[..., node_ids], node_ids
+    p, lead = leaf_rows(tree, probs)
+    if k > 0:
+        plan = [(v, kids) for v, kids in _aggregation_plan(tree) if tree.levels - tree.depth[v] <= k]
+        p = _sum_up(p, plan, np.zeros((tree.n_nodes, p.shape[0])))[node_ids].T
+    return p.reshape(*lead, len(node_ids)), node_ids
 
 
 def gate(tree: LabelTree, probs: np.ndarray, policy: ThresholdPolicy) -> PredictionField:
@@ -124,15 +129,24 @@ def sweep_tau(
     max_score = np.concatenate(max_parts)
     arg_code = np.concatenate(arg_parts)
     true_code = np.concatenate(true_parts)
-    classes = sorted(int(c) for c in np.unique(true_code))
+    classes = np.unique(true_code)
+    m = classes.size
+
+    # A pixel is predicted positive at the j-th smallest threshold iff more
+    # than j grid values lie below its max score: count pixels per (number
+    # below, predicted slot), then sum from the top.
+    order = np.argsort(grid, kind="stable")
+    below = np.searchsorted(grid[order], max_score, "left")
+    cell = below * (m + 1) + class_slots(arg_code, classes)
+    shape = (grid.size + 1, m + 1)
+    predicted = np.bincount(cell, minlength=shape[0] * shape[1]).reshape(shape)
+    correct = np.bincount(cell[arg_code == true_code], minlength=shape[0] * shape[1]).reshape(shape)
+    tp, pp = (np.cumsum(c[::-1], axis=0)[::-1][1:, :m] for c in (correct, predicted))
+    n_pos = np.broadcast_to(np.bincount(np.searchsorted(classes, true_code), minlength=m), tp.shape)
+    scores = ovr_from_counts(tp, pp - tp, n_pos, true_code.size - n_pos)
 
     curve = np.zeros((grid.size, 4))
-    best_tau, best_f1 = None, -1.0
-    for row, tau in enumerate(grid):
-        pred = np.where(max_score > tau, arg_code, 0)
-        scores = ovr_scores(pred, true_code, classes)
-        means = [float(np.nanmean(scores[key])) for key in ("tpr", "bacc", "f1")]
-        curve[row] = (tau, *means)
-        if means[2] > best_f1 or (means[2] == best_f1 and tau > best_tau):
-            best_tau, best_f1 = float(tau), means[2]
-    return best_tau, curve
+    curve[:, 0] = grid
+    curve[order, 1:] = np.stack([np.nanmean(scores[key], axis=1) for key in ("tpr", "bacc", "f1")], axis=1)
+    f1 = curve[:, 3]
+    return float(grid[f1 == f1.max()].max()), curve

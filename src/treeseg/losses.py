@@ -140,15 +140,32 @@ def _aggregation_plan(tree: LabelTree) -> tuple[tuple[int, tuple[int, ...]], ...
     return tuple((v, tuple(tree.nodes[v].children)) for v in tree.deepest_first() if tree.nodes[v].children)
 
 
-def _sum_up(p: np.ndarray, plan: tuple, n_nodes: int) -> np.ndarray:
-    """(n, C) leaf probabilities -> (n, N) subtree masses, summing children into parents."""
-    out = np.zeros((p.shape[0], n_nodes))
-    out[:, : p.shape[1]] = p
+def _sum_up(p: np.ndarray, plan: tuple, out: np.ndarray) -> np.ndarray:
+    """(n, C) leaf probabilities -> subtree masses in ``out``, indexed node-major (N, n).
+
+    Leaf rows are copied and every planned node is the sum of its children,
+    in plan order. The caller picks the memory layout: a C-ordered (N, n)
+    buffer keeps each node's row contiguous, the transposed view of an
+    (n, N) buffer fills a pixel-major array with the same sums.
+    """
+    out[: p.shape[1]] = p.T
     for v, kids in plan:
-        out[:, v] = out[:, kids[0]]
+        out[v] = out[kids[0]]
         for c in kids[1:]:
-            out[:, v] += out[:, c]
+            out[v] += out[c]
     return out
+
+
+def leaf_rows(tree: LabelTree, probs: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``probs`` (..., C) as checked (n, C) probability rows, with the leading shape."""
+    p = np.asarray(probs, dtype=float)
+    lead = p.shape[:-1]
+    p = p.reshape(-1, p.shape[-1])
+    if p.shape[1] != tree.n_leaves:
+        raise NormalizationError(f"expected {tree.n_leaves} leaf columns, got {p.shape[1]}")
+    if np.any(p < -1e-9) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-9):
+        raise NormalizationError("rows must be probability vectors over the leaves")
+    return p, lead
 
 
 def aggregate(tree: LabelTree, probs: np.ndarray) -> np.ndarray:
@@ -158,14 +175,10 @@ def aggregate(tree: LabelTree, probs: np.ndarray) -> np.ndarray:
     computed by summing children into parents in depth order. Input is
     ``(..., C)``, output ``(..., N)``.
     """
-    p = np.asarray(probs, dtype=float)
-    lead = p.shape[:-1]
-    p = p.reshape(-1, p.shape[-1])
-    if p.shape[1] != tree.n_leaves:
-        raise NormalizationError(f"expected {tree.n_leaves} leaf columns, got {p.shape[1]}")
-    if np.any(p < -1e-9) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-9):
-        raise NormalizationError("rows must be probability vectors over the leaves")
-    return _sum_up(p, _aggregation_plan(tree), tree.n_nodes).reshape(*lead, tree.n_nodes)
+    p, lead = leaf_rows(tree, probs)
+    out = np.zeros((p.shape[0], tree.n_nodes))
+    _sum_up(p, _aggregation_plan(tree), out.T)
+    return out.reshape(*lead, tree.n_nodes)
 
 
 def _chain_softmax(p: np.ndarray, dldp: np.ndarray) -> np.ndarray:
@@ -208,7 +221,8 @@ class _TreeCE:
         self.plan = _aggregation_plan(tree)
 
     def __call__(self, b: _Batch) -> tuple[float, np.ndarray]:
-        node_p = _sum_up(b.p, self.plan, self.u.shape[0])
+        node_p = np.zeros((b.n, self.u.shape[0]))  # pixel-major: the row sums and the product below need it
+        _sum_up(b.p, self.plan, node_p.T)
         contrib = self.chains[b.leaf]  # (n, N)
         live = node_p > LOG_GUARD
         clamped = np.maximum(node_p, LOG_GUARD, out=node_p)

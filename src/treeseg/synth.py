@@ -56,12 +56,17 @@ class SynthConfig:
 
 
 def synth_config_from_dict(block: dict, tree: LabelTree | None = None) -> SynthConfig:
-    """SynthConfig from a JSON synth block: lists become tuples, unknown keys and non-numbers are rejected."""
+    """SynthConfig from a JSON synth block: integer lists become tuples; unknown keys,
+    non-numbers and non-lists are rejected."""
     check_fields(block, SynthConfig, "synth", skip=("tree",))
     kwargs = dict(block)
-    for key in ("tree_branching", "held_out"):
+    for key, size in (("tree_branching", 2), ("held_out", None)):
         if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
+            value = kwargs[key]
+            integers = isinstance(value, (list, tuple)) and all(isinstance(v, int) and not isinstance(v, bool) for v in value)
+            if not integers or size not in (None, len(value)):
+                raise ConfigError(f"synth.{key} must be a list of {'two ' if size else ''}integers, got {value!r}")
+            kwargs[key] = tuple(value)
     return SynthConfig(tree=tree, **kwargs)
 
 

@@ -284,6 +284,10 @@ def test_fold_subset_out_of_range_exits_one(tmp_path, monkeypatch, capsys, subse
         ({"synth": dict(EXP_CONFIG["synth"], height="x")}, "synth.height"),
         ({"train": dict(EXP_CONFIG["train"], lr="x")}, "train.lr"),
         ({"eval": {"levels": ["leaf"], "tolerance": "x"}}, "eval.tolerance"),
+        ({"eval": {"levels": ["leaf"], "tolerance": -1}}, "eval.tolerance"),
+        ({"train": dict(EXP_CONFIG["train"], augment="yes")}, "train.augment"),
+        ({"synth": dict(EXP_CONFIG["synth"], held_out=5)}, "synth.held_out"),
+        ({"synth": dict(EXP_CONFIG["synth"], tree_branching="ab")}, "synth.tree_branching"),
     ],
 )
 def test_non_numeric_config_value_exits_one(tmp_path, monkeypatch, capsys, changes, key):

@@ -1,25 +1,32 @@
-"""Bitwise references for the ancestor table and the count table.
+"""Bitwise references for the ancestor table, the count table and the scoring passes.
 
-The per-class counting loops and the parent-chain tree walks below are the
-earlier implementations, frozen. Every level query, subtree, ancestor
-matrix and distance matrix now reads ``LabelTree.ancestor_table``, and
-Dice, one-vs-rest scores and confusion counts all read one pixel count
-table; these tests hold them equal to the walks and loops, bit for bit.
+The per-class counting loops, the parent-chain tree walks, the per-class
+distance-transform NSD, the per-grid-point threshold sweep and the
+pixel-major subtree sum below are the earlier implementations, frozen.
+Every level query, subtree, ancestor matrix and distance matrix now reads
+``LabelTree.ancestor_table``; Dice, one-vs-rest scores and confusion counts
+all read one pixel count table; NSD scores every class in one pass over the
+tolerance ball, the sweep counts every threshold in one pass, and level
+scores sum only the level's subtrees. These tests hold them equal to the
+walks and loops, bit for bit.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from treeseg import losses
 from treeseg.distances import distance_matrix
 from treeseg.errors import ConfigError, EmptyEvalError
-from treeseg.evaluation import confusion, dice_scores, evaluate_level, level_classes, ovr_scores
+from treeseg.evaluation import confusion, dice_scores, evaluate_level, level_classes, nsd_scores, ovr_scores
 from treeseg.gating import ThresholdPolicy, default_grid, gate, score_at_level, sweep_tau
 from treeseg.hierarchy import EdgeWeightScheme, LabelTree, assign_weights, leaf_level_map, level_nodes, random_tree
-from treeseg.losses import ancestor_matrix
+from treeseg.losses import aggregate, ancestor_matrix
 
 # -- frozen tree walks -------------------------------------------------------
 
@@ -159,6 +166,91 @@ def ref_confusion_counts(fold_preds, fold_truths, classes, domains=None, include
     return per_fold
 
 
+# -- frozen scoring passes ----------------------------------------------------
+
+
+def ref_boundary(mask):
+    mask = np.asarray(mask, dtype=bool)
+    padded = np.pad(mask, 1, constant_values=False)
+    core = tuple(slice(1, -1) for _ in range(mask.ndim))
+    all_in = mask.copy()
+    for axis in range(mask.ndim):
+        for off in (-1, 1):
+            sl = list(core)
+            sl[axis] = slice(1 + off, padded.shape[axis] - 1 + off)
+            all_in &= padded[tuple(sl)]
+    return mask & ~all_in
+
+
+def ref_nsd_scores(pred, truth, classes, tolerance, spacing=None):
+    out = np.full(len(classes), np.nan)
+    for i, c in enumerate(classes):
+        sp = ref_boundary(pred == c)
+        sg = ref_boundary(truth == c)
+        np_, ng = int(sp.sum()), int(sg.sum())
+        if np_ == 0 and ng == 0:
+            continue
+        if np_ == 0 or ng == 0:
+            out[i] = 0.0
+            continue
+        dist_to_g = ndimage.distance_transform_edt(~sg, sampling=spacing)
+        dist_to_p = ndimage.distance_transform_edt(~sp, sampling=spacing)
+        ok = np.sum(dist_to_g[sp] <= tolerance) + np.sum(dist_to_p[sg] <= tolerance)
+        out[i] = ok / (np_ + ng)
+    return out
+
+
+def ref_aggregate(tree, probs):
+    p = np.asarray(probs, dtype=float)
+    lead = p.shape[:-1]
+    p = p.reshape(-1, p.shape[-1])
+    out = np.zeros((p.shape[0], tree.n_nodes))
+    out[:, : p.shape[1]] = p
+    for v in tree.deepest_first():
+        kids = tree.nodes[v].children
+        if kids:
+            out[:, v] = out[:, kids[0]]
+            for c in kids[1:]:
+                out[:, v] += out[:, c]
+    return out.reshape(*lead, tree.n_nodes)
+
+
+def ref_score_at_level(tree, probs, k):
+    node_ids = sorted(ref_level_nodes(tree, k))
+    return ref_aggregate(tree, probs)[..., node_ids], node_ids
+
+
+def ref_sweep_tau(tree, prob_fields, masks, k, grid):
+    grid = np.asarray(grid, dtype=float)
+    lut = ref_leaf_level_map(tree, k) + 1
+    max_parts, arg_parts, true_parts = [], [], []
+    for probs, mask in zip(prob_fields, masks):
+        probs = np.asarray(probs, dtype=float).reshape(-1, tree.n_leaves)
+        codes = np.asarray(mask).reshape(-1)
+        ann = codes > 0
+        if not ann.any():
+            continue
+        scores, node_ids = ref_score_at_level(tree, probs[ann], k)
+        best = np.argmax(scores, axis=1)
+        max_parts.append(scores[np.arange(len(best)), best])
+        arg_parts.append(np.asarray(node_ids, dtype=np.int64)[best] + 1)
+        true_parts.append(lut[codes[ann] - 1])
+    max_score = np.concatenate(max_parts)
+    arg_code = np.concatenate(arg_parts)
+    true_code = np.concatenate(true_parts)
+    classes = sorted(int(c) for c in np.unique(true_code))
+    curve = np.zeros((grid.size, 4))
+    best_tau, best_f1 = None, -1.0
+    for row, tau in enumerate(grid):
+        pred = np.where(max_score > tau, arg_code, 0)
+        scores = ref_ovr_scores(pred, true_code, classes)
+        means = [float(np.nanmean(scores[key])) for key in ("tpr", "bacc", "f1")]
+        curve[row] = (tau, *means)
+        if means[2] > best_f1 or (means[2] == best_f1 and tau > best_tau):
+            best_tau, best_f1 = float(tau), means[2]
+    return best_tau, curve
+
+
 # -- random inputs -----------------------------------------------------------
 
 
@@ -185,6 +277,36 @@ def random_classes(rng, n_codes):
     """A shuffled subset of 1..n_codes+1, so some classes never occur and some codes are not classes."""
     picked = rng.permutation(np.arange(1, n_codes + 2))[: int(rng.integers(1, n_codes + 2))]
     return [int(c) for c in picked]
+
+
+def label_image(rng, n_codes, shape):
+    """Codes 0..n_codes+2, either per pixel or in blocks, so regions have interiors."""
+    if rng.random() < 0.5:
+        return random_codes(rng, n_codes, shape)
+    img = random_codes(rng, n_codes, tuple(max(1, s // 3) for s in shape))
+    for axis, s in enumerate(shape):
+        img = np.repeat(img, -(-s // img.shape[axis]), axis=axis)
+    return img[tuple(slice(0, s) for s in shape)]
+
+
+def probability_fields(rng, tree, shape, count):
+    """Dirichlet rows, or coarse rows in tenths and quarters whose level scores hit grid values."""
+    for _ in range(count):
+        if rng.random() < 0.5:
+            yield rng.dirichlet(np.full(tree.n_leaves, rng.choice([0.2, 1.0])), size=shape)
+        else:
+            units = int(rng.choice([4, 10]))
+            ticks = rng.multinomial(units, np.full(tree.n_leaves, 1.0 / tree.n_leaves), size=shape)
+            yield ticks / units
+
+
+def grids(rng):
+    """Sorted, shuffled, repeated and single-point threshold grids."""
+    sorted_grid = default_grid(float(rng.choice([0.05, 0.1, 0.25])))
+    yield sorted_grid
+    yield rng.permutation(sorted_grid)
+    yield rng.permutation(np.concatenate([sorted_grid, sorted_grid[rng.integers(0, sorted_grid.size, 5)]]))
+    yield np.array([float(rng.choice(sorted_grid))])
 
 
 # -- tree queries ------------------------------------------------------------
@@ -264,6 +386,101 @@ def test_scores_reject_repeated_class_codes():
 def test_empty_class_list_scores_nothing():
     assert dice_scores(np.array([1]), np.array([1]), []).shape == (0,)
     assert all(v.shape == (0,) for v in ovr_scores(np.array([1]), np.array([1]), []).values())
+
+
+# -- scoring passes ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("tolerance", [0, 0.5, np.sqrt(2), 2.5, 4])
+def test_nsd_matches_the_per_class_distance_transform(tolerance):
+    empty = np.zeros((0, 4), dtype=np.int64)
+    assert np.array_equal(nsd_scores(empty, empty, [1, 2], tolerance), ref_nsd_scores(empty, empty, [1, 2], tolerance), equal_nan=True)
+    rng = np.random.default_rng(int(10 * tolerance))
+    for trial in range(80):
+        ndim = 3 if trial % 3 == 0 else 2
+        shape = tuple(int(rng.integers(1, 9 if ndim == 3 else 24)) for _ in range(ndim))
+        n_codes = int(rng.integers(1, 8))
+        pred, truth = label_image(rng, n_codes, shape), label_image(rng, n_codes, shape)
+        classes = random_classes(rng, n_codes)
+        spacing = None if trial % 2 else tuple(float(s) for s in rng.choice([0.5, 0.7, 1.0, 1.5, 2.0], size=ndim))
+        got = nsd_scores(pred, truth, classes, tolerance, spacing)
+        assert np.array_equal(got, ref_nsd_scores(pred, truth, classes, tolerance, spacing), equal_nan=True)
+
+
+def test_level_scores_match_the_pixel_major_sum():
+    rng = np.random.default_rng(11)
+    for tree in weighted_trees(12, 150):
+        probs = rng.dirichlet(np.ones(tree.n_leaves), size=(int(rng.integers(1, 6)), 3))
+        assert np.array_equal(aggregate(tree, probs), ref_aggregate(tree, probs))
+        for k in range(tree.levels):
+            got, nodes = score_at_level(tree, probs, k)
+            ref, ref_nodes = ref_score_at_level(tree, probs, k)
+            assert nodes == ref_nodes
+            assert np.array_equal(got, ref)
+
+
+def test_sweep_matches_the_per_grid_point_loop():
+    rng = np.random.default_rng(13)
+    checked = 0
+    for tree in weighted_trees(14, 40):
+        shape = (int(rng.integers(1, 8)), int(rng.integers(1, 8)))
+        fields = list(probability_fields(rng, tree, shape, int(rng.integers(1, 4))))
+        masks = [rng.integers(1, tree.n_leaves + 1, size=shape) for _ in fields]
+        for mask in masks:
+            mask[rng.random(shape) < 0.4] = 0  # unannotated or pseudo-background
+        masks[0].flat[0] = 1  # at least one annotated pixel
+        if len(masks) > 1:
+            masks[-1][:] = 0  # a field with nothing annotated
+        for k in range(tree.levels):
+            for grid in grids(rng):
+                tau, curve = sweep_tau(tree, fields, masks, k, grid)
+                ref_tau, ref_curve = ref_sweep_tau(tree, fields, masks, k, grid)
+                assert tau == ref_tau
+                assert np.array_equal(curve, ref_curve)
+                checked += 1
+    assert checked > 200
+
+
+def rebind(monkeypatch, original, replacement):
+    """Replace ``original`` in every treeseg module that holds it by name."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("treeseg"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("a per-class or per-grid-point pass was made")
+
+
+def guard_inputs():
+    tree = random_tree(np.random.default_rng(15), depth=3, ragged=True)
+    rng = np.random.default_rng(16)
+    return tree, rng.dirichlet(np.ones(tree.n_leaves), size=(9, 7)), rng.integers(1, tree.n_leaves + 1, size=(9, 7))
+
+
+def test_nsd_takes_no_distance_transform(monkeypatch):
+    monkeypatch.setattr(ndimage, "distance_transform_edt", forbidden)
+    tree, _, truth = guard_inputs()
+    pred = np.roll(truth, 1, axis=0)
+    for tolerance in (0, 2.0):
+        assert nsd_scores(pred, truth, list(range(1, tree.n_leaves + 1)), tolerance).shape == (tree.n_leaves,)
+
+
+def test_sweep_scores_no_grid_point_on_its_own(monkeypatch):
+    rebind(monkeypatch, ovr_scores, forbidden)
+    tree, probs, truth = guard_inputs()
+    for k in range(tree.levels):
+        assert sweep_tau(tree, [probs], [truth], k, default_grid(0.1))[1].shape == (10, 4)
+
+
+def test_level_zero_scores_sum_no_subtree(monkeypatch):
+    rebind(monkeypatch, losses._sum_up, forbidden)
+    tree, probs, truth = guard_inputs()
+    assert np.array_equal(score_at_level(tree, probs, 0)[0], probs)
+    tau, _ = sweep_tau(tree, [probs], [truth], 0, default_grid(0.1))
+    assert gate(tree, probs, ThresholdPolicy(tau, level=0)).labels.shape == (9, 7)
 
 
 # -- compile once ------------------------------------------------------------

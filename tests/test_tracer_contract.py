@@ -46,7 +46,7 @@ def test_every_traced_name_exists_and_is_restored(monkeypatch):
     assert all(getattr(owner, attr) is fn for (owner, attr), fn in zip(names, before))
 
 
-def test_ovr_scores_counts_one_call_per_grid_point_and_per_level(monkeypatch):
+def test_ovr_scores_counts_no_call_in_the_sweep_and_one_per_level(monkeypatch):
     tracing = load_tracing(monkeypatch)
     import treeseg.evaluation as evaluation
     import treeseg.gating as gating
@@ -58,7 +58,7 @@ def test_ovr_scores_counts_one_call_per_grid_point_and_per_level(monkeypatch):
     grid = default_grid(0.05)
     with tracing.Tracer() as tracer:
         gating.sweep_tau(tree, [probs], [truth], tree.levels - 1, grid)
-        assert tracer.stat("evaluation.ovr_scores").calls == grid.size
+        assert tracer.stat("evaluation.ovr_scores").calls == 0  # the sweep counts every grid point in one pass
         tracer.reset()
         labels = gating.gate(tree, probs, gating.ThresholdPolicy(0.2)).labels
         for k in range(tree.levels):

@@ -17,17 +17,17 @@ import numpy as np
 
 from . import experiment as exp
 from .distances import distance_matrix
-from .errors import ConfigError, TreesegError, ValidationError
+from .errors import ConfigError, TreesegError, ValidationError, read_json_object
 from .evaluation import evaluate_level, pool_nsd
 from .gating import ThresholdPolicy, default_grid, gate, sweep_tau
-from .hierarchy import EdgeWeightScheme, assign_weights, parse_level, resolve_level
+from .hierarchy import EdgeWeightScheme, assign_weights, parse_level, read_tree, resolve_level
 from .synth import generate, load_corpus, make_folds, read_field, save_corpus, save_folds, synth_config_from_dict, write_field
 from .training import load_model, predict, save_model
 
 
 def cmd_tree_check(args) -> int:
     try:
-        tree = exp.read_tree(args.file)
+        tree = read_tree(args.file)
     except ValidationError as e:
         print(f"INVALID: {e}")
         return 1
@@ -38,7 +38,7 @@ def cmd_tree_check(args) -> int:
 
 
 def cmd_tree_distmat(args) -> int:
-    tree = exp.read_tree(args.file)
+    tree = read_tree(args.file)
     scheme = EdgeWeightScheme(args.scheme, kappa=args.kappa)
     m = distance_matrix(assign_weights(tree, scheme))
     names = tree.leaf_names()
@@ -59,7 +59,7 @@ def _config(args) -> exp.ExperimentConfig:
 
 
 def cmd_synth(args) -> int:
-    data = exp.read_config_json(args.config) if args.config else {}
+    data = read_json_object(args.config) if args.config else {}
     if "synth" in data:  # an experiment config: the corpus that `run` and `train` generate
         config = _config(args)
         corpus = generate(replace(config.synth, seed=config.seed))
@@ -113,16 +113,12 @@ def cmd_sweep(args) -> int:
 
 
 def _load_preds(pred_dir: Path, n_subjects: int) -> list[np.ndarray]:
-    preds = []
-    for i in range(n_subjects):
-        path = pred_dir / f"pred_s{i:03d}.bin"
-        if not path.exists():
-            raise ConfigError(f"missing prediction file {path}")
-        preds.append(read_field(path))
-    return preds
+    return [read_field(pred_dir / f"pred_s{i:03d}.bin") for i in range(n_subjects)]
 
 
 def cmd_eval(args) -> int:
+    if args.tolerance is not None and not args.tolerance >= 0:
+        raise ConfigError(f"--tolerance must be >= 0, got {args.tolerance}")
     corpus = load_corpus(args.corpus)
     preds = _load_preds(Path(args.pred), len(corpus.subjects))
     masks = [s.mask for s in corpus.subjects]
@@ -150,6 +146,8 @@ def cmd_confusion(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     out = exp.run_experiment(_config(args), args.out, jobs=args.jobs)
     print((out / "report.txt").read_text(), end="")
     print(f"experiment written to {out}")

@@ -5,7 +5,9 @@ Validation-style errors (bad inputs, bad configs) all derive from
 else is treated as a runtime failure (exit code 2).
 """
 
+import json
 from dataclasses import fields
+from pathlib import Path
 
 
 class TreesegError(Exception):
@@ -97,3 +99,17 @@ def check_fields(block, cls, name: str, skip=()) -> None:
                 raise ConfigError(f"{name}.{key} must be true or false, got {block[key]!r}")
         elif type(default) in (int, float):
             number(block, key, default, f"{name}.", integer=type(default) is int)
+
+
+def read_json_object(path) -> dict:
+    """The JSON object the file at ``path`` holds; a missing file, malformed JSON or
+    another value is a ConfigError naming the path."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise ConfigError(f"{path} does not exist") from None
+    except ValueError as e:  # JSONDecodeError, or a file that is not text
+        raise ConfigError(f"{path}: malformed JSON: {e}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: must hold a JSON object")
+    return data

@@ -248,13 +248,10 @@ def evaluate_level(
     level: int,
     *,
     domain: np.ndarray | None = None,
-    nsd_tolerance: float | None = None,
-    spacing: tuple[float, ...] | None = None,
 ) -> EvalReport:
     """Evaluate leaf-coded predictions against leaf-coded truth at a level.
 
-    NSD is computed only when a tolerance is given and the inputs are
-    dense spatial label images (no unannotated truth, no domain mask).
+    The report carries no NSD; ``pool_nsd`` adds the per-subject surface Dice.
     """
     pred = np.asarray(pred)
     truth = np.asarray(truth)
@@ -264,21 +261,7 @@ def evaluate_level(
     truth_l = map_to_level(tree, truth, level)
     dice = dice_scores(pred_l, truth_l, classes, domain)
     ovr = ovr_scores(pred_l, truth_l, classes, domain)
-    nsd = None
-    dense = domain is None and truth.ndim >= 2 and not np.any(truth == 0)
-    if nsd_tolerance is not None and dense:
-        nsd = nsd_scores(pred_l, truth_l, classes, nsd_tolerance, spacing)
-    return EvalReport(
-        level=level,
-        classes=classes,
-        names=names,
-        dice=dice,
-        tpr=ovr["tpr"],
-        bacc=ovr["bacc"],
-        f1=ovr["f1"],
-        nsd=nsd,
-        nsd_tolerance=nsd_tolerance if nsd is not None else None,
-    )
+    return EvalReport(level=level, classes=classes, names=names, dice=dice, tpr=ovr["tpr"], bacc=ovr["bacc"], f1=ovr["f1"])
 
 
 def pool_nsd(rep: EvalReport, tree: LabelTree, preds: list[np.ndarray], truths: list[np.ndarray], tolerance: float) -> None:

@@ -19,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .distances import distance_matrix
-from .errors import ConfigError, check_fields, check_keys, number
+from .errors import ConfigError, check_fields, check_keys, number, read_json_object
 from .evaluation import EvalReport, confusion, evaluate_level, level_classes, map_to_level, pool_nsd
 from .gating import ThresholdPolicy, default_grid, gate, sweep_tau
-from .hierarchy import EdgeWeightScheme, LabelTree, assign_weights, parse_level, parse_tree, resolve_level
+from .hierarchy import EdgeWeightScheme, LabelTree, assign_weights, parse_level, read_tree, resolve_level
 from .losses import LossSpec
 from .seeding import substream
 from .synth import (
@@ -82,7 +82,7 @@ class ExperimentConfig:
         if not isinstance(self.eval_levels, (list, tuple)):
             raise ConfigError(f"eval.levels must be a list of levels, got {self.eval_levels!r}")
         self.eval_levels = tuple(parse_level(level) for level in self.eval_levels)
-        if self.nsd_tolerance is not None and self.nsd_tolerance < 0:
+        if self.nsd_tolerance is not None and not self.nsd_tolerance >= 0:
             raise ConfigError(f"eval.tolerance must be >= 0, got {self.nsd_tolerance!r}")
         if self.fold_subset is not None:
             n_folds = self.n_subject_folds * self.n_label_folds
@@ -92,13 +92,6 @@ class ExperimentConfig:
                 if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < n_folds:
                     raise ConfigError(f"fold_subset index {i!r} is outside 0..{n_folds - 1}")
             self.fold_subset = tuple(self.fold_subset)
-
-
-def read_tree(path: Path | str) -> LabelTree:
-    """Parse a hierarchy file; a missing file is a ConfigError."""
-    if not Path(path).exists():
-        raise ConfigError(f"hierarchy file {path} does not exist")
-    return parse_tree(Path(path).read_text())
 
 
 def loss_spec_from_dict(d: dict) -> LossSpec:
@@ -148,21 +141,10 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     )
 
 
-def read_config_json(path: Path | str) -> dict:
-    """The JSON object a config file holds; malformed JSON or another value is a ConfigError."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except ValueError as e:  # JSONDecodeError, or a file that is not text
-        raise ConfigError(f"{path}: malformed config JSON: {e}") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: a config file must hold a JSON object")
-    return data
-
-
 def load_config(path: Path | str) -> ExperimentConfig:
     """Load a config file; relative file references resolve against it."""
     path = Path(path)
-    data = read_config_json(path)
+    data = read_json_object(path)
     for key in ("hierarchy", "corpus"):
         if isinstance(data.get(key), str) and not Path(data[key]).is_absolute():
             data[key] = str(path.parent / data[key])
@@ -439,9 +421,7 @@ def compare(report_paths: list[Path | str], out: Path | str | None = None) -> st
     reports = []
     for p in report_paths:
         path = Path(p)
-        if path.is_dir():
-            path = path / "report.json"
-        reports.append(json.loads(path.read_text()))
+        reports.append(read_json_object(path / "report.json" if path.is_dir() else path))
     base = reports[0]
     for rep in reports[1:]:
         if rep["corpus"]["fingerprint"] != base["corpus"]["fingerprint"]:

@@ -16,8 +16,10 @@ once) and aggregated probabilities sum to one at every level.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -171,8 +173,8 @@ def parse_tree(document: str) -> LabelTree:
         w = obj.get("weight", 1.0)
         if not isinstance(w, (int, float)) or isinstance(w, bool):
             raise ParseError(f"weight of {name!r} must be a number")
-        if w < 0:
-            raise WeightError(f"negative edge weight {w} on node {name!r}")
+        if not 0 <= w <= sys.float_info.max:
+            raise WeightError(f"edge weight of {name!r} must be finite and >= 0, got {w}")
         kids = obj.get("children", [])
         if not isinstance(kids, list):
             raise ParseError(f"children of {name!r} must be a list")
@@ -218,8 +220,24 @@ def parse_tree(document: str) -> LabelTree:
     return build_tree(root_name, child_names, weights)
 
 
+def read_tree(path) -> LabelTree:
+    """Parse a hierarchy file; a missing file is a ConfigError, one that is not text a ParseError."""
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"no hierarchy file at {path}")
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not a UTF-8 text file") from None
+    return parse_tree(text)
+
+
 def build_tree(root_name: str, child_names: dict[str, list[str]], weights: dict[str, float] | None = None) -> LabelTree:
-    """Construct a validated LabelTree from name-keyed structure maps."""
+    """Construct a LabelTree from name-keyed structure maps that form a tree.
+
+    ``parse_tree`` checks a document's structure and weights before it calls
+    this, and ``random_tree`` grows a tree, so only the leaf count is checked.
+    """
     weights = weights or {}
 
     order: list[str] = []  # depth-first declaration order
@@ -239,56 +257,14 @@ def build_tree(root_name: str, child_names: dict[str, list[str]], weights: dict[
     ids = {name: i for i, name in enumerate(leaves + internals)}
 
     nodes = [NodeRecord(id=ids[n], name=n, children=[ids[c] for c in child_names.get(n, [])]) for n in leaves + internals]
-    parent = {}
-    for p, kids in child_names.items():
-        for c in kids or []:
-            parent[ids[c]] = ids[p]
-    edge_weight = {}
-    for name in leaves + internals:
-        if name == root_name:
-            continue
-        w = float(weights.get(name, 1.0))
-        if w < 0:
-            raise WeightError(f"negative edge weight {w} on node {name!r}")
-        edge_weight[ids[name]] = w
-    depth = {ids[n]: depth_by_name[n] for n in leaves + internals}
-    tree = LabelTree(
+    return LabelTree(
         nodes=nodes,
         root=ids[root_name],
-        parent=parent,
-        edge_weight=edge_weight,
-        depth=depth,
+        parent={ids[c]: ids[p] for p, kids in child_names.items() for c in kids},
+        edge_weight={ids[n]: float(weights.get(n, 1.0)) for n in leaves + internals if n != root_name},
+        depth={ids[n]: depth_by_name[n] for n in leaves + internals},
         levels=max(depth_by_name[leaf] for leaf in leaves),
     )
-    validate(tree)
-    return tree
-
-
-def validate(tree: LabelTree) -> None:
-    """Check structural invariants; raise StructureError/WeightError on violation."""
-    n = tree.n_nodes
-    c = tree.n_leaves
-    if c < 2:
-        raise StructureError(f"need at least 2 leaves, got {c}")
-    if not all(tree.nodes[i].is_leaf for i in range(c)) or any(tree.nodes[i].is_leaf for i in range(c, n)):
-        raise StructureError("leaf ids must form the contiguous range 0..C-1")
-    if tree.root in tree.parent:
-        raise StructureError("root must not have a parent")
-    for v in range(n):
-        if v != tree.root and v not in tree.parent:
-            raise StructureError(f"non-root node {v} has no parent")
-    for v, w in tree.edge_weight.items():
-        if w < 0:
-            raise WeightError(f"negative weight on edge above node {v}")
-    # every leaf's ancestor chain reaches the root without revisiting a node
-    for leaf in range(c):
-        seen = set()
-        v = leaf
-        while v != tree.root:
-            if v in seen:
-                raise StructureError(f"cycle in parent chain at node {v}")
-            seen.add(v)
-            v = tree.parent[v]
 
 
 def assign_weights(tree: LabelTree, scheme: EdgeWeightScheme) -> LabelTree:

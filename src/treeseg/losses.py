@@ -334,34 +334,18 @@ def tree_weighted_ce(tree: LabelTree, logits: np.ndarray, target: np.ndarray) ->
     return _one_term(term, term.n_classes, logits, target)
 
 
-def compound_wass(
-    spec: LossSpec,
-    tree: LabelTree,
-    logits: np.ndarray,
-    target: np.ndarray,
-    m: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
-    """alpha * Wasserstein + beta * seg. Pass a precomputed ``m`` to skip
-    re-deriving the distance matrix (it must match ``spec.scheme``)."""
+def compound_wass(spec: LossSpec, tree: LabelTree, logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """alpha * Wasserstein + beta * seg."""
     if spec.semantic != "wass":
         raise ConfigError(f"compound_wass needs semantic='wass', got {spec.semantic!r}")
-    if m is None:
-        m = distance_matrix(assign_weights(tree, spec.scheme))
-    return _compound(spec, _Wasserstein(m), logits, target)
+    return make_loss(tree, spec)(logits, target)
 
 
-def compound_twce(
-    spec: LossSpec,
-    tree: LabelTree,
-    logits: np.ndarray,
-    target: np.ndarray,
-    weighted_tree: LabelTree | None = None,
-) -> tuple[float, np.ndarray]:
+def compound_twce(spec: LossSpec, tree: LabelTree, logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """alpha * tree-weighted CE + beta * seg; seg='none' drops the second term."""
     if spec.semantic != "twce":
         raise ConfigError(f"compound_twce needs semantic='twce', got {spec.semantic!r}")
-    wt = weighted_tree if weighted_tree is not None else assign_weights(tree, spec.scheme)
-    return _compound(spec, _TreeCE(wt), logits, target)
+    return make_loss(tree, spec)(logits, target)
 
 
 def make_loss(tree: LabelTree, spec: LossSpec) -> Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]]:

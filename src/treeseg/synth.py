@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, check_fields
-from .hierarchy import LabelTree, parse_tree, random_tree, serialize
+from .errors import ConfigError, ParseError, check_fields, read_json_object
+from .hierarchy import LabelTree, random_tree, read_tree, serialize
 from .seeding import substream
 
 
@@ -252,6 +252,8 @@ def write_field(path: Path, arr: np.ndarray) -> None:
 def read_field(path: Path) -> np.ndarray:
     """Read a field file: features come back as (H, W, d), label fields as (H, W); non-finite features are a ParseError."""
     features = path.name.startswith("features")
+    if not path.is_file():
+        raise ConfigError(f"missing field file {path}")
     with open(path, "rb") as f:
         try:
             h, w, d = (int(x) for x in f.readline().decode("ascii").split())
@@ -286,8 +288,10 @@ def save_corpus(corpus: Corpus, root: Path | str) -> Path:
 
 def load_corpus(root: Path | str) -> Corpus:
     root = Path(root)
-    tree = parse_tree((root / "hierarchy.json").read_text())
-    config = synth_config_from_dict(json.loads((root / "corpus.json").read_text()), tree)
+    if not root.is_dir():
+        raise ConfigError(f"corpus directory {root} does not exist")
+    tree = read_tree(root / "hierarchy.json")
+    config = synth_config_from_dict(read_json_object(root / "corpus.json"), tree)
     subjects = []
     for d in sorted(root.glob("s[0-9][0-9][0-9]")):
         subjects.append(
@@ -308,16 +312,3 @@ def save_folds(folds: list[FoldSpec], path: Path | str) -> None:
         for f in folds
     ]
     Path(path).write_text(json.dumps({"folds": data}, indent=2, sort_keys=True))
-
-
-def load_folds(path: Path | str) -> list[FoldSpec]:
-    data = json.loads(Path(path).read_text())
-    return [
-        FoldSpec(
-            index=f["index"],
-            train_subjects=tuple(f["train_subjects"]),
-            val_subjects=tuple(f["val_subjects"]),
-            held_out=tuple(f["held_out"]),
-        )
-        for f in data["folds"]
-    ]

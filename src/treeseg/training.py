@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -148,19 +148,17 @@ def _flip(arr: np.ndarray, flip_h: bool, flip_v: bool) -> np.ndarray:
 def train(
     subjects: Sequence[tuple[np.ndarray, np.ndarray]],
     tree: LabelTree,
-    spec: LossSpec | Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]],
+    spec: LossSpec,
     config: TrainConfig,
 ) -> tuple[ModelParams, list[float]]:
     """Train on (features, mask) images; returns (params, per-epoch loss trace).
 
-    ``spec`` is normally a LossSpec; passing a callable ``(logits, target)
-    -> (loss, grad)`` directly is supported for experiments. The loss sees
-    only annotated pixels. Deterministic given config.seed.
+    The loss sees only annotated pixels. Deterministic given config.seed.
     """
     if not subjects:
         raise EmptyMaskError("no training subjects")
-    loss_fn = spec if callable(spec) else make_loss(tree, spec)
-    if isinstance(spec, LossSpec) and spec.seg == "dice_ce" and any(np.any(m == 0) for _, m in subjects):
+    loss_fn = make_loss(tree, spec)
+    if spec.seg == "dice_ce" and any(np.any(m == 0) for _, m in subjects):
         raise ConfigError("seg='dice_ce' requires dense masks")
 
     def annotated(features: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

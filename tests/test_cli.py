@@ -47,6 +47,12 @@ class TestTreeCommands:
     def test_check_missing_file_exits_one(self):
         assert main(["tree", "check", "/definitely/not/here.json"]) == 1
 
+    def test_check_binary_file_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "hier.json"
+        path.write_bytes(b'\xff\xfe{"name": "r"}')
+        assert main(["tree", "check", str(path)]) == 1
+        assert str(path) in capsys.readouterr().out
+
     def test_distmat_matches_library(self, hier_file, tmp_path):
         out = tmp_path / "m.csv"
         assert main(["tree", "distmat", str(hier_file), "--scheme", "hier", "--kappa", "2", "--out", str(out)]) == 0
@@ -382,3 +388,76 @@ class TestEvalTolerance:
             assert report["means"]["nsd"] is not None
             assert report["per_class"]["nsd"] == fold["levels"][level]["per_class"]["nsd"]
             assert report["means"]["nsd"] == fold["levels"][level]["means"]["nsd"]
+
+
+@pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_tree_weight_exits_one(tmp_path, capsys, weight):
+    path = tmp_path / "hier.json"
+    path.write_text('{"name": "r", "children": [{"name": "a", "weight": %s}, {"name": "b"}]}' % weight)
+    assert main(["tree", "check", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "INVALID" in out and "'a'" in out
+
+
+class TestCompareInputs:
+    def test_missing_run_directory_exits_one(self, tmp_path, capsys):
+        missing = tmp_path / "no_run"
+        assert main(["compare", str(missing), str(tmp_path / "other")]) == 1
+        assert str(missing) in capsys.readouterr().err
+
+    def test_malformed_report_exits_one(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "report.json").write_text("{not json")
+        assert main(["compare", str(run), str(tmp_path / "other")]) == 1
+        assert str(run / "report.json") in capsys.readouterr().err
+
+
+@pytest.fixture
+def corpus_dir(exp_file, tmp_path):
+    path = tmp_path / "corpus"
+    assert main(["synth", "--config", str(exp_file), "--out", str(path)]) == 0
+    return path
+
+
+class TestCorpusInputs:
+    """A corpus that cannot be read is exit 1 naming the file; each case fails before the model is read."""
+
+    def _sweep(self, corpus, tmp_path, capsys):
+        assert main(["sweep", "--corpus", str(corpus), "--model", str(tmp_path / "no_model.bin")]) == 1
+        return capsys.readouterr().err
+
+    def test_malformed_corpus_json(self, corpus_dir, tmp_path, capsys):
+        (corpus_dir / "corpus.json").write_text("{not json")
+        assert str(corpus_dir / "corpus.json") in self._sweep(corpus_dir, tmp_path, capsys)
+
+    def test_missing_corpus_directory(self, tmp_path, capsys):
+        assert str(tmp_path / "nowhere") in self._sweep(tmp_path / "nowhere", tmp_path, capsys)
+
+    def test_missing_hierarchy(self, corpus_dir, tmp_path, capsys):
+        (corpus_dir / "hierarchy.json").unlink()
+        assert str(corpus_dir / "hierarchy.json") in self._sweep(corpus_dir, tmp_path, capsys)
+
+    def test_missing_subject_mask(self, corpus_dir, tmp_path, capsys):
+        (corpus_dir / "s001" / "mask.bin").unlink()
+        assert str(corpus_dir / "s001" / "mask.bin") in self._sweep(corpus_dir, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "nan"])
+def test_eval_tolerance_below_zero_exits_one(corpus_dir, tmp_path, capsys, tolerance):
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    for i, subject in enumerate(sorted(corpus_dir.glob("s[0-9][0-9][0-9]"))):
+        (preds / f"pred_s{i:03d}.bin").write_bytes((subject / "labels.bin").read_bytes())
+    args = ["eval", "--corpus", str(corpus_dir), "--pred", str(preds), "--out", str(tmp_path / "evald")]
+    assert main(args) == 0
+    assert main(args + ["--tolerance", tolerance]) == 1
+    assert "--tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_run_jobs_below_one_exits_one(exp_file, tmp_path, capsys, jobs):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(exp_file), "--out", str(out), "--jobs", jobs]) == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()

@@ -10,6 +10,7 @@ from treeseg.evaluation import (
     map_to_level,
     nsd_scores,
     ovr_scores,
+    pool_nsd,
 )
 
 from conftest import make_random_tree
@@ -268,9 +269,12 @@ class TestEvaluateLevel:
         t = make_random_tree(11)
         truth = np.ones((6, 6), dtype=int)
         truth[3:, :] = 2
-        rep = evaluate_level(t, truth, truth, 0, nsd_tolerance=1.0)
-        assert rep.nsd is not None
+        rep = evaluate_level(t, truth, truth, 0)
+        assert rep.nsd is None
+        pool_nsd(rep, t, [truth], [truth], 1.0)
+        assert rep.nsd is not None and rep.nsd_tolerance == 1.0
         sparse = truth.copy()
         sparse[0, 0] = 0
-        rep2 = evaluate_level(t, truth, sparse, 0, nsd_tolerance=1.0)
-        assert rep2.nsd is None
+        rep2 = evaluate_level(t, truth, sparse, 0)
+        pool_nsd(rep2, t, [truth], [sparse], 1.0)
+        assert rep2.nsd is None and rep2.nsd_tolerance is None

@@ -290,3 +290,66 @@ def test_random_tree_is_deterministic():
     a = random_tree(np.random.default_rng(42), depth=3)
     b = random_tree(np.random.default_rng(42), depth=3)
     assert serialize(a) == serialize(b)
+
+
+def assert_well_formed(t):
+    """The structural invariants every LabelTree must hold."""
+    n, c = t.n_nodes, t.n_leaves
+    assert c >= 2
+    assert [t.nodes[v].is_leaf for v in range(n)] == [True] * c + [False] * (n - c)  # leaf ids 0..C-1
+    assert t.root not in t.parent and set(t.parent) == set(range(n)) - {t.root}
+    listed = [ch for v in range(n) for ch in t.nodes[v].children]
+    assert sorted(listed) == sorted(t.parent)  # each non-root is listed under exactly one node
+    assert all(t.parent[ch] == v for v in range(n) for ch in t.nodes[v].children)
+    for v in range(n):  # every parent chain reaches the root within n steps
+        steps = 0
+        while v != t.root:
+            v, steps = t.parent[v], steps + 1
+            assert steps < n
+    assert set(t.edge_weight) == set(t.parent)
+    assert all(np.isfinite(w) and w >= 0 for w in t.edge_weight.values())
+
+
+GOOD_WEIGHTS = st.one_of(st.none(), st.integers(0, 5), st.floats(0, 100))
+BAD_WEIGHTS = st.one_of(st.sampled_from([-1, float("nan"), float("inf"), -float("inf"), 10**400]), st.floats(max_value=-1e-300))
+
+
+@st.composite
+def hierarchy_docs(draw):
+    """A random tree with unique names and valid weights, then a few faults: a duplicate
+    name, a string reference (undefined, to an ancestor, or a second parent) or a bad weight."""
+    n = draw(st.integers(1, 14))
+    parent = [None] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    names = [f"n{i}" for i in range(n)]
+    weights = [draw(GOOD_WEIGHTS) for _ in range(n)]
+    refs = [[] for _ in range(n)]
+    for kind, i, j in draw(st.lists(st.tuples(st.sampled_from(["dup", "ref", "weight"]), st.integers(0, n - 1), st.integers(0, n)), max_size=2)):
+        if kind == "dup":
+            names[i] = names[j % n]
+        elif kind == "ref":
+            refs[i].append(names[j] if j < n else "ghost")
+        else:
+            weights[i] = draw(BAD_WEIGHTS)
+    nodes = [{"name": name} if w is None else {"name": name, "weight": w} for name, w in zip(names, weights)]
+    for i in range(1, n):
+        nodes[parent[i]].setdefault("children", []).append(nodes[i])
+    for i in range(n):
+        if refs[i]:
+            nodes[i].setdefault("children", []).extend(refs[i])
+    return json.dumps(nodes[0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=hierarchy_docs())
+def test_every_accepted_document_gives_a_well_formed_tree(doc):
+    try:
+        tree = parse_tree(doc)
+    except (ParseError, StructureError, WeightError):
+        return
+    assert_well_formed(tree)
+
+
+@pytest.mark.parametrize("ragged", [False, True])
+def test_random_trees_are_well_formed(ragged):
+    for seed in range(30):
+        assert_well_formed(random_tree(np.random.default_rng(seed), depth=3, branching=(1, 3), ragged=ragged))

@@ -3,7 +3,7 @@ import pytest
 
 from treeseg.errors import ConfigError, DivergenceError, ParseError, ShapeError
 from treeseg.hierarchy import EdgeWeightScheme
-from treeseg.losses import LossSpec, make_loss, seg_loss_ce
+from treeseg.losses import LossSpec, make_loss
 from treeseg.seeding import substream
 from treeseg.synth import SynthConfig, generate, l1_normalize
 from treeseg.training import (
@@ -39,19 +39,6 @@ def test_separable_toy_reaches_low_ce():
     config = TrainConfig(model="linear", lr=0.05, epochs=200, seed=0)
     _, trace = train(subjects, tree, CE_SPEC, config)
     assert trace[-1] < 0.05
-
-
-def test_degenerate_wass_spec_equals_plain_ce_training():
-    tree = make_random_tree(1)
-    corpus = generate(SynthConfig(n_subjects=4, height=16, width=16, channels=4, n_regions=24, seed=1))
-    data = [(s.features, s.mask) for s in corpus.subjects]
-    config = TrainConfig(model="linear", lr=0.02, epochs=5, seed=3)
-    spec = LossSpec("wass", EdgeWeightScheme("hier", kappa=10.0), seg="ce", alpha=0.0, beta=1.0)
-    params_a, trace_a = train(data, corpus.tree, spec, config)
-    params_b, trace_b = train(data, corpus.tree, lambda lg, y: seg_loss_ce(lg, y), config)
-    assert trace_a == trace_b
-    for a, b in zip(params_a.arrays, params_b.arrays):
-        assert np.array_equal(a, b)
 
 
 def test_same_seed_is_bit_identical():

@@ -410,6 +410,17 @@ def render_report(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+# what compare reads of every report, checked before any is read
+_COMPARED_KEYS = (
+    ("corpus", "fingerprint"),
+    ("fold_structure",),
+    ("loss_label",),
+    ("means", "levels"),
+    ("means", "leaf_accuracy"),
+    ("means", "semantic_error_distance"),
+)
+
+
 def compare(report_paths: list[Path | str], out: Path | str | None = None) -> str:
     """Side-by-side comparison of runs over the same corpus and folds.
 
@@ -421,7 +432,15 @@ def compare(report_paths: list[Path | str], out: Path | str | None = None) -> st
     reports = []
     for p in report_paths:
         path = Path(p)
-        reports.append(read_json_object(path / "report.json" if path.is_dir() else path))
+        path = path / "report.json" if path.is_dir() else path
+        rep = read_json_object(path)
+        for keys in _COMPARED_KEYS:
+            node = rep
+            for key in keys:
+                if not isinstance(node, dict) or key not in node:
+                    raise ConfigError(f"{path}: report has no {'.'.join(keys)!r}")
+                node = node[key]
+        reports.append(rep)
     base = reports[0]
     for rep in reports[1:]:
         if rep["corpus"]["fingerprint"] != base["corpus"]["fingerprint"]:

@@ -16,6 +16,7 @@ once) and aggregated probabilities sum to one at every level.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -38,6 +39,8 @@ class EdgeWeightScheme:
     def __post_init__(self):
         if self.kind not in WEIGHT_SCHEMES:
             raise WeightError(f"unknown weight scheme {self.kind!r}, expected one of {WEIGHT_SCHEMES}")
+        if not math.isfinite(self.kappa):
+            raise WeightError(f"kappa must be finite, got {self.kappa!r}")
         if self.kind == "hier" and not self.kappa > 0:
             raise WeightError(f"hier scheme requires kappa > 0, got {self.kappa}")
 

@@ -18,11 +18,13 @@ segmentation loss as ``alpha * semantic + beta * seg``.
 Each term has one kernel that reads a validated batch (``_Batch``) with
 its softmax already taken. The public functions run one kernel on one
 batch; a compound runs both kernels on the same batch, and ``make_loss``
-compiles the tree into the kernels' arrays once.
+compiles the tree into the kernels' arrays once. The tree-weighted CE
+kernel reads only each pixel's ancestor chain (K nodes), not every node.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -58,8 +60,9 @@ class LossSpec:
             raise ConfigError(f"semantic must be one of {SEMANTIC_KINDS}, got {self.semantic!r}")
         if self.seg not in SEG_KINDS:
             raise ConfigError(f"seg must be one of {SEG_KINDS}, got {self.seg!r}")
-        if self.alpha < 0 or self.beta < 0:
-            raise ConfigError("alpha and beta must be nonnegative")
+        for key, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if not 0 <= value < math.inf:
+                raise ConfigError(f"{key} must be finite and nonnegative, got {value!r}")
         if self.seg == "none" and self.semantic != "twce":
             raise ConfigError("seg='none' is only valid with the tree-weighted CE")
 
@@ -211,28 +214,44 @@ class _Wasserstein:
 
 
 class _TreeCE:
-    """Tree-weighted CE term over a weighted tree compiled into arrays."""
+    """Tree-weighted CE term over a weighted tree compiled into its leaves' ancestor chains.
+
+    A pixel's loss and gradient read only the chain of non-root ancestors
+    of its true leaf g (g included, at most K nodes), with subtree masses
+    P_v. With ``q_v = w_v / P_v`` on that chain, ``dL/dp_l = -sum q_v`` over
+    the ancestors g shares with leaf l: a root-first prefix sum of the
+    chain, cut at their LCA depth.
+    """
 
     def __init__(self, tree: LabelTree):
-        self.n_classes = tree.n_leaves
-        self.u = ancestor_matrix(tree)
-        # chains[g] = w * u[:, g]: the true leaf's ancestor chain, weighted per edge
-        self.chains = np.ascontiguousarray(self.u.T) * edge_weight_vector(tree)
+        c = self.n_classes = tree.n_leaves
+        self.n_nodes = tree.n_nodes
         self.plan = _aggregation_plan(tree)
+        # chain[g, k]: g's ancestor at depth k + 1, root side first; g itself past its own depth
+        self.chain = np.ascontiguousarray(tree.ancestor_table[:c, 1:])
+        own = np.arange(1, tree.levels + 1) <= np.array([tree.depth[g] for g in range(c)])[:, None]
+        self.weight = np.where(own, edge_weight_vector(tree)[self.chain], 0.0)  # (C, K), zero on the padding
+        # lca[g, l]: how many non-root ancestors leaves g and l share, the depth of their LCA
+        self.lca = ((self.chain[:, None] == self.chain[None]) & own[:, None]).sum(axis=2)
 
     def __call__(self, b: _Batch) -> tuple[float, np.ndarray]:
-        node_p = np.zeros((b.n, self.u.shape[0]))  # pixel-major: the row sums and the product below need it
-        _sum_up(b.p, self.plan, node_p.T)
-        contrib = self.chains[b.leaf]  # (n, N)
-        live = node_p > LOG_GUARD
-        clamped = np.maximum(node_p, LOG_GUARD, out=node_p)
-        inv = np.divide(1.0, clamped, out=np.zeros_like(clamped), where=live)
-        logp = np.log(clamped, out=clamped)
-        logp *= contrib
-        loss = float(-logp.sum(axis=1).mean())
-        inv *= contrib
-        dldp = np.negative(inv, out=inv) @ self.u  # (n, C)
-        grad = _chain_softmax(b.p, dldp)
+        k = self.chain.shape[1]
+        mass = _sum_up(b.p, self.plan, np.empty((self.n_nodes, b.n)))  # node-major: contiguous rows to sum
+        mass = mass[np.take(self.chain, b.leaf, axis=0), b.rows[:, None]]  # (n, K): the true leaf's chain
+        w = np.take(self.weight, b.leaf, axis=0)
+        live = mass > LOG_GUARD
+        loss = float(-(w * np.log(np.maximum(mass, LOG_GUARD))).sum(axis=1).mean())
+        q = np.divide(w, mass, out=np.zeros_like(mass), where=live)
+        np.negative(q, out=q)
+        cum = np.zeros((b.n, k + 1))  # cum[i, d]: the sum of -q over the first d chain nodes
+        np.cumsum(q, axis=1, out=cum[:, 1:])
+        # the softmax chain's inner product sum_l p_l dL/dp_l, summed per chain node
+        inner = np.sum(np.multiply(q, mass, out=q), axis=1, keepdims=True)
+        at = np.take(self.lca, b.leaf, axis=0)
+        at += (k + 1) * b.rows[:, None]
+        grad = np.take(cum, at)  # (n, C): dL/dp
+        grad -= inner
+        grad *= b.p
         grad /= b.n
         return loss, grad
 
@@ -352,8 +371,9 @@ def make_loss(tree: LabelTree, spec: LossSpec) -> Callable[[np.ndarray, np.ndarr
     """Bind a LossSpec to a tree, compiling the weighted tree into arrays once.
 
     The returned ``loss_fn(logits, target)`` walks no tree: the Wasserstein
-    term reads a precomputed distance matrix, the tree-weighted CE a
-    precomputed ancestor matrix, weighted chains and aggregation order.
+    term reads a precomputed distance matrix; the tree-weighted CE reads
+    the aggregation order and three leaf tables, each leaf's (K,) ancestor
+    chain, its edge weights and the (C,) LCA depths it shares with every leaf.
     """
     weighted = assign_weights(tree, spec.scheme)
     semantic = _Wasserstein(distance_matrix(weighted)) if spec.semantic == "wass" else _TreeCE(weighted)

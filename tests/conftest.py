@@ -58,3 +58,15 @@ def relative_grad_error(fn, logits: np.ndarray, eps: float = 1e-6) -> float:
     num = finite_difference_grad(lambda z: fn(z)[0], logits, eps)
     scale = max(float(np.abs(num).max()), 1e-8)
     return float(np.abs(grad - num).max()) / scale
+
+
+TWCE_RTOL = 1e-12  # fixed before the chain kernel was measured; float64 sums in another order sit near 1e-16
+
+
+def assert_twce_close(loss, grad, ref_loss, ref_grad):
+    """A tree-weighted CE result against a reference that sums in another order: the
+    loss within TWCE_RTOL relative, the gradient within TWCE_RTOL of the reference's
+    largest entry."""
+    assert abs(loss - ref_loss) <= TWCE_RTOL * abs(ref_loss)
+    assert grad.shape == ref_grad.shape
+    assert np.abs(grad - ref_grad).max() <= TWCE_RTOL * np.abs(ref_grad).max()

@@ -279,6 +279,20 @@ def test_fold_subset_out_of_range_exits_one(tmp_path, monkeypatch, capsys, subse
     assert "fold_subset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("alpha", "NaN"), ("beta", "Infinity"), ("kappa", "Infinity")])
+def test_non_finite_loss_setting_exits_one(tmp_path, monkeypatch, capsys, key, value):
+    import treeseg.experiment
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(treeseg.experiment, "train", no_training)
+    path = _write_config(tmp_path, "nonfinite", loss=dict(EXP_CONFIG["loss"], **{key: float(value)}))
+    assert f'"{key}": {value}' in path.read_text()
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert f"{key} must be finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "changes, key",
     [
@@ -411,6 +425,26 @@ class TestCompareInputs:
         (run / "report.json").write_text("{not json")
         assert main(["compare", str(run), str(tmp_path / "other")]) == 1
         assert str(run / "report.json") in capsys.readouterr().err
+
+    def test_empty_reports_exit_one(self, tmp_path, capsys):
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for run in runs:
+            run.mkdir()
+            (run / "report.json").write_text("{}")
+        assert main(["compare", *map(str, runs)]) == 1
+        err = capsys.readouterr().err
+        assert str(runs[0] / "report.json") in err and "'corpus.fingerprint'" in err
+
+    def test_report_without_means_exits_one(self, exp_file, tmp_path, capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        main(["run", "--config", str(exp_file), "--out", str(a)])
+        b.mkdir()
+        report = json.loads((a / "report.json").read_text())
+        del report["means"]
+        (b / "report.json").write_text(json.dumps(report))
+        assert main(["compare", str(a), str(b)]) == 1
+        err = capsys.readouterr().err
+        assert str(b / "report.json") in err and "'means.levels'" in err
 
 
 @pytest.fixture

@@ -22,7 +22,7 @@ from treeseg.losses import (
     wasserstein_crisp,
 )
 
-from conftest import make_random_tree, random_probs, relative_grad_error
+from conftest import assert_twce_close, make_random_tree, random_probs, relative_grad_error
 
 TWO_LEAF_M = np.array([[0.0, 2.0], [2.0, 0.0]])
 
@@ -335,7 +335,11 @@ class TestGradients:
 # --- frozen reference --------------------------------------------------------
 # The composition the fused loss replaced: every term takes its own softmax
 # (the CE term two), and a compound sums the separately scattered terms.
-# make_loss must reproduce it to the bit.
+# make_loss must reproduce it to the bit wherever the Wasserstein, CE and
+# Dice terms decide the result. The tree-weighted CE term reads each pixel's
+# ancestor chain instead of the dense (n, N) node tensor and its product with
+# the ancestor matrix, so it sums in another order: wherever it enters, the
+# result must agree to the tolerance of ``assert_twce_close``.
 
 
 def ref_softmax(z):
@@ -470,10 +474,14 @@ class TestFusedMatchesReference:
                 logits, target = oracle_batch(rng, tree.n_leaves, shape, sparse)
                 loss, grad = fn(logits, target)
                 ref_loss, ref_grad = ref_compound(spec, tree, logits, target)
-                assert np.array_equal(loss, ref_loss)
-                assert np.array_equal(grad, ref_grad)
+                if semantic == "twce" and alpha:
+                    assert_twce_close(loss, grad, ref_loss, ref_grad)
+                else:
+                    assert np.array_equal(loss, ref_loss)
+                    assert np.array_equal(grad, ref_grad)
 
     def test_single_terms_are_bitwise_equal(self):
+        """Wasserstein, CE and Dice to the bit; the tree-weighted CE within ``assert_twce_close``."""
         tree = assign_weights(make_random_tree(3, ragged=True), EdgeWeightScheme("hier", kappa=2.0))
         m = distance_matrix(tree)
         rng = np.random.default_rng(43)
@@ -483,11 +491,31 @@ class TestFusedMatchesReference:
             (wasserstein_crisp(m, sparse_logits, sparse), ref_wasserstein(m, sparse_logits, sparse)),
             (seg_loss_ce(sparse_logits, sparse), ref_ce(sparse_logits, sparse)),
             (seg_loss_dice(dense_logits, dense), ref_dice(dense_logits, dense)),
-            (tree_weighted_ce(tree, sparse_logits, sparse), ref_twce(tree, sparse_logits, sparse)),
         ]
         for (loss, grad), (ref_loss, ref_grad) in pairs:
             assert loss == ref_loss
             assert np.array_equal(grad, ref_grad)
+        for logits, target in ((sparse_logits, sparse), (dense_logits, dense)):
+            assert_twce_close(*tree_weighted_ce(tree, logits, target), *ref_twce(tree, logits, target))
+
+    @pytest.mark.parametrize("seg,sparse", [("ce", False), ("ce", True), ("dice_ce", False), ("none", False), ("none", True)])
+    def test_fused_twce_is_the_sum_of_its_terms_to_the_bit(self, seg, sparse):
+        """The fused compound shares one softmax, yet equals alpha * tree_weighted_ce + beta * seg exactly."""
+        tree = make_random_tree(4, depth=3, branching=(2, 4), ragged=True)
+        scheme = EdgeWeightScheme("hier", kappa=2.0)
+        spec = LossSpec("twce", scheme, seg=seg, alpha=0.7, beta=0.3)
+        logits, target = oracle_batch(np.random.default_rng(44), tree.n_leaves, (600,), sparse)
+        loss, grad = make_loss(tree, spec)(logits, target)
+        sem, sem_grad = tree_weighted_ce(assign_weights(tree, scheme), logits, target)
+        ref_loss, ref_grad = spec.alpha * sem, spec.alpha * sem_grad
+        if seg != "none":
+            seg_loss, seg_grad = seg_loss_ce(logits, target)
+            if seg == "dice_ce":
+                dc, dc_grad = seg_loss_dice(logits, target)
+                seg_loss, seg_grad = seg_loss + dc, seg_grad + dc_grad
+            ref_loss, ref_grad = ref_loss + spec.beta * seg_loss, ref_grad + spec.beta * seg_grad
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
 
 
 @pytest.mark.parametrize("semantic", ["wass", "twce"])

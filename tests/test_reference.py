@@ -1,14 +1,16 @@
-"""Bitwise references for the ancestor table, the count table and the scoring passes.
+"""References for the ancestor table, the count table, the scoring passes and the tree-weighted CE.
 
 The per-class counting loops, the parent-chain tree walks, the per-class
-distance-transform NSD, the per-grid-point threshold sweep and the
-pixel-major subtree sum below are the earlier implementations, frozen.
-Every level query, subtree, ancestor matrix and distance matrix now reads
-``LabelTree.ancestor_table``; Dice, one-vs-rest scores and confusion counts
-all read one pixel count table; NSD scores every class in one pass over the
-tolerance ball, the sweep counts every threshold in one pass, and level
-scores sum only the level's subtrees. These tests hold them equal to the
-walks and loops, bit for bit.
+distance-transform NSD, the per-grid-point threshold sweep, the
+pixel-major subtree sum and the dense tree-weighted CE kernel below are
+the earlier implementations, frozen. Every level query, subtree, ancestor
+matrix and distance matrix now reads ``LabelTree.ancestor_table``; Dice,
+one-vs-rest scores and confusion counts all read one pixel count table;
+NSD scores every class in one pass over the tolerance ball, the sweep
+counts every threshold in one pass, and level scores sum only the level's
+subtrees. These tests hold them equal to the walks and loops, bit for bit.
+The tree-weighted CE now reads each pixel's ancestor chain and sums in
+another order, so it is held to the dense kernel within a tolerance.
 """
 
 from __future__ import annotations
@@ -25,8 +27,19 @@ from treeseg.distances import distance_matrix
 from treeseg.errors import ConfigError, EmptyEvalError
 from treeseg.evaluation import confusion, dice_scores, evaluate_level, level_classes, nsd_scores, ovr_scores
 from treeseg.gating import ThresholdPolicy, default_grid, gate, score_at_level, sweep_tau
-from treeseg.hierarchy import EdgeWeightScheme, LabelTree, assign_weights, leaf_level_map, level_nodes, random_tree
-from treeseg.losses import aggregate, ancestor_matrix
+from treeseg.hierarchy import (
+    EdgeWeightScheme,
+    LabelTree,
+    assign_weights,
+    build_tree,
+    edge_weight_vector,
+    leaf_level_map,
+    level_nodes,
+    random_tree,
+)
+from treeseg.losses import LOG_GUARD, LossSpec, aggregate, ancestor_matrix, make_loss, softmax, tree_weighted_ce
+
+from conftest import assert_twce_close
 
 # -- frozen tree walks -------------------------------------------------------
 
@@ -213,6 +226,29 @@ def ref_aggregate(tree, probs):
             for c in kids[1:]:
                 out[:, v] += out[:, c]
     return out.reshape(*lead, tree.n_nodes)
+
+
+def ref_dense_twce(tree, b):
+    """The dense tree-weighted CE kernel the chain kernel replaced, on a
+    ``losses._Batch``: an (n, N) node tensor, weighted and logged over all N
+    columns, and its product with the (N, C) ancestor matrix for dL/dp."""
+    u = ref_ancestor_matrix(tree)
+    chains = np.ascontiguousarray(u.T) * edge_weight_vector(tree)
+    node_p = ref_aggregate(tree, b.p)
+    contrib = chains[b.leaf]  # (n, N)
+    live = node_p > LOG_GUARD
+    clamped = np.maximum(node_p, LOG_GUARD, out=node_p)
+    inv = np.divide(1.0, clamped, out=np.zeros_like(clamped), where=live)
+    logp = np.log(clamped, out=clamped)
+    logp *= contrib
+    loss = float(-logp.sum(axis=1).mean())
+    inv *= contrib
+    dldp = np.negative(inv, out=inv) @ u  # (n, C)
+    inner = np.sum(b.p * dldp, axis=1, keepdims=True)
+    dldp -= inner
+    dldp *= b.p
+    dldp /= b.n
+    return loss, b.scatter(dldp)
 
 
 def ref_score_at_level(tree, probs, k):
@@ -439,6 +475,61 @@ def test_sweep_matches_the_per_grid_point_loop():
                 assert np.array_equal(curve, ref_curve)
                 checked += 1
     assert checked > 200
+
+
+# -- tree-weighted CE --------------------------------------------------------
+
+
+def tree_with_leaves(seed, lo, hi, branching):
+    """A ragged depth-3 random tree with lo..hi leaves."""
+    rng = np.random.default_rng(seed)
+    while True:
+        tree = random_tree(rng, depth=3, branching=branching, ragged=True)
+        if lo <= tree.n_leaves <= hi:
+            return tree
+
+
+def twce_trees():
+    """Ragged trees with ~21 and >= 99 leaves, a leaf at depth 1 beside leaves
+    at depths 2 and 3, under the hier scheme and under random weights with zeros."""
+    shallow = build_tree("root", {"root": ["a", "b", "c"], "b": ["d", "e"], "c": ["f", "g"], "g": ["h", "i", "j"]})
+    rng = np.random.default_rng(21)
+    for tree in (tree_with_leaves(17, 19, 23, (2, 3)), tree_with_leaves(18, 99, 140, (4, 6)), shallow):
+        yield assign_weights(tree, EdgeWeightScheme("hier", kappa=10.0))
+        raw = rng.random(tree.n_nodes) * 10.0
+        raw[rng.random(tree.n_nodes) < 0.2] = 0.0
+        yield replace(tree, edge_weight={v: float(raw[v]) for v in tree.edge_weight})
+
+
+@pytest.mark.parametrize("scale", [3.0, 80.0])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_twce_matches_the_dense_kernel(scale, sparse):
+    rng = np.random.default_rng(22 + int(scale) + sparse)
+    trees = list(twce_trees())
+    assert {tree.n_leaves >= 99 for tree in trees} == {False, True}
+    shallow = trees[-1]
+    assert {shallow.depth[g] for g in range(shallow.n_leaves)} == {1, 2, 3}
+    dead = 0
+    for tree in trees:
+        for shape in ((1,), (300,), (17, 13)):
+            logits = scale * rng.normal(size=(*shape, tree.n_leaves))
+            target = rng.integers(1, tree.n_leaves + 1, size=shape)
+            if sparse:
+                target[rng.random(shape) < 0.4] = 0
+                target.flat[0] = 1
+            assert_twce_close(*tree_weighted_ce(tree, logits, target), *ref_dense_twce(tree, losses._Batch(logits, target, tree.n_leaves)))
+            true_mass = softmax(logits)[target > 0, target[target > 0] - 1]
+            dead += int(np.sum(true_mass <= LOG_GUARD))
+    assert (dead > 0) == (scale == 80.0)  # x80 logits put true leaves below the log guard
+
+
+def test_twce_compiles_no_ancestor_matrix(monkeypatch):
+    rebind(monkeypatch, ancestor_matrix, forbidden)
+    tree = random_tree(np.random.default_rng(23), depth=3, ragged=True)
+    fn = make_loss(tree, LossSpec("twce", EdgeWeightScheme("hier", kappa=10.0)))
+    logits = np.random.default_rng(24).normal(size=(40, tree.n_leaves))
+    loss, grad = fn(logits, np.arange(40) % tree.n_leaves + 1)
+    assert np.isfinite(loss) and grad.shape == logits.shape
 
 
 def rebind(monkeypatch, original, replacement):

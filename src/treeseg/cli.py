@@ -17,7 +17,7 @@ import numpy as np
 
 from . import experiment as exp
 from .distances import distance_matrix
-from .errors import ConfigError, TreesegError, ValidationError, read_json_object
+from .errors import ConfigError, ShapeError, TreesegError, ValidationError, read_json_object
 from .evaluation import evaluate_level, pool_nsd
 from .gating import ThresholdPolicy, default_grid, gate, sweep_tau
 from .hierarchy import EdgeWeightScheme, assign_weights, parse_level, read_tree, resolve_level
@@ -112,16 +112,24 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _load_preds(pred_dir: Path, n_subjects: int) -> list[np.ndarray]:
-    return [read_field(pred_dir / f"pred_s{i:03d}.bin") for i in range(n_subjects)]
+def _load_preds(pred_dir: Path, masks: list[np.ndarray]) -> list[np.ndarray]:
+    """One prediction field per subject; a field whose shape is not its mask's is a ShapeError naming the file."""
+    preds = []
+    for i, mask in enumerate(masks):
+        path = pred_dir / f"pred_s{i:03d}.bin"
+        pred = read_field(path)
+        if pred.shape != mask.shape:
+            raise ShapeError(f"{path}: prediction field is {pred.shape[0]}x{pred.shape[1]}, the subject's mask {mask.shape[0]}x{mask.shape[1]}")
+        preds.append(pred)
+    return preds
 
 
 def cmd_eval(args) -> int:
     if args.tolerance is not None and not args.tolerance >= 0:
         raise ConfigError(f"--tolerance must be >= 0, got {args.tolerance}")
     corpus = load_corpus(args.corpus)
-    preds = _load_preds(Path(args.pred), len(corpus.subjects))
     masks = [s.mask for s in corpus.subjects]
+    preds = _load_preds(Path(args.pred), masks)
     level = resolve_level(corpus.tree, args.level)
     rep = evaluate_level(corpus.tree, exp.pool_pixels(preds), exp.pool_pixels(masks), level)
     if args.tolerance is not None:
@@ -137,7 +145,7 @@ def cmd_eval(args) -> int:
 def cmd_confusion(args) -> int:
     corpus = load_corpus(args.corpus)
     masks = [s.mask for s in corpus.subjects]
-    fold_preds = [_load_preds(Path(d), len(corpus.subjects)) for d in args.pred]
+    fold_preds = [_load_preds(Path(d), masks) for d in args.pred]
     out = Path(args.out) if args.out else Path("confusion.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
     exp.write_confusion_csv(corpus.tree, resolve_level(corpus.tree, args.level), fold_preds, [masks] * len(fold_preds), out)

@@ -57,7 +57,7 @@ def score_at_level(tree: LabelTree, probs: np.ndarray, k: int) -> tuple[np.ndarr
     p, lead = leaf_rows(tree, probs)
     if k > 0:
         plan = [(v, kids) for v, kids in _aggregation_plan(tree) if tree.levels - tree.depth[v] <= k]
-        p = _sum_up(p, plan, np.zeros((tree.n_nodes, p.shape[0])))[node_ids].T
+        p = _sum_up(p.T, plan, np.zeros((tree.n_nodes, p.shape[0])))[node_ids].T
     return p.reshape(*lead, len(node_ids)), node_ids
 
 

@@ -6,10 +6,16 @@ gradient descent where a batch is the annotated pixels of a few whole
 images. Only annotated pixels ever enter the computation, which makes the
 positive-only contract (unannotated pixels cannot influence parameters)
 hold bitwise by construction.
+
+A batch is held class-major end to end: features as (d, n), hidden units
+as (h, n), logits and their gradient as (C, n), one column per pixel. Every
+reduction over a short axis (the classes, the hidden units) is then a pass
+over contiguous rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -92,21 +98,31 @@ def init_params(kind: str, in_dim: int, n_classes: int, hidden: int, rng: np.ran
     return ModelParams(kind, arrays)
 
 
+def _affine(w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``w.T @ x + b[:, None]``, the bias added in the product's buffer."""
+    out = w.T @ x
+    out += b[:, None]
+    return out
+
+
 def _forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Channel-major features (d, n) -> class-major logits (C, n) and the (h, n) hidden units."""
     if params.kind == "linear":
         w, b = params.arrays
-        return x @ w + b, None
+        return _affine(w, b, x), None
     w1, b1, w2, b2 = params.arrays
-    hidden = np.tanh(x @ w1 + b1)
-    return hidden @ w2 + b2, hidden
+    hidden = _affine(w1, b1, x)
+    np.tanh(hidden, out=hidden)
+    return _affine(w2, b2, hidden), hidden
 
 
 def _backward(params: ModelParams, x: np.ndarray, hidden: np.ndarray | None, grad_logits: np.ndarray) -> list[np.ndarray]:
+    """Parameter gradients from a class-major (C, n) logit gradient, in ``params.arrays`` order."""
     if params.kind == "linear":
-        return [x.T @ grad_logits, grad_logits.sum(axis=0)]
+        return [x @ grad_logits.T, np.add.reduce(grad_logits, axis=1)]
     w2 = params.arrays[2]
-    grad_hidden = (grad_logits @ w2.T) * (1.0 - hidden * hidden)
-    return [x.T @ grad_hidden, grad_hidden.sum(axis=0), hidden.T @ grad_logits, grad_logits.sum(axis=0)]
+    grad_hidden = (w2 @ grad_logits) * (1.0 - hidden * hidden)
+    return [x @ grad_hidden.T, np.add.reduce(grad_hidden, axis=1), hidden @ grad_logits.T, np.add.reduce(grad_logits, axis=1)]
 
 
 def absorb_standardization(params: ModelParams, mu: np.ndarray, sd: np.ndarray) -> ModelParams:
@@ -126,15 +142,14 @@ def absorb_standardization(params: ModelParams, mu: np.ndarray, sd: np.ndarray) 
 
 
 def predict(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Per-pixel softmax leaf probabilities of raw features, same leading shape as the input."""
+    """Per-pixel softmax leaf probabilities of raw features, same leading shape as the input, C-ordered."""
     features = np.asarray(features, dtype=float)
     if features.shape[-1] != params.in_dim:
         raise ShapeError(f"model expects {params.in_dim} channels, got {features.shape[-1]}")
     if params.preproc == "l1":
         features = l1_normalize(features)
-    flat = features.reshape(-1, params.in_dim)
-    logits, _ = _forward(params, flat)
-    return softmax(logits).reshape(*features.shape[:-1], params.n_classes)
+    logits, _ = _forward(params, features.reshape(-1, params.in_dim).T)
+    return softmax(logits.T).reshape(*features.shape[:-1], params.n_classes)
 
 
 def _flip(arr: np.ndarray, flip_h: bool, flip_v: bool) -> np.ndarray:
@@ -162,8 +177,9 @@ def train(
         raise ConfigError("seg='dice_ce' requires dense masks")
 
     def annotated(features: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The annotated pixels' features channel-major (d, n_i) and their codes."""
         keep = mask.reshape(-1) > 0
-        return features.reshape(-1, features.shape[-1])[keep], mask.reshape(-1)[keep]
+        return np.ascontiguousarray(features.reshape(-1, features.shape[-1])[keep].T), mask.reshape(-1)[keep]
 
     static = [annotated(f, m) for f, m in subjects]
     if sum(y.size for _, y in static) == 0:
@@ -192,7 +208,7 @@ def train(
         batch_losses = []
         for start in range(0, len(order), config.batch_size):
             chosen = order[start : start + config.batch_size]
-            x = np.concatenate([pool[i][0] for i in chosen])
+            x = np.concatenate([pool[i][0] for i in chosen], axis=1)
             y = np.concatenate([pool[i][1] for i in chosen])
             if y.size == 0:
                 continue
@@ -235,6 +251,10 @@ def save_model(params: ModelParams, path: Path | str) -> None:
 
 
 def load_model(path: Path | str) -> ModelParams:
+    """Read a model file; a missing file, a bad header or payload, or a weight that
+    is NaN or infinite is a validation error naming the file."""
+    if not Path(path).is_file():
+        raise ConfigError(f"missing model file {path}")
     with open(path, "rb") as f:
         try:
             kind, *dims, preproc = f.readline().decode("ascii").split()
@@ -243,13 +263,16 @@ def load_model(path: Path | str) -> ModelParams:
             raise ParseError(f"{path}: malformed model header") from None
         payload = f.read()
     if kind not in MODEL_KINDS:
-        raise ShapeError(f"unknown model kind {kind!r}")
+        raise ShapeError(f"{path}: unknown model kind {kind!r}")
     if len(dims) != (2 if kind == "linear" else 3) or min(dims) < 1 or preproc not in MODEL_PREPROC:
         raise ParseError(f"{path}: model header must read 'kind d C [hidden] preproc', preproc one of {MODEL_PREPROC}")
     d, c, *h = dims
     shapes = [(d, c), (c,)] if kind == "linear" else [(d, *h), (*h,), (*h, c), (c,)]
-    sizes = [int(np.prod(shape)) for shape in shapes]
+    sizes = [math.prod(shape) for shape in shapes]  # exact: an int64 product of huge dims can wrap
     if len(payload) != 8 * sum(sizes):
         raise ShapeError(f"{path}: payload of {len(payload)} bytes != expected {8 * sum(sizes)}")
-    arrays = np.split(np.frombuffer(payload, dtype="<f8"), np.cumsum(sizes)[:-1])
+    flat = np.frombuffer(payload, dtype="<f8")
+    if not np.isfinite(flat).all():
+        raise ParseError(f"{path}: non-finite model weights")
+    arrays = np.split(flat, np.cumsum(sizes)[:-1])
     return ModelParams(kind, [a.reshape(shape).copy() for a, shape in zip(arrays, shapes)], preproc)

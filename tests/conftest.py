@@ -64,8 +64,9 @@ TWCE_RTOL = 1e-12  # fixed before the chain kernel was measured; float64 sums in
 
 
 def assert_twce_close(loss, grad, ref_loss, ref_grad):
-    """A tree-weighted CE result against a reference that sums in another order: the
-    loss within TWCE_RTOL relative, the gradient within TWCE_RTOL of the reference's
+    """A loss result against a reference that sums in another order (the tree-weighted
+    CE's chain kernel, any class-major kernel against a pixel-major one): the loss
+    within TWCE_RTOL relative, the gradient within TWCE_RTOL of the reference's
     largest entry."""
     assert abs(loss - ref_loss) <= TWCE_RTOL * abs(ref_loss)
     assert grad.shape == ref_grad.shape

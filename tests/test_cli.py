@@ -1,11 +1,17 @@
+import io
 import json
+from contextlib import redirect_stderr
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeseg.cli import main
 from treeseg.distances import distance_matrix
 from treeseg.hierarchy import EdgeWeightScheme, assign_weights, parse_tree
+from treeseg.synth import SynthConfig, generate, save_corpus, write_field
+from treeseg.training import init_params, save_model
 
 from conftest import THREE_LEAF_DOC
 
@@ -495,3 +501,109 @@ def test_run_jobs_below_one_exits_one(exp_file, tmp_path, capsys, jobs):
     assert main(["run", "--config", str(exp_file), "--out", str(out), "--jobs", jobs]) == 1
     assert "--jobs" in capsys.readouterr().err
     assert not out.exists()
+
+
+class TestModelInputs:
+    """A model file that cannot be used is exit 1 naming the file, for gate and sweep alike."""
+
+    def _commands(self, corpus_dir, model, tmp_path):
+        yield ["gate", "--corpus", str(corpus_dir), "--model", str(model), "--tau", "0.3", "--out", str(tmp_path / "preds")]
+        yield ["sweep", "--corpus", str(corpus_dir), "--model", str(model), "--out", str(tmp_path / "curve.csv")]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_exits_one(self, corpus_dir, tmp_path, capsys, value):
+        params = init_params("mlp", EXP_CONFIG["synth"]["channels"], 8, 5, np.random.default_rng(0))
+        params.arrays[2][1, 3] = value
+        model = tmp_path / "model.bin"
+        save_model(params, model)
+        for argv in self._commands(corpus_dir, model, tmp_path):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert str(model) in err and "non-finite" in err
+        assert not (tmp_path / "curve.csv").exists()
+
+    def test_missing_model_file_exits_one(self, corpus_dir, tmp_path, capsys):
+        model = tmp_path / "nowhere" / "model.bin"
+        for argv in self._commands(corpus_dir, model, tmp_path):
+            assert main(argv) == 1
+            assert str(model) in capsys.readouterr().err
+
+
+class TestPredictionInputs:
+    """A prediction field whose shape is not its subject's mask is exit 1 naming the file."""
+
+    @pytest.fixture
+    def preds(self, corpus_dir, tmp_path):
+        path = tmp_path / "preds"
+        path.mkdir()
+        for i, subject in enumerate(sorted(corpus_dir.glob("s[0-9][0-9][0-9]"))):
+            (path / f"pred_s{i:03d}.bin").write_bytes((subject / "labels.bin").read_bytes())
+        write_field(path / "pred_s002.bin", np.ones((8, 8), dtype=np.int64))  # the masks are 16x16
+        return path
+
+    def test_eval_exits_one(self, corpus_dir, preds, tmp_path, capsys):
+        assert main(["eval", "--corpus", str(corpus_dir), "--pred", str(preds), "--out", str(tmp_path / "evald")]) == 1
+        err = capsys.readouterr().err
+        assert str(preds / "pred_s002.bin") in err and "8x8" in err
+
+    def test_confusion_exits_one(self, corpus_dir, preds, tmp_path, capsys):
+        assert main(["confusion", "--corpus", str(corpus_dir), "--pred", str(preds), "--out", str(tmp_path / "c.csv")]) == 1
+        assert str(preds / "pred_s002.bin") in capsys.readouterr().err
+
+
+# -- model-file fuzz ---------------------------------------------------------
+# Every mutation below leaves a file that load_model must reject: a cut
+# payload or header, a header token replaced by one that is wrong wherever it
+# stands (a different positive integer changes the expected payload size) or
+# dropped, and a NaN or infinity written over one weight.
+
+BAD_TOKENS = [b"", b"x", b"0", b"-1", b"1.5", b"nan", b"\xff", b"linear 1", b"none\n", b"mlp", b"%d" % 2**62, b"%d" % 10**30]
+MUTATIONS = st.one_of(
+    st.tuples(st.just("cut"), st.integers(1, 1 << 20)),
+    st.tuples(st.just("token"), st.integers(0, 7), st.sampled_from(BAD_TOKENS) | st.integers(1, 10**6).map(lambda n: b"%d" % n)),
+    st.tuples(st.just("drop"), st.integers(0, 7)),
+    st.tuples(st.just("weight"), st.integers(0, 1 << 20), st.sampled_from([np.nan, np.inf, -np.inf])),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("model_fuzz")
+    corpus = generate(SynthConfig(n_subjects=2, height=8, width=8, channels=3, n_regions=24, seed=3))
+    save_corpus(corpus, root / "corpus")
+    models = {}
+    for kind in ("linear", "mlp"):
+        save_model(init_params(kind, 3, corpus.n_classes, 4, np.random.default_rng(1)), root / f"{kind}.bin")
+        models[kind] = (root / f"{kind}.bin").read_bytes()
+    return root, models
+
+
+def mutate(data: bytes, mutation) -> bytes:
+    kind, at, *value = mutation
+    header, payload = data.split(b"\n", 1)
+    tokens = header.split(b" ")
+    if kind == "cut":
+        return data[: -(1 + at % len(data))]
+    if kind == "weight":
+        at = 8 * (at % (len(payload) // 8))
+        return header + b"\n" + payload[:at] + np.array(value, dtype="<f8").tobytes() + payload[at + 8 :]
+    i = at % len(tokens)
+    if kind == "token" and value[0] == tokens[i]:
+        return data[:-1]  # the same integer drawn again: cut one byte instead
+    tokens[i : i + 1] = [value[0]] if kind == "token" else []
+    return b" ".join(tokens) + b"\n" + payload
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["linear", "mlp"]), mutation=MUTATIONS | st.none())
+def test_model_file_fuzz_through_gate(fuzz_inputs, kind, mutation):
+    root, models = fuzz_inputs
+    data = models[kind] if mutation is None else mutate(models[kind], mutation)
+    model = root / "fuzzed.bin"
+    model.write_bytes(data)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = main(["gate", "--corpus", str(root / "corpus"), "--model", str(model), "--tau", "0.2", "--out", str(root / "preds")])
+    assert code == (0 if mutation is None else 1), (mutation, err.getvalue())
+    if code:
+        assert str(model) in err.getvalue()

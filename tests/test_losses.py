@@ -288,10 +288,10 @@ class TestCompound:
         rng = np.random.default_rng(14)
         logits = rng.normal(size=(4, t.n_leaves))
         target = rng.integers(1, t.n_leaves + 1, size=4)
-        a = fn(logits, target)
+        a = fn(logits.T, target)  # the callable takes class-major (C, n) logits
         b = compound_wass(spec, t, logits, target)
         assert a[0] == b[0]
-        assert np.array_equal(a[1], b[1])
+        assert np.array_equal(a[1].T, b[1])
 
 
 class TestGradients:
@@ -333,13 +333,15 @@ class TestGradients:
 
 
 # --- frozen reference --------------------------------------------------------
-# The composition the fused loss replaced: every term takes its own softmax
-# (the CE term two), and a compound sums the separately scattered terms.
-# make_loss must reproduce it to the bit wherever the Wasserstein, CE and
-# Dice terms decide the result. The tree-weighted CE term reads each pixel's
-# ancestor chain instead of the dense (n, N) node tensor and its product with
-# the ancestor matrix, so it sums in another order: wherever it enters, the
-# result must agree to the tolerance of ``assert_twce_close``.
+# The composition the fused loss replaced, pixel-major: every term takes its
+# own softmax (the CE term two) over (n, C) rows, and a compound sums the
+# separately scattered terms. The kernels now hold a batch class-major, so
+# every sum over the classes (the softmax normaliser, the Wasserstein and
+# softmax-chain inner products) and the Dice sums over pixels run in another
+# order; the tree-weighted CE also reads each pixel's ancestor chain instead
+# of the dense (n, N) node tensor. make_loss must agree with the reference
+# to the tolerance of ``assert_twce_close``. Bit-for-bit pins between the
+# entry points themselves follow the reference.
 
 
 def ref_softmax(z):
@@ -462,6 +464,12 @@ def oracle_batch(rng, c, shape, sparse):
     return logits, target
 
 
+def class_major_call(fn, logits, target):
+    """A make_loss callable on (..., C) logits, its (C, n) gradient back in their shape."""
+    loss, grad = fn(np.ascontiguousarray(logits.reshape(-1, logits.shape[-1]).T), target)
+    return loss, grad.T.reshape(logits.shape)
+
+
 class TestFusedMatchesReference:
     @pytest.mark.parametrize("semantic,seg,alpha,sparse", ORACLE_CASES)
     def test_make_loss_is_bitwise_equal(self, semantic, seg, alpha, sparse):
@@ -472,16 +480,10 @@ class TestFusedMatchesReference:
             rng = np.random.default_rng(seed + 40)
             for shape in ((1,), (37,), (2000,), (9, 11)):
                 logits, target = oracle_batch(rng, tree.n_leaves, shape, sparse)
-                loss, grad = fn(logits, target)
-                ref_loss, ref_grad = ref_compound(spec, tree, logits, target)
-                if semantic == "twce" and alpha:
-                    assert_twce_close(loss, grad, ref_loss, ref_grad)
-                else:
-                    assert np.array_equal(loss, ref_loss)
-                    assert np.array_equal(grad, ref_grad)
+                assert_twce_close(*class_major_call(fn, logits, target), *ref_compound(spec, tree, logits, target))
 
     def test_single_terms_are_bitwise_equal(self):
-        """Wasserstein, CE and Dice to the bit; the tree-weighted CE within ``assert_twce_close``."""
+        """Every term against its pixel-major reference, within ``assert_twce_close``."""
         tree = assign_weights(make_random_tree(3, ragged=True), EdgeWeightScheme("hier", kappa=2.0))
         m = distance_matrix(tree)
         rng = np.random.default_rng(43)
@@ -492,30 +494,67 @@ class TestFusedMatchesReference:
             (seg_loss_ce(sparse_logits, sparse), ref_ce(sparse_logits, sparse)),
             (seg_loss_dice(dense_logits, dense), ref_dice(dense_logits, dense)),
         ]
-        for (loss, grad), (ref_loss, ref_grad) in pairs:
-            assert loss == ref_loss
-            assert np.array_equal(grad, ref_grad)
+        for result, ref in pairs:
+            assert_twce_close(*result, *ref)
         for logits, target in ((sparse_logits, sparse), (dense_logits, dense)):
             assert_twce_close(*tree_weighted_ce(tree, logits, target), *ref_twce(tree, logits, target))
 
     @pytest.mark.parametrize("seg,sparse", [("ce", False), ("ce", True), ("dice_ce", False), ("none", False), ("none", True)])
     def test_fused_twce_is_the_sum_of_its_terms_to_the_bit(self, seg, sparse):
         """The fused compound shares one softmax, yet equals alpha * tree_weighted_ce + beta * seg exactly."""
-        tree = make_random_tree(4, depth=3, branching=(2, 4), ragged=True)
-        scheme = EdgeWeightScheme("hier", kappa=2.0)
-        spec = LossSpec("twce", scheme, seg=seg, alpha=0.7, beta=0.3)
-        logits, target = oracle_batch(np.random.default_rng(44), tree.n_leaves, (600,), sparse)
-        loss, grad = make_loss(tree, spec)(logits, target)
-        sem, sem_grad = tree_weighted_ce(assign_weights(tree, scheme), logits, target)
-        ref_loss, ref_grad = spec.alpha * sem, spec.alpha * sem_grad
-        if seg != "none":
-            seg_loss, seg_grad = seg_loss_ce(logits, target)
-            if seg == "dice_ce":
-                dc, dc_grad = seg_loss_dice(logits, target)
-                seg_loss, seg_grad = seg_loss + dc, seg_grad + dc_grad
-            ref_loss, ref_grad = ref_loss + spec.beta * seg_loss, ref_grad + spec.beta * seg_grad
-        assert loss == ref_loss
-        assert np.array_equal(grad, ref_grad)
+        assert_fused_is_the_sum_of_its_terms("twce", seg, sparse)
+
+    @pytest.mark.parametrize("seg,sparse", [("ce", False), ("ce", True), ("dice_ce", False)])
+    def test_fused_wass_is_the_sum_of_its_terms_to_the_bit(self, seg, sparse):
+        """The same for alpha * wasserstein_crisp + beta * seg."""
+        assert_fused_is_the_sum_of_its_terms("wass", seg, sparse)
+
+
+def assert_fused_is_the_sum_of_its_terms(semantic, seg, sparse):
+    tree = make_random_tree(4, depth=3, branching=(2, 4), ragged=True)
+    scheme = EdgeWeightScheme("hier", kappa=2.0)
+    spec = LossSpec(semantic, scheme, seg=seg, alpha=0.7, beta=0.3)
+    logits, target = oracle_batch(np.random.default_rng(44), tree.n_leaves, (600,), sparse)
+    loss, grad = class_major_call(make_loss(tree, spec), logits, target)
+    weighted = assign_weights(tree, scheme)
+    if semantic == "wass":
+        sem, sem_grad = wasserstein_crisp(distance_matrix(weighted), logits, target)
+    else:
+        sem, sem_grad = tree_weighted_ce(weighted, logits, target)
+    ref_loss, ref_grad = spec.alpha * sem, spec.alpha * sem_grad
+    if seg != "none":
+        seg_loss, seg_grad = seg_loss_ce(logits, target)
+        if seg == "dice_ce":
+            dc, dc_grad = seg_loss_dice(logits, target)
+            seg_loss, seg_grad = seg_loss + dc, seg_grad + dc_grad
+        ref_loss, ref_grad = ref_loss + spec.beta * seg_loss, ref_grad + spec.beta * seg_grad
+    assert loss == ref_loss
+    assert np.array_equal(grad, ref_grad)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_class_major_callable_equals_every_entry_point_to_the_bit(sparse):
+    """One batch, once class-major through make_loss and once (..., C) through each
+    public function: a lone term is the compound with the other weight at zero."""
+    tree = make_random_tree(6, depth=3, branching=(2, 4), ragged=True)
+    scheme = EdgeWeightScheme("hier", kappa=3.0)
+    weighted = assign_weights(tree, scheme)
+    logits, target = oracle_batch(np.random.default_rng(45), tree.n_leaves, (12, 25), sparse)
+    cases = [
+        (LossSpec("wass", scheme, seg="ce", alpha=0.4, beta=0.6), lambda s: compound_wass(s, tree, logits, target)),
+        (LossSpec("twce", scheme, seg="ce", alpha=0.4, beta=0.6), lambda s: compound_twce(s, tree, logits, target)),
+        (LossSpec("wass", scheme, seg="ce", alpha=1.0, beta=0.0), lambda s: wasserstein_crisp(distance_matrix(weighted), logits, target)),
+        (LossSpec("twce", scheme, seg="none", alpha=1.0, beta=0.0), lambda s: tree_weighted_ce(weighted, logits, target)),
+        (LossSpec("wass", scheme, seg="ce", alpha=0.0, beta=1.0), lambda s: seg_loss_ce(logits, target)),
+    ]
+    if not sparse:
+        cases.append((LossSpec("wass", scheme, seg="dice_ce", alpha=0.5, beta=0.5), lambda s: compound_wass(s, tree, logits, target)))
+    for spec, entry in cases:
+        loss, grad = entry(spec)
+        fused_loss, fused_grad = class_major_call(make_loss(tree, spec), logits, target)
+        assert loss == fused_loss, spec
+        assert grad.flags.c_contiguous
+        assert np.array_equal(grad, fused_grad), spec
 
 
 @pytest.mark.parametrize("semantic", ["wass", "twce"])
@@ -528,8 +567,7 @@ def test_loss_fn_walks_no_tree(monkeypatch, semantic):
 
     monkeypatch.setattr(LabelTree, "leaves_under", forbidden)
     monkeypatch.setattr(LabelTree, "deepest_first", forbidden)
-    monkeypatch.setattr(losses, "ancestor_matrix", forbidden)
     monkeypatch.setattr(losses, "distance_matrix", forbidden)
     logits, target = oracle_batch(np.random.default_rng(5), tree.n_leaves, (64,), True)
-    loss, grad = fn(logits, target)
-    assert np.isfinite(loss) and grad.shape == logits.shape
+    loss, grad = fn(logits.T, target)
+    assert np.isfinite(loss) and grad.shape == logits.T.shape

@@ -4,7 +4,7 @@ The per-class counting loops, the parent-chain tree walks, the per-class
 distance-transform NSD, the per-grid-point threshold sweep, the
 pixel-major subtree sum and the dense tree-weighted CE kernel below are
 the earlier implementations, frozen. Every level query, subtree, ancestor
-matrix and distance matrix now reads ``LabelTree.ancestor_table``; Dice,
+chain and distance matrix now reads ``LabelTree.ancestor_table``; Dice,
 one-vs-rest scores and confusion counts all read one pixel count table;
 NSD scores every class in one pass over the tolerance ball, the sweep
 counts every threshold in one pass, and level scores sum only the level's
@@ -37,7 +37,7 @@ from treeseg.hierarchy import (
     level_nodes,
     random_tree,
 )
-from treeseg.losses import LOG_GUARD, LossSpec, aggregate, ancestor_matrix, make_loss, softmax, tree_weighted_ce
+from treeseg.losses import LOG_GUARD, aggregate, softmax, tree_weighted_ce
 
 from conftest import assert_twce_close
 
@@ -229,12 +229,14 @@ def ref_aggregate(tree, probs):
 
 
 def ref_dense_twce(tree, b):
-    """The dense tree-weighted CE kernel the chain kernel replaced, on a
-    ``losses._Batch``: an (n, N) node tensor, weighted and logged over all N
-    columns, and its product with the (N, C) ancestor matrix for dL/dp."""
+    """The dense tree-weighted CE kernel the chain kernel replaced, on the
+    softmax of a class-major ``losses._Batch`` read pixel-major: an (n, N)
+    node tensor, weighted and logged over all N columns, and its product with
+    the (N, C) ancestor matrix for dL/dp. The gradient comes back (C, pixels)."""
     u = ref_ancestor_matrix(tree)
     chains = np.ascontiguousarray(u.T) * edge_weight_vector(tree)
-    node_p = ref_aggregate(tree, b.p)
+    p = b.p.T
+    node_p = ref_aggregate(tree, p)
     contrib = chains[b.leaf]  # (n, N)
     live = node_p > LOG_GUARD
     clamped = np.maximum(node_p, LOG_GUARD, out=node_p)
@@ -244,11 +246,11 @@ def ref_dense_twce(tree, b):
     loss = float(-logp.sum(axis=1).mean())
     inv *= contrib
     dldp = np.negative(inv, out=inv) @ u  # (n, C)
-    inner = np.sum(b.p * dldp, axis=1, keepdims=True)
+    inner = np.sum(p * dldp, axis=1, keepdims=True)
     dldp -= inner
-    dldp *= b.p
+    dldp *= p
     dldp /= b.n
-    return loss, b.scatter(dldp)
+    return loss, b.scatter(dldp.T)
 
 
 def ref_score_at_level(tree, probs, k):
@@ -359,7 +361,9 @@ def test_tree_queries_match_the_walks():
         for v in range(tree.n_nodes):
             assert tree.leaves_under(v) == ref_leaves_under(tree, v)
             assert tree.ancestors(v) == ref_ancestors(tree, v)
-        assert np.array_equal(ancestor_matrix(tree), ref_ancestor_matrix(tree))
+        u = np.zeros((tree.n_nodes, tree.n_leaves))
+        u[tree.ancestor_table[: tree.n_leaves], np.arange(tree.n_leaves)[:, None]] = 1.0
+        assert np.array_equal(u, ref_ancestor_matrix(tree))
         assert np.array_equal(distance_matrix(tree), ref_distance_matrix(tree))
         checked += tree.levels > 1
     assert checked > 100  # most trees have more than one level
@@ -517,19 +521,11 @@ def test_twce_matches_the_dense_kernel(scale, sparse):
             if sparse:
                 target[rng.random(shape) < 0.4] = 0
                 target.flat[0] = 1
-            assert_twce_close(*tree_weighted_ce(tree, logits, target), *ref_dense_twce(tree, losses._Batch(logits, target, tree.n_leaves)))
+            ref_loss, ref_grad = ref_dense_twce(tree, losses._Batch(logits.reshape(-1, tree.n_leaves).T, target, tree.n_leaves))
+            assert_twce_close(*tree_weighted_ce(tree, logits, target), ref_loss, ref_grad.T.reshape(logits.shape))
             true_mass = softmax(logits)[target > 0, target[target > 0] - 1]
             dead += int(np.sum(true_mass <= LOG_GUARD))
     assert (dead > 0) == (scale == 80.0)  # x80 logits put true leaves below the log guard
-
-
-def test_twce_compiles_no_ancestor_matrix(monkeypatch):
-    rebind(monkeypatch, ancestor_matrix, forbidden)
-    tree = random_tree(np.random.default_rng(23), depth=3, ragged=True)
-    fn = make_loss(tree, LossSpec("twce", EdgeWeightScheme("hier", kappa=10.0)))
-    logits = np.random.default_rng(24).normal(size=(40, tree.n_leaves))
-    loss, grad = fn(logits, np.arange(40) % tree.n_leaves + 1)
-    assert np.isfinite(loss) and grad.shape == logits.shape
 
 
 def rebind(monkeypatch, original, replacement):
@@ -598,7 +594,6 @@ def test_level_path_walks_no_parent_chain(monkeypatch):
         assert len(report.classes) == len(level_nodes(tree, k))
         assert leaf_level_map(tree, k).shape == (tree.n_leaves,)
     assert all(tree.leaves_under(v) for v in range(tree.n_nodes))
-    assert ancestor_matrix(tree).sum() > 0
     assert distance_matrix(tree).shape == (tree.n_leaves, tree.n_leaves)
 
 

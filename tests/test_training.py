@@ -88,30 +88,46 @@ def test_first_epoch_objective_decreases_for_every_spec():
         assert trace[1] < trace[0], spec
 
 
-def test_optimizer_consumes_exact_loss_gradient():
-    # one SGD step reproduced by hand from the loss module's gradient
+def one_sgd_batch(kind, hidden=8):
+    """A one-step SGD run on every subject at once, and the class-major batch
+    it sees: features (d, n) and codes in the epoch's subject order."""
     tree = make_random_tree(8)
-    corpus = generate(SynthConfig(tree=tree, n_subjects=2, height=10, width=10, channels=3, n_regions=tree.n_leaves, seed=8))
+    corpus = generate(SynthConfig(tree=tree, n_subjects=2, height=10, width=10, channels=3, n_regions=tree.n_leaves, sparsity=0.3, seed=8))
     data = [(s.features, s.mask) for s in corpus.subjects]
     spec = LossSpec("twce", EdgeWeightScheme("equal"), seg="ce")
-    config = TrainConfig(model="linear", lr=0.1, epochs=1, batch_size=10, optimizer="sgd", seed=11)
+    config = TrainConfig(model=kind, hidden=hidden, lr=0.1, epochs=1, batch_size=10, optimizer="sgd", seed=11)
     trained, _ = train(data, corpus.tree, spec, config)
 
-    params = init_params("linear", 3, tree.n_leaves, config.hidden, substream(config.seed, "init"))
+    params = init_params(kind, 3, tree.n_leaves, hidden, substream(config.seed, "init"))
     order = substream(config.seed, "epoch", 0).permutation(len(data))
     xs, ys = [], []
     for i in order:
         feats, mask = data[i]
         keep = mask.reshape(-1) > 0
-        xs.append(feats.reshape(-1, 3)[keep])
+        xs.append(np.ascontiguousarray(feats.reshape(-1, 3)[keep].T))  # C-ordered rows, as train holds them
         ys.append(mask.reshape(-1)[keep])
-    x, y = np.concatenate(xs), np.concatenate(ys)
-    loss_fn = make_loss(tree, spec)
-    _, gz = loss_fn(x @ params.arrays[0] + params.arrays[1], y)
-    expect_w = params.arrays[0] - config.lr * (x.T @ gz)
-    expect_b = params.arrays[1] - config.lr * gz.sum(axis=0)
-    assert np.array_equal(trained.arrays[0], expect_w)
-    assert np.array_equal(trained.arrays[1], expect_b)
+    x, y = np.concatenate(xs, axis=1), np.concatenate(ys)
+    return trained, params, x, y, make_loss(tree, spec), config.lr
+
+
+def test_optimizer_consumes_exact_loss_gradient():
+    # one SGD step reproduced by hand from the loss module's (C, n) gradient
+    trained, params, x, y, loss_fn, lr = one_sgd_batch("linear")
+    w, b = params.arrays
+    _, gz = loss_fn(w.T @ x + b[:, None], y)
+    assert np.array_equal(trained.arrays[0], w - lr * (x @ gz.T))
+    assert np.array_equal(trained.arrays[1], b - lr * gz.sum(axis=1))
+
+
+def test_mlp_step_is_backpropagation_by_hand():
+    trained, params, x, y, loss_fn, lr = one_sgd_batch("mlp")
+    w1, b1, w2, b2 = params.arrays
+    h = np.tanh(w1.T @ x + b1[:, None])  # (hidden, n)
+    _, gz = loss_fn(w2.T @ h + b2[:, None], y)
+    gh = (w2 @ gz) * (1.0 - h * h)
+    expect = [w1 - lr * (x @ gh.T), b1 - lr * gh.sum(axis=1), w2 - lr * (h @ gz.T), b2 - lr * gz.sum(axis=1)]
+    for got, want in zip(trained.arrays, expect):
+        assert np.array_equal(got, want)
 
 
 def test_divergence_raises_with_epoch():
@@ -184,6 +200,12 @@ class TestModelIO:
             (tmp_path / "cut.bin").write_bytes(data[:-cut])
             with pytest.raises(ShapeError):
                 load_model(tmp_path / "cut.bin")
+
+    def test_dims_whose_product_wraps_in_int64_are_shape_error(self, tmp_path):
+        # 2**62 * 4 is 0 in int64, so the 4-float payload would have matched
+        (tmp_path / "wrap.bin").write_bytes(b"linear 4611686018427387904 4 none\n" + np.zeros(4).tobytes())
+        with pytest.raises(ShapeError):
+            load_model(tmp_path / "wrap.bin")
 
     @pytest.mark.parametrize("header", [b"linear 5 7\n", b"linear 5 7 standardize\n", b"mlp 5 7 4\n", b"linear 5 x none\n", b"\n"])
     def test_bad_header_is_parse_error(self, tmp_path, rng, header):

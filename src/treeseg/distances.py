@@ -36,10 +36,11 @@ def distance_matrix(tree: LabelTree) -> np.ndarray:
 
 def _check_marginal(name: str, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if np.any(v < -1e-12):
-        raise NormalizationError(f"{name} has negative entries")
+    # written as failed passing conditions, so a NaN entry fails too
+    if not (v >= -1e-12).all():
+        raise NormalizationError(f"{name} has negative or NaN entries")
     total = float(v.sum())
-    if abs(total - 1.0) > _MASS_TOL:
+    if not abs(total - 1.0) <= _MASS_TOL:
         raise NormalizationError(f"{name} sums to {total}, expected 1")
     return np.clip(v, 0.0, None)
 

@@ -74,12 +74,16 @@ def gate(tree: LabelTree, probs: np.ndarray, policy: ThresholdPolicy) -> Predict
     level_class = np.asarray(node_ids, dtype=np.int64)[best]
 
     level_of_leaf = leaf_level_map(tree, k)
-    labels = np.zeros(flat.shape[0], dtype=np.int64)
-    for slot, node in enumerate(node_ids):
+    under = [np.flatnonzero(level_of_leaf == node) for node in node_ids]
+    # a slot whose subtree is one leaf labels its pixels with that leaf, no argmax needed
+    lone = np.array([leaves[0] + 1 if leaves.size == 1 else 0 for leaves in under], dtype=np.int64)
+    labels = np.where(keep, lone[best], 0)
+    for slot, leaves in enumerate(under):
+        if leaves.size == 1:
+            continue
         rows = keep & (best == slot)
         if not rows.any():
             continue
-        leaves = np.flatnonzero(level_of_leaf == node)
         sub = flat[np.ix_(rows, leaves)]
         labels[rows] = leaves[np.argmax(sub, axis=1)] + 1
     return PredictionField(labels=labels.reshape(lead), level_class=level_class.reshape(lead), level=k)

@@ -9,7 +9,7 @@ Conventions used throughout:
   ``(C, n)``, one column per pixel, and returns a ``(C, n)`` gradient: the
   layout a training batch is held in. Every kernel works class-major, so a
   reduction over the classes is a pass over C contiguous rows; a public
-  function transposes once into the same kernels and gets the same bits.
+  function hands the same kernels a class-major copy and gets the same bits.
 * ``target`` holds per-pixel class codes: ``0`` means unannotated, codes
   ``1..C`` map to leaf index ``code - 1``. Per-pixel losses average over
   annotated pixels only, in fixed index order, double precision.
@@ -21,11 +21,28 @@ The semantic losses are the label-space Wasserstein loss (closed form
 over aggregated node probabilities; both can be compounded with a generic
 segmentation loss as ``alpha * semantic + beta * seg``.
 
-Each term has one kernel that reads a validated batch (``_Batch``) with
-its softmax already taken. The public functions run one kernel on one
-batch; a compound runs both kernels on the same batch, and ``make_loss``
-compiles the tree into the kernels' arrays once. The tree-weighted CE
-kernel reads only each pixel's ancestor chain (K nodes), not every node.
+A loss call validates its batch once (``_Batch``) and then works through
+the annotated columns in tiles of at most ``TILE_BYTES`` of (C, T)
+float64. Each tile (``_Tile``) takes its own shifted logits and softmax,
+and each term its per-pixel losses and the tile's gradient. A loss is the
+mean of the per-pixel vector assembled from all tiles, and no sum crosses
+a column, so loss and gradient are the same to the bit at any tile width;
+a lone leftover column joins the last tile, because numpy sums the
+classes of a one-column array in another order. Soft Dice couples all
+pixels, so a batch with a Dice term is one tile.
+
+Ownership: a batch of several tiles has each finished gradient tile
+written over the logits columns it was read from, and the ``make_loss``
+callable returns that buffer, so it owns the logits it is given. A
+one-tile batch leaves its logits alone and returns the tile's own
+gradient. The public ``(..., C)`` functions pass the kernels a private
+copy, so a caller's array is never modified. ``softmax`` and
+``log_softmax`` run the same tile loop and write each tile straight into
+their pixel-major result.
+
+``make_loss`` compiles the tree into the kernels' arrays once. The
+tree-weighted CE kernel reads only each pixel's ancestor chain (K nodes),
+not every node.
 """
 
 from __future__ import annotations
@@ -42,6 +59,7 @@ from .hierarchy import EdgeWeightScheme, LabelTree, assign_weights, edge_weight_
 
 LOG_GUARD = 1e-12  # aggregated probabilities are sums of softmax outputs, clamp before log
 DICE_SMOOTH = 1e-5
+TILE_BYTES = 4 << 20  # the most (C, T) float64 one tile of a loss or softmax call holds
 
 SEG_KINDS = ("ce", "dice_ce", "none")
 SEMANTIC_KINDS = ("wass", "twce")
@@ -73,24 +91,47 @@ class LossSpec:
             raise ConfigError("seg='none' is only valid with the tree-weighted CE")
 
 
+def _tile_width(n_classes: int) -> int:
+    """Columns per tile: as many (C,) float64 columns as fit in TILE_BYTES, at least two."""
+    return max(2, TILE_BYTES // (8 * n_classes))
+
+
+def _tiles(n: int, width: int) -> list[tuple[int, int]]:
+    """(start, stop) of each column tile over n columns, ``width`` columns each.
+
+    A lone leftover column joins the last tile: numpy sums the classes of a
+    one-column array pairwise, not row by row as in a wider one, so a tile
+    of one column would change the bits.
+    """
+    starts = list(range(0, n, width))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
 def _class_major(logits: np.ndarray) -> np.ndarray:
     """``(..., C)`` logits as a ``(C, n)`` view."""
     z = np.asarray(logits, dtype=float)
     return z.reshape(-1, z.shape[-1]).T
 
 
-def _pixel_major(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """A ``(C, n)`` array as a C-ordered copy of ``shape`` ``(..., C)``.
+def _transpose_into(x: np.ndarray, out: np.ndarray) -> None:
+    """Copy a (C, n) array into a (n, C) one.
 
-    Copied in (32, 1024) tiles: a plain transposed copy of a (99, 16384)
-    softmax took 15-18 ms, the tiled one 6-9 ms (2 cores, numpy 2.4); at 21
-    classes both take ~0.5 ms.
+    Copied in (32, 1024) blocks: a plain transposed copy of a (99, 16384)
+    softmax took 15-18 ms, the blocked one 6-9 ms (2 cores, numpy 2.4); at
+    21 classes both take ~0.5 ms.
     """
     c, n = x.shape
-    out = np.empty((n, c))
     for i in range(0, n, 1024):
         for k in range(0, c, 32):
             out[i : i + 1024, k : k + 32] = x[k : k + 32, i : i + 1024].T
+
+
+def _pixel_major(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A ``(C, n)`` array as a C-ordered copy of ``shape`` ``(..., C)``."""
+    out = np.empty(x.shape[::-1])
+    _transpose_into(x, out)
     return out.reshape(shape)
 
 
@@ -107,24 +148,41 @@ def _exp_normalize(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, s
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
+def _softmax_tiles(logits: np.ndarray, log: bool) -> np.ndarray:
+    """(Log-)softmax of ``(..., C)`` logits, C-ordered in their shape, one column tile at a time.
+
+    Each tile is shifted and normalised class-major in its own buffer and
+    copied into its rows of the result; nothing else is logits-sized.
+    """
     z = np.asarray(logits, dtype=float)
-    return _pixel_major(_exp_normalize(_shifted(_class_major(z)))[0], z.shape)
+    x = _class_major(z)
+    out = np.empty(x.shape[::-1])
+    for start, stop in _tiles(x.shape[1], _tile_width(x.shape[0])):
+        t = _shifted(x[:, start:stop])
+        if log:
+            t -= np.log(np.add.reduce(np.exp(t), axis=0))
+        else:
+            _exp_normalize(t)
+        _transpose_into(t, out[start:stop])
+    return out.reshape(z.shape)
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    return _softmax_tiles(logits, log=False)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits, dtype=float)
-    x = _shifted(_class_major(z))
-    return _pixel_major(x - np.log(np.add.reduce(np.exp(x), axis=0)), z.shape)
+    return _softmax_tiles(logits, log=True)
 
 
 class _Batch:
     """One validated loss call on class-major (C, n) logits: the annotated
-    columns, their true leaves and one shared softmax.
+    columns and their true leaves.
 
-    Every term reads the (C, n) softmax ``p``, its column sums ``s`` and the
-    true leaf's shifted logit from here, and returns its (C, n) gradient on
-    the annotated columns only; ``scatter`` places it back.
+    ``tile`` takes the softmax of a run of annotated columns. A batch of
+    several tiles ``put``s each tile's gradient over the logits columns it
+    was read from and returns the ``written`` buffer; a one-tile batch
+    ``scatter``s its gradient instead and leaves the logits alone.
     """
 
     def __init__(self, logits: np.ndarray, target: np.ndarray, n_classes: int):
@@ -140,16 +198,30 @@ class _Batch:
         idx = np.flatnonzero(t > 0)
         if idx.size == 0:
             raise EmptyMaskError("no annotated pixels")
-        self.n_pixels, self.n = t.size, idx.size
+        self.logits, self.n_pixels, self.n = x, t.size, idx.size
         # fully annotated (every training batch): no gather and no scatter
         self.idx = None if idx.size == t.size else idx
+        self.leaf = (t if self.idx is None else t[idx]) - 1
+
+    def _columns(self, start: int, stop: int):
+        """The logits columns of annotated columns ``start:stop``."""
+        return slice(start, stop) if self.idx is None else self.idx[start:stop]
+
+    def tile(self, start: int, stop: int) -> "_Tile":
+        """The softmax of annotated columns ``start:stop``."""
+        return _Tile(self.logits[:, self._columns(start, stop)], self.leaf[start:stop], self.n)
+
+    def put(self, start: int, grad: np.ndarray) -> None:
+        """Write the gradient of the tile at ``start`` over the logits columns it was read from."""
+        self.logits[:, self._columns(start, start + grad.shape[1])] = grad
+
+    def written(self) -> np.ndarray:
+        """The logits buffer once every tile is ``put``: the gradient, zero on unannotated columns."""
         if self.idx is not None:
-            x, t = np.take(x, idx, axis=1), t[idx]
-        self.leaf = t - 1
-        self.true = self.leaf * self.n + np.arange(self.n)  # flat index of each column's true-leaf entry
-        z = _shifted(x)
-        self.z_true = np.take(z, self.true)
-        self.p, self.s = _exp_normalize(z)
+            blank = np.ones(self.n_pixels, dtype=bool)
+            blank[self.idx] = False
+            self.logits[:, blank] = 0.0
+        return self.logits
 
     def scatter(self, grad: np.ndarray) -> np.ndarray:
         """A (C, n) gradient on the annotated columns as (C, pixels); unannotated columns are zero."""
@@ -158,6 +230,23 @@ class _Batch:
         full = np.zeros((grad.shape[0], self.n_pixels))
         full[:, self.idx] = grad
         return full
+
+
+class _Tile:
+    """The softmax of one column tile of a batch, shared by every term.
+
+    A term reads the (C, T) softmax ``p``, its column sums ``s`` and the
+    true leaf's shifted logit, and returns the tile's per-pixel losses and
+    its (C, T) share of the gradient of the batch mean (a mean over ``n``,
+    the batch's annotated pixels).
+    """
+
+    def __init__(self, x: np.ndarray, leaf: np.ndarray, n: int):
+        self.leaf, self.n, self.width = leaf, n, leaf.size
+        self.true = leaf * leaf.size + np.arange(leaf.size)  # flat index of each column's true-leaf entry
+        z = _shifted(x)
+        self.z_true = np.take(z, self.true)
+        self.p, self.s = _exp_normalize(z)
 
 
 def _aggregation_plan(tree: LabelTree) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -188,7 +277,8 @@ def leaf_rows(tree: LabelTree, probs: np.ndarray) -> tuple[np.ndarray, tuple[int
     p = p.reshape(-1, p.shape[-1])
     if p.shape[1] != tree.n_leaves:
         raise NormalizationError(f"expected {tree.n_leaves} leaf columns, got {p.shape[1]}")
-    if np.any(p < -1e-9) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-9):
+    # written as failed passing conditions, so a NaN entry fails too
+    if not (p >= -1e-9).all() or not (np.abs(p.sum(axis=1) - 1.0) <= 1e-9).all():
         raise NormalizationError("rows must be probability vectors over the leaves")
     return p, lead
 
@@ -214,7 +304,7 @@ def _chain_softmax(p: np.ndarray, dldp: np.ndarray) -> np.ndarray:
     return dldp
 
 
-# --- term kernels: (batch) -> (loss, (C, n) gradient on the annotated columns)
+# --- term kernels: (tile) -> ((T,) per-pixel losses, (C, T) gradient of the batch mean)
 
 
 class _Wasserstein:
@@ -224,14 +314,13 @@ class _Wasserstein:
         self.m = np.ascontiguousarray(m, dtype=float)
         self.n_classes = self.m.shape[0]
 
-    def __call__(self, b: _Batch) -> tuple[float, np.ndarray]:
-        cols = np.take(self.m, b.leaf, axis=1)  # (C, n): distance of every leaf to the column's true leaf
+    def __call__(self, b: _Tile) -> tuple[np.ndarray, np.ndarray]:
+        cols = np.take(self.m, b.leaf, axis=1)  # (C, T): distance of every leaf to the column's true leaf
         per = np.add.reduce(b.p * cols, axis=0)  # the per-pixel loss is also the softmax chain's inner product
-        loss = float(per.mean())
         cols -= per
         cols *= b.p
         cols /= b.n
-        return loss, cols
+        return per, cols
 
 
 class _TreeCE:
@@ -255,44 +344,46 @@ class _TreeCE:
         # lca[l, g]: how many non-root ancestors leaves l and g share, the depth of their LCA
         self.lca = ((self.chain[:, :, None] == self.chain[:, None]) & own[:, None]).sum(axis=0)
 
-    def __call__(self, b: _Batch) -> tuple[float, np.ndarray]:
-        k, rows = self.chain.shape[0], np.arange(b.n)
-        mass = _sum_up(b.p, self.plan, np.empty((self.n_nodes, b.n)))  # node-major: contiguous rows to sum
+    def __call__(self, b: _Tile) -> tuple[np.ndarray, np.ndarray]:
+        k, rows = self.chain.shape[0], np.arange(b.width)
+        mass = _sum_up(b.p, self.plan, np.empty((self.n_nodes, b.width)))  # node-major: contiguous rows to sum
         at = np.take(self.chain, b.leaf, axis=1)
-        at *= b.n
+        at *= b.width
         at += rows
-        mass = np.take(mass, at)  # (K, n): the masses on each column's true-leaf chain
+        mass = np.take(mass, at)  # (K, T): the masses on each column's true-leaf chain
         w = np.take(self.weight, b.leaf, axis=1)
         live = mass > LOG_GUARD
-        loss = float(-np.add.reduce(w * np.log(np.maximum(mass, LOG_GUARD)), axis=0).mean())
+        per = np.add.reduce(w * np.log(np.maximum(mass, LOG_GUARD)), axis=0)
+        np.negative(per, out=per)
         q = np.divide(w, mass, out=np.zeros_like(mass), where=live)
         np.negative(q, out=q)
         # cum[i, d]: the sum of -q over the first d chain nodes; pixel-major, so the
         # gather below reads each pixel's K + 1 prefix sums from adjacent memory
-        cum = np.zeros((b.n, k + 1))
+        cum = np.zeros((b.width, k + 1))
         np.cumsum(q, axis=0, out=cum.T[1:])
         # the softmax chain's inner product sum_l p_l dL/dp_l, summed per chain node
         inner = np.add.reduce(np.multiply(q, mass, out=q), axis=0)
         at = np.take(self.lca, b.leaf, axis=1)
         at += (k + 1) * rows
-        grad = np.take(cum, at)  # (C, n): dL/dp
+        grad = np.take(cum, at)  # (C, T): dL/dp
         grad -= inner
         grad *= b.p
         grad /= b.n
-        return loss, grad
+        return per, grad
 
 
-def _ce(b: _Batch) -> tuple[float, np.ndarray]:
-    loss = float(-(b.z_true - np.log(b.s)).mean())
-    grad = b.p.copy()
+def _ce(b: _Tile) -> tuple[np.ndarray, np.ndarray]:
+    """The CE term. It builds its gradient in the softmax's own buffer, so it is the tile's last reader."""
+    per = b.z_true - np.log(b.s)
+    np.negative(per, out=per)
+    grad = b.p
     grad.reshape(-1)[b.true] -= 1.0
     grad /= b.n
-    return loss, grad
+    return per, grad
 
 
-def _dice(b: _Batch) -> tuple[float, np.ndarray]:
-    if b.idx is not None:
-        raise ConfigError("soft Dice requires a dense target (no unannotated pixels)")
+def _dice(b: _Tile) -> tuple[float, np.ndarray]:
+    """The soft Dice term of a whole batch, which must be one tile."""
     p = b.p
     onehot = np.zeros_like(p)
     onehot.reshape(-1)[b.true] = 1.0
@@ -304,50 +395,83 @@ def _dice(b: _Batch) -> tuple[float, np.ndarray]:
     return loss, _chain_softmax(p, dldp)
 
 
-def _pixel_major_call(loss_fn, logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """A class-major ``loss_fn`` on ``(..., C)`` logits; the gradient comes back in their shape."""
-    z = np.asarray(logits, dtype=float)
-    loss, grad = loss_fn(_class_major(z), target)
-    return loss, _pixel_major(grad, z.shape)
+def _require_dense(b: _Batch) -> _Batch:
+    if b.idx is not None:
+        raise ConfigError("soft Dice requires a dense target (no unannotated pixels)")
+    return b
 
 
-def _one_term(term, n_classes: int, logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    def loss_fn(x, t):
-        b = _Batch(x, t, n_classes)
-        loss, grad = term(b)
-        return loss, b.scatter(grad)
-
-    return _pixel_major_call(loss_fn, logits, target)
+def _mean(parts: list[np.ndarray]) -> float:
+    """The mean of the per-pixel vector the tiles' parts make up."""
+    return float((parts[0] if len(parts) == 1 else np.concatenate(parts)).mean())
 
 
 def _compound(
-    spec: LossSpec, semantic: _Wasserstein | _TreeCE, logits: np.ndarray, target: np.ndarray
+    semantic: _Wasserstein | _TreeCE | None,
+    alpha: float,
+    seg: str,
+    beta: float,
+    n_classes: int,
+    logits: np.ndarray,
+    target: np.ndarray,
 ) -> tuple[float, np.ndarray]:
-    """alpha * semantic + beta * seg on one batch and one softmax.
+    """alpha * semantic + beta * seg on one batch, one softmax per column tile.
 
     The arithmetic is that of summing the separate terms, so the result is
     the same to the bit; ``alpha == 0`` (the plain-CE baseline) skips the
-    semantic term, whose products would all be zero.
+    semantic term, whose products would all be zero. A batch of several
+    tiles returns its gradient in the logits' buffer (see the module notes).
     """
-    b = _Batch(logits, target, semantic.n_classes)
-    loss, grad = 0.0, None
-    if spec.alpha:
-        sem, grad = semantic(b)
-        loss = spec.alpha * sem
-        grad *= spec.alpha
-    if spec.seg != "none":
-        seg, seg_grad = _ce(b)
-        if spec.seg == "dice_ce":
-            dc, dc_grad = _dice(b)
-            seg = seg + dc
-            seg_grad += dc_grad
-        seg_grad *= spec.beta
-        loss += spec.beta * seg
-        if grad is None:
-            grad = seg_grad
-        else:
-            grad += seg_grad
-    return loss, b.scatter(np.zeros_like(b.p) if grad is None else grad)
+    b = _Batch(logits, target, n_classes)
+    dice = seg == "dice_ce"
+    tiles = _tiles(b.n, _require_dense(b).n if dice else _tile_width(n_classes))
+    sem, ce, dc = [], [], []
+
+    def tile_grad(start: int, stop: int) -> np.ndarray:
+        """The tile's gradient; its per-pixel losses go to ``sem`` and ``ce``, a Dice loss to ``dc``."""
+        tile = b.tile(start, stop)
+        grad = None
+        if alpha:
+            per, grad = semantic(tile)
+            sem.append(per)
+            grad *= alpha
+        if seg != "none":
+            if dice:
+                loss, dc_grad = _dice(tile)  # before the CE, which takes over the softmax's buffer
+                dc.append(loss)
+            per, seg_grad = _ce(tile)
+            ce.append(per)
+            if dice:
+                seg_grad += dc_grad
+            seg_grad *= beta
+            grad = seg_grad if grad is None else np.add(grad, seg_grad, out=grad)
+        return np.zeros_like(tile.p) if grad is None else grad
+
+    if len(tiles) == 1:
+        grad = b.scatter(tile_grad(0, b.n))
+    else:
+        for start, stop in tiles:
+            b.put(start, tile_grad(start, stop))
+        grad = b.written()
+    loss = alpha * _mean(sem) if alpha else 0.0
+    if seg != "none":
+        loss += beta * (_mean(ce) + dc[0] if dice else _mean(ce))
+    return loss, grad
+
+
+def _pixel_major_call(loss_fn, logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """A class-major ``loss_fn`` on ``(..., C)`` logits, handed a private copy to own; the
+    gradient comes back C-ordered in their shape."""
+    z = np.asarray(logits, dtype=float)
+    own = np.array(z.reshape(-1, z.shape[-1]), order="C")  # pixel-major, so its transpose is class-major
+    x = own.T
+    loss, grad = loss_fn(x, target)
+    return loss, own.reshape(z.shape) if grad is x else _pixel_major(grad, z.shape)
+
+
+def _one_term(semantic, alpha: float, seg: str, beta: float, n_classes: int, logits, target) -> tuple[float, np.ndarray]:
+    """One term on ``(..., C)`` logits: the compound with the other weight at zero."""
+    return _pixel_major_call(lambda x, t: _compound(semantic, alpha, seg, beta, n_classes, x, t), logits, target)
 
 
 # --- public entry points ------------------------------------------------------
@@ -361,21 +485,24 @@ def wasserstein_crisp(m: np.ndarray, logits: np.ndarray, target: np.ndarray) -> 
     averaged over annotated pixels.
     """
     term = _Wasserstein(m)
-    return _one_term(term, term.n_classes, logits, target)
+    return _one_term(term, 1.0, "none", 0.0, term.n_classes, logits, target)
 
 
 def seg_loss_ce(logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Standard softmax cross-entropy over annotated pixels."""
-    return _one_term(_ce, np.shape(logits)[-1], logits, target)
+    return _one_term(None, 0.0, "ce", 1.0, np.shape(logits)[-1], logits, target)
 
 
 def seg_loss_dice(logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Soft Dice loss, averaged over classes. Requires a dense target.
 
     Per class: 1 - (2 sum(p*g) + eps) / (sum(p) + sum(g) + eps), with the
-    sums running over all pixels.
+    sums running over all pixels, so the batch is one tile.
     """
-    return _one_term(_dice, np.shape(logits)[-1], logits, target)
+    z = np.asarray(logits, dtype=float)
+    b = _require_dense(_Batch(_class_major(z), target, z.shape[-1]))
+    loss, grad = _dice(b.tile(0, b.n))
+    return loss, _pixel_major(grad, z.shape)
 
 
 def tree_weighted_ce(tree: LabelTree, logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -386,7 +513,7 @@ def tree_weighted_ce(tree: LabelTree, logits: np.ndarray, target: np.ndarray) ->
     unit weights on leaf edges and zero elsewhere this is the standard CE.
     """
     term = _TreeCE(tree)
-    return _one_term(term, term.n_classes, logits, target)
+    return _one_term(term, 1.0, "none", 0.0, term.n_classes, logits, target)
 
 
 def compound_wass(spec: LossSpec, tree: LabelTree, logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -412,11 +539,17 @@ def make_loss(tree: LabelTree, spec: LossSpec) -> Callable[[np.ndarray, np.ndarr
     term reads a precomputed distance matrix; the tree-weighted CE reads
     the aggregation order and three leaf tables, each leaf's (K,) ancestor
     chain, its edge weights and the (C,) LCA depths it shares with every leaf.
+
+    The batch is worked in column tiles of at most ``TILE_BYTES`` of (C, T)
+    float64 (one tile with a Dice term). When it spans several, the callable
+    owns ``logits``: it writes each finished gradient tile over the columns
+    it has read and returns that buffer. A one-tile batch leaves ``logits``
+    as they are and returns a new gradient.
     """
     weighted = assign_weights(tree, spec.scheme)
     semantic = _Wasserstein(distance_matrix(weighted)) if spec.semantic == "wass" else _TreeCE(weighted)
 
     def loss_fn(logits, target):
-        return _compound(spec, semantic, logits, target)
+        return _compound(semantic, spec.alpha, spec.seg, spec.beta, semantic.n_classes, logits, target)
 
     return loss_fn

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from treeseg.cli import main
 from treeseg.distances import distance_matrix
 from treeseg.hierarchy import EdgeWeightScheme, assign_weights, parse_tree
-from treeseg.synth import SynthConfig, generate, save_corpus, write_field
+from treeseg.synth import SynthConfig, generate, load_corpus, save_corpus, write_field
 from treeseg.training import init_params, save_model
 
 from conftest import THREE_LEAF_DOC
@@ -520,6 +520,20 @@ class TestModelInputs:
             assert main(argv) == 1
             err = capsys.readouterr().err
             assert str(model) in err and "non-finite" in err
+        assert not (tmp_path / "curve.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_weights_exit_one(self, corpus_dir, tmp_path, capsys):
+        """Finite weights whose logits overflow give NaN probabilities, which fail the row check."""
+        n_leaves = load_corpus(corpus_dir).tree.n_leaves
+        params = init_params("linear", EXP_CONFIG["synth"]["channels"], n_leaves, 5, np.random.default_rng(0))
+        params.arrays[0][:] = 1e308
+        params.arrays[0][0, 0] = -1e308
+        model = tmp_path / "model.bin"
+        save_model(params, model)
+        for argv in self._commands(corpus_dir, model, tmp_path):
+            assert main(argv) == 1
+            assert "rows must be probability vectors" in capsys.readouterr().err
         assert not (tmp_path / "curve.csv").exists()
 
     def test_missing_model_file_exits_one(self, corpus_dir, tmp_path, capsys):

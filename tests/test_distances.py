@@ -115,6 +115,14 @@ class TestTransportLP:
         with pytest.raises(NormalizationError):
             solve_transport_lp(m, np.array([1.5, -0.5]), np.array([0.5, 0.5]))
 
+    def test_nan_marginal_raises(self):
+        m = np.zeros((2, 2))
+        for bad in (np.array([np.nan, 1.0]), np.array([np.nan, np.nan])):
+            with pytest.raises(NormalizationError):
+                solve_transport_lp(m, bad, np.array([0.5, 0.5]))
+            with pytest.raises(NormalizationError):
+                tree_wasserstein(parse_tree('{"name": "r", "children": [{"name": "a"}, {"name": "b"}]}'), np.array([0.5, 0.5]), bad)
+
     def test_plan_marginals(self):
         t = equal_weighted(make_random_tree(4))
         c = t.n_leaves

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeseg.errors import ConfigError, RangeError
+from treeseg.errors import ConfigError, NormalizationError, RangeError
 from treeseg.evaluation import ovr_scores
 from treeseg.gating import ThresholdPolicy, default_grid, gate, score_at_level, sweep_tau
 from treeseg.hierarchy import leaf_level_map, level_nodes
@@ -111,6 +111,29 @@ class TestGate:
             leaves = t.leaves_under(int(field.level_class[i]))
             best = leaves[int(np.argmax(p[i, leaves]))]
             assert field.labels[i] == best + 1
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_labels_match_the_subtree_argmax_at_every_level(self, rng, level):
+        """Lone-leaf slots (every slot at level 0, some on a ragged tree above it) take
+        their leaf without an argmax; the labels are the oracle's at every level."""
+        t = make_random_tree(8, ragged=True)
+        p = random_probs(rng, 200, t.n_leaves)
+        field = gate(t, p, ThresholdPolicy(tau=0.3, level=level))
+        scores, _ = score_at_level(t, p, level)
+        for i in range(len(p)):
+            leaves = t.leaves_under(int(field.level_class[i]))
+            best = leaves[int(np.argmax(p[i, leaves]))] + 1
+            assert field.labels[i] == (best if scores[i].max() > 0.3 else 0)
+        assert field.labels.dtype == np.int64
+        if level == 0:
+            assert np.array_equal(field.labels[field.labels > 0], field.level_class[field.labels > 0] + 1)
+
+    def test_nan_probabilities_are_rejected(self, rng):
+        t = make_random_tree(8)
+        p = random_probs(rng, 5, t.n_leaves)
+        p[2] = np.nan
+        with pytest.raises(NormalizationError):
+            gate(t, p, ThresholdPolicy(tau=0.3))
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10_000))

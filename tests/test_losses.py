@@ -571,3 +571,157 @@ def test_loss_fn_walks_no_tree(monkeypatch, semantic):
     logits, target = oracle_batch(np.random.default_rng(5), tree.n_leaves, (64,), True)
     loss, grad = fn(logits.T, target)
     assert np.isfinite(loss) and grad.shape == logits.T.shape
+
+
+# --- column tiles -------------------------------------------------------------
+# A loss call works its annotated columns in tiles of at most losses.TILE_BYTES
+# of (C, T) float64. Shrinking the budget splits small batches into several
+# tiles, with one column left over for the last tile; every result must equal
+# the one-tile result to the bit.
+
+TILE_COLUMNS = 5
+TILED_PIXELS = 3 * TILE_COLUMNS + 1  # annotated columns: three full tiles and one column left over
+
+
+def tree_with_leaves(at_least, at_most, branching):
+    """The first random depth-3 tree with a leaf count in [at_least, at_most]."""
+    for seed in range(1000):
+        tree = make_random_tree(seed, depth=3, branching=branching, ragged=True)
+        if at_least <= tree.n_leaves <= at_most:
+            return tree
+    raise AssertionError("no tree of that size")
+
+
+TILE_TREES = {21: tree_with_leaves(21, 21, (2, 4)), 99: tree_with_leaves(99, 140, (4, 6))}  # C = 21 and C >= 99
+
+
+def force_tiles(monkeypatch, n_classes):
+    monkeypatch.setattr(losses, "TILE_BYTES", 8 * n_classes * TILE_COLUMNS)
+
+
+def tile_batch(c, sparse, seed=0):
+    """(n, C) logits and codes with TILED_PIXELS annotated pixels; sparse ones interleave 9 unannotated."""
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(1, c + 1, size=TILED_PIXELS)
+    if sparse:
+        codes = np.insert(codes, rng.integers(0, TILED_PIXELS, size=9), 0)
+    return 3.0 * rng.normal(size=(codes.size, c)), codes
+
+
+def tile_entry_points(tree):
+    """(name, (..., C) loss function) for every term and compound that tiles."""
+    scheme = EdgeWeightScheme("hier", kappa=2.0)
+    weighted = assign_weights(tree, scheme)
+    m = distance_matrix(weighted)
+    specs = [LossSpec("wass", scheme, seg="ce"), LossSpec("twce", scheme, seg="ce"), LossSpec("twce", scheme, seg="none")]
+    yield from ((f"make_loss {s.semantic}/{s.seg}", lambda z, t, s=s: class_major_call(make_loss(tree, s), z, t)) for s in specs)
+    yield "compound_wass", lambda z, t: compound_wass(specs[0], tree, z, t)
+    yield "compound_twce", lambda z, t: compound_twce(specs[1], tree, z, t)
+    yield "wasserstein_crisp", lambda z, t: wasserstein_crisp(m, z, t)
+    yield "tree_weighted_ce", lambda z, t: tree_weighted_ce(weighted, z, t)
+    yield "seg_loss_ce", seg_loss_ce
+
+
+def test_a_lone_leftover_column_joins_the_last_tile():
+    """numpy sums a one-column array's classes pairwise, a wider one's row by row."""
+    assert losses._tiles(TILED_PIXELS, TILE_COLUMNS) == [(0, 5), (5, 10), (10, 16)]
+    assert losses._tiles(15, 5) == [(0, 5), (5, 10), (10, 15)]
+    assert losses._tiles(1, 5) == [(0, 1)]
+    assert losses._tile_width(10**9) == 2
+
+
+@pytest.mark.parametrize("c", sorted(TILE_TREES))
+@pytest.mark.parametrize("sparse", [False, True])
+def test_tiled_losses_equal_one_tile_to_the_bit(monkeypatch, c, sparse):
+    tree = TILE_TREES[c]
+    logits, target = tile_batch(tree.n_leaves, sparse)
+    whole = {name: fn(logits, target) for name, fn in tile_entry_points(tree)}
+    force_tiles(monkeypatch, tree.n_leaves)
+    for name, fn in tile_entry_points(tree):
+        loss, grad = fn(logits, target)
+        assert loss == whole[name][0], name
+        assert np.array_equal(grad, whole[name][1]), name
+        assert grad.flags.c_contiguous or name.startswith("make_loss"), name
+
+
+@pytest.mark.parametrize("c", sorted(TILE_TREES))
+def test_tiled_softmax_and_predict_equal_one_tile_to_the_bit(monkeypatch, c):
+    from treeseg.training import ModelParams, predict
+
+    n_leaves = TILE_TREES[c].n_leaves
+    rng = np.random.default_rng(1)
+    logits = 3.0 * rng.normal(size=(4, TILED_PIXELS, n_leaves))
+    params = ModelParams("linear", [rng.normal(size=(6, n_leaves)), rng.normal(size=n_leaves)])
+    features = rng.normal(size=(2, TILED_PIXELS, 6))
+    whole = softmax(logits), losses.log_softmax(logits), predict(params, features)
+    force_tiles(monkeypatch, n_leaves)
+    tiled = softmax(logits), losses.log_softmax(logits), predict(params, features)
+    for a, b in zip(whole, tiled):
+        assert np.array_equal(a, b)
+        assert b.flags.c_contiguous
+
+
+def test_dice_batch_is_one_tile(monkeypatch):
+    tree = TILE_TREES[21]
+    spec = LossSpec("wass", EdgeWeightScheme("hier", kappa=2.0), seg="dice_ce")
+    logits, target = tile_batch(tree.n_leaves, sparse=False)
+    x = np.ascontiguousarray(logits.T)
+    whole = make_loss(tree, spec)(x.copy(), target)
+    force_tiles(monkeypatch, tree.n_leaves)
+    tiles = []
+    take = losses._Batch.tile
+    monkeypatch.setattr(losses._Batch, "tile", lambda b, start, stop: tiles.append((start, stop)) or take(b, start, stop))
+    loss, grad = make_loss(tree, spec)(x, target)
+    assert len(tiles) == 1
+    assert loss == whole[0] and np.array_equal(grad, whole[1])
+    assert grad is not x and np.array_equal(x, logits.T)  # a one-tile batch leaves its logits alone
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_public_functions_leave_the_callers_logits_alone(monkeypatch, sparse):
+    tree = TILE_TREES[21]
+    logits, target = tile_batch(tree.n_leaves, sparse)
+    kept = logits.copy()
+    force_tiles(monkeypatch, tree.n_leaves)
+    for name, fn in tile_entry_points(tree):
+        if not name.startswith("make_loss"):
+            fn(logits, target)
+            assert np.array_equal(logits, kept), name
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_make_loss_writes_a_tiled_gradient_over_its_logits(monkeypatch, sparse):
+    tree = TILE_TREES[21]
+    fn = make_loss(tree, LossSpec("twce", EdgeWeightScheme("hier", kappa=2.0), seg="ce"))
+    logits, target = tile_batch(tree.n_leaves, sparse)
+    one_tile = np.ascontiguousarray(logits.T)
+    _, whole = fn(one_tile, target)
+    assert whole is not one_tile and np.array_equal(one_tile, logits.T)
+    force_tiles(monkeypatch, tree.n_leaves)
+    x = np.ascontiguousarray(logits.T)
+    _, grad = fn(x, target)
+    assert grad is x
+    assert np.array_equal(grad, whole)
+    assert not grad[:, target == 0].any()
+
+
+@pytest.mark.parametrize("semantic", ["wass", "twce"])
+def test_tiled_loss_call_allocates_less_than_half_its_logits(semantic):
+    """One make_loss call on a C >= 99 batch of eight tiles: the tiles, not logits-sized arrays."""
+    import tracemalloc
+
+    tree = TILE_TREES[99]
+    fn = make_loss(tree, LossSpec(semantic, EdgeWeightScheme("hier", kappa=2.0), seg="ce"))
+    rng = np.random.default_rng(2)
+    n = 8 * losses._tile_width(tree.n_leaves)
+    logits = rng.normal(size=(tree.n_leaves, n))
+    target = rng.integers(1, tree.n_leaves + 1, size=n)
+    assert logits.nbytes >= 4 * losses.TILE_BYTES
+    tracemalloc.start()
+    try:
+        _, grad = fn(logits, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grad is logits
+    assert peak < logits.nbytes / 2

@@ -230,14 +230,16 @@ def ref_aggregate(tree, probs):
 
 def ref_dense_twce(tree, b):
     """The dense tree-weighted CE kernel the chain kernel replaced, on the
-    softmax of a class-major ``losses._Batch`` read pixel-major: an (n, N)
-    node tensor, weighted and logged over all N columns, and its product with
-    the (N, C) ancestor matrix for dL/dp. The gradient comes back (C, pixels)."""
+    softmax of a class-major ``losses._Batch`` taken as one tile and read
+    pixel-major: an (n, N) node tensor, weighted and logged over all N
+    columns, and its product with the (N, C) ancestor matrix for dL/dp. The
+    gradient comes back (C, pixels)."""
     u = ref_ancestor_matrix(tree)
     chains = np.ascontiguousarray(u.T) * edge_weight_vector(tree)
-    p = b.p.T
+    tile = b.tile(0, b.n)
+    p = tile.p.T
     node_p = ref_aggregate(tree, p)
-    contrib = chains[b.leaf]  # (n, N)
+    contrib = chains[tile.leaf]  # (n, N)
     live = node_p > LOG_GUARD
     clamped = np.maximum(node_p, LOG_GUARD, out=node_p)
     inv = np.divide(1.0, clamped, out=np.zeros_like(clamped), where=live)

@@ -23,21 +23,21 @@ segmentation loss as ``alpha * semantic + beta * seg``.
 
 A loss call validates its batch once (``_Batch``) and then works through
 the annotated columns in tiles of at most ``TILE_BYTES`` of (C, T)
-float64. Each tile (``_Tile``) takes its own shifted logits and softmax,
-and each term its per-pixel losses and the tile's gradient. A loss is the
-mean of the per-pixel vector assembled from all tiles, and no sum crosses
-a column, so loss and gradient are the same to the bit at any tile width;
-a lone leftover column joins the last tile, because numpy sums the
-classes of a one-column array in another order. Soft Dice couples all
-pixels, so a batch with a Dice term is one tile.
+float64. Each tile (``_Tile``) is shifted, exponentiated and normalised
+in place, in its own columns, and each term reads that softmax for its
+per-pixel losses and the tile's gradient. A loss is the mean of the
+per-pixel vector assembled from all tiles, and no sum crosses a column,
+so loss and gradient are the same to the bit at any tile width; a lone
+leftover column joins the last tile, because numpy sums the classes of a
+one-column array in another order. Soft Dice couples all pixels, so a
+batch with a Dice term is one tile.
 
-Ownership: a batch of several tiles has each finished gradient tile
-written over the logits columns it was read from, and the ``make_loss``
-callable returns that buffer, so it owns the logits it is given. A
-one-tile batch leaves its logits alone and returns the tile's own
-gradient. The public ``(..., C)`` functions pass the kernels a private
-copy, so a caller's array is never modified. ``softmax`` and
-``log_softmax`` run the same tile loop and write each tile straight into
+Ownership: the ``make_loss`` callable owns the logits it is given and
+returns the gradient in the buffer it worked in, which is the logits
+themselves whenever they are C-ordered float64 (C, n). The public
+``(..., C)`` functions pass the kernels a private copy, so a caller's
+array is never modified. ``softmax`` and ``log_softmax`` run the same
+tile loop, each tile in a buffer of its own, and write it straight into
 their pixel-major result.
 
 ``make_loss`` compiles the tree into the kernels' arrays once. The
@@ -128,18 +128,6 @@ def _transpose_into(x: np.ndarray, out: np.ndarray) -> None:
             out[i : i + 1024, k : k + 32] = x[k : k + 32, i : i + 1024].T
 
 
-def _pixel_major(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """A ``(C, n)`` array as a C-ordered copy of ``shape`` ``(..., C)``."""
-    out = np.empty(x.shape[::-1])
-    _transpose_into(x, out)
-    return out.reshape(shape)
-
-
-def _shifted(x: np.ndarray) -> np.ndarray:
-    """Class-major logits minus each column's max, in a new C-ordered (C, n) buffer."""
-    return np.subtract(x, np.maximum.reduce(x, axis=0), order="C")
-
-
 def _exp_normalize(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Softmax of shifted class-major logits ``z``, in z's own buffer; returns it and the column sums."""
     p = np.exp(z, out=z)
@@ -158,7 +146,8 @@ def _softmax_tiles(logits: np.ndarray, log: bool) -> np.ndarray:
     x = _class_major(z)
     out = np.empty(x.shape[::-1])
     for start, stop in _tiles(x.shape[1], _tile_width(x.shape[0])):
-        t = _shifted(x[:, start:stop])
+        t = x[:, start:stop]
+        t = np.subtract(t, np.maximum.reduce(t, axis=0), order="C")
         if log:
             t -= np.log(np.add.reduce(np.exp(t), axis=0))
         else:
@@ -176,17 +165,17 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 class _Batch:
-    """One validated loss call on class-major (C, n) logits: the annotated
-    columns and their true leaves.
+    """One validated loss call on class-major (C, n) logits, worked in place.
 
-    ``tile`` takes the softmax of a run of annotated columns. A batch of
-    several tiles ``put``s each tile's gradient over the logits columns it
-    was read from and returns the ``written`` buffer; a one-tile batch
-    ``scatter``s its gradient instead and leaves the logits alone.
+    The batch works in C-ordered float64 rows, so each class sum is a pass
+    over contiguous memory: C-ordered float64 logits are used as they are,
+    any others are copied once. A batch with unannotated (code 0) pixels
+    gathers its annotated columns into a buffer of its own, and
+    ``gradient`` writes them back over zeroed logits.
     """
 
     def __init__(self, logits: np.ndarray, target: np.ndarray, n_classes: int):
-        x = np.asarray(logits, dtype=float)
+        x = np.asarray(logits, dtype=float, order="C")
         t = np.asarray(target).reshape(-1)
         if x.ndim != 2 or x.shape[0] != n_classes:
             raise LabelError(f"expected class-major logits with {n_classes} rows, got shape {x.shape}")
@@ -198,54 +187,39 @@ class _Batch:
         idx = np.flatnonzero(t > 0)
         if idx.size == 0:
             raise EmptyMaskError("no annotated pixels")
-        self.logits, self.n_pixels, self.n = x, t.size, idx.size
-        # fully annotated (every training batch): no gather and no scatter
+        self.logits, self.n = x, idx.size
+        # fully annotated (every training batch): no gather and no write-back
         self.idx = None if idx.size == t.size else idx
+        self.work = x if self.idx is None else x[:, idx]
         self.leaf = (t if self.idx is None else t[idx]) - 1
 
-    def _columns(self, start: int, stop: int):
-        """The logits columns of annotated columns ``start:stop``."""
-        return slice(start, stop) if self.idx is None else self.idx[start:stop]
-
     def tile(self, start: int, stop: int) -> "_Tile":
-        """The softmax of annotated columns ``start:stop``."""
-        return _Tile(self.logits[:, self._columns(start, stop)], self.leaf[start:stop], self.n)
+        """The softmax of annotated columns ``start:stop``, in their own columns."""
+        return _Tile(self.work[:, start:stop], self.leaf[start:stop], self.n)
 
-    def put(self, start: int, grad: np.ndarray) -> None:
-        """Write the gradient of the tile at ``start`` over the logits columns it was read from."""
-        self.logits[:, self._columns(start, start + grad.shape[1])] = grad
-
-    def written(self) -> np.ndarray:
-        """The logits buffer once every tile is ``put``: the gradient, zero on unannotated columns."""
+    def gradient(self) -> np.ndarray:
+        """The logits buffer once every tile holds its gradient; unannotated columns are zero."""
         if self.idx is not None:
-            blank = np.ones(self.n_pixels, dtype=bool)
-            blank[self.idx] = False
-            self.logits[:, blank] = 0.0
+            self.logits.fill(0.0)
+            self.logits[:, self.idx] = self.work
         return self.logits
-
-    def scatter(self, grad: np.ndarray) -> np.ndarray:
-        """A (C, n) gradient on the annotated columns as (C, pixels); unannotated columns are zero."""
-        if self.idx is None:
-            return grad
-        full = np.zeros((grad.shape[0], self.n_pixels))
-        full[:, self.idx] = grad
-        return full
 
 
 class _Tile:
     """The softmax of one column tile of a batch, shared by every term.
 
-    A term reads the (C, T) softmax ``p``, its column sums ``s`` and the
+    The tile's (C, T) view of the batch is shifted and normalised in place
+    into the softmax ``p``. A term reads ``p``, its column sums ``s`` and the
     true leaf's shifted logit, and returns the tile's per-pixel losses and
     its (C, T) share of the gradient of the batch mean (a mean over ``n``,
     the batch's annotated pixels).
     """
 
-    def __init__(self, x: np.ndarray, leaf: np.ndarray, n: int):
+    def __init__(self, z: np.ndarray, leaf: np.ndarray, n: int):
         self.leaf, self.n, self.width = leaf, n, leaf.size
-        self.true = leaf * leaf.size + np.arange(leaf.size)  # flat index of each column's true-leaf entry
-        z = _shifted(x)
-        self.z_true = np.take(z, self.true)
+        self.true = (leaf, np.arange(leaf.size))  # each column's true-leaf entry
+        z -= np.maximum.reduce(z, axis=0)
+        self.z_true = z[self.true]
         self.p, self.s = _exp_normalize(z)
 
 
@@ -377,7 +351,7 @@ def _ce(b: _Tile) -> tuple[np.ndarray, np.ndarray]:
     per = b.z_true - np.log(b.s)
     np.negative(per, out=per)
     grad = b.p
-    grad.reshape(-1)[b.true] -= 1.0
+    grad[b.true] -= 1.0
     grad /= b.n
     return per, grad
 
@@ -386,7 +360,7 @@ def _dice(b: _Tile) -> tuple[float, np.ndarray]:
     """The soft Dice term of a whole batch, which must be one tile."""
     p = b.p
     onehot = np.zeros_like(p)
-    onehot.reshape(-1)[b.true] = 1.0
+    onehot[b.true] = 1.0
     num = 2.0 * np.add.reduce(p * onehot, axis=1, keepdims=True) + DICE_SMOOTH
     den = np.add.reduce(p, axis=1, keepdims=True) + np.add.reduce(onehot, axis=1, keepdims=True) + DICE_SMOOTH
     loss = float(np.mean(1.0 - num / den))
@@ -419,54 +393,46 @@ def _compound(
 
     The arithmetic is that of summing the separate terms, so the result is
     the same to the bit; ``alpha == 0`` (the plain-CE baseline) skips the
-    semantic term, whose products would all be zero. A batch of several
-    tiles returns its gradient in the logits' buffer (see the module notes).
+    semantic term, whose products would all be zero. Every term's share of
+    the gradient finishes in the tile's own columns, and the batch's buffer
+    is returned (see the module notes).
     """
     b = _Batch(logits, target, n_classes)
     dice = seg == "dice_ce"
-    tiles = _tiles(b.n, _require_dense(b).n if dice else _tile_width(n_classes))
     sem, ce, dc = [], [], []
-
-    def tile_grad(start: int, stop: int) -> np.ndarray:
-        """The tile's gradient; its per-pixel losses go to ``sem`` and ``ce``, a Dice loss to ``dc``."""
+    for start, stop in _tiles(b.n, _require_dense(b).n if dice else _tile_width(n_classes)):
         tile = b.tile(start, stop)
-        grad = None
         if alpha:
-            per, grad = semantic(tile)
+            per, sem_grad = semantic(tile)
             sem.append(per)
-            grad *= alpha
-        if seg != "none":
-            if dice:
-                loss, dc_grad = _dice(tile)  # before the CE, which takes over the softmax's buffer
-                dc.append(loss)
-            per, seg_grad = _ce(tile)
-            ce.append(per)
-            if dice:
-                seg_grad += dc_grad
-            seg_grad *= beta
-            grad = seg_grad if grad is None else np.add(grad, seg_grad, out=grad)
-        return np.zeros_like(tile.p) if grad is None else grad
-
-    if len(tiles) == 1:
-        grad = b.scatter(tile_grad(0, b.n))
-    else:
-        for start, stop in tiles:
-            b.put(start, tile_grad(start, stop))
-        grad = b.written()
+            sem_grad *= alpha
+        if seg == "none":
+            tile.p[...] = sem_grad if alpha else 0.0
+            continue
+        if dice:
+            loss, dc_grad = _dice(tile)  # before the CE, which turns the softmax into its gradient
+            dc.append(loss)
+        per, seg_grad = _ce(tile)
+        ce.append(per)
+        if dice:
+            seg_grad += dc_grad
+        seg_grad *= beta
+        if alpha:
+            seg_grad += sem_grad
     loss = alpha * _mean(sem) if alpha else 0.0
     if seg != "none":
         loss += beta * (_mean(ce) + dc[0] if dice else _mean(ce))
-    return loss, grad
+    return loss, b.gradient()
 
 
 def _pixel_major_call(loss_fn, logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """A class-major ``loss_fn`` on ``(..., C)`` logits, handed a private copy to own; the
-    gradient comes back C-ordered in their shape."""
+    """A class-major ``loss_fn`` on ``(..., C)`` logits, handed a C-ordered class-major copy to
+    own; the gradient is transposed back once, C-ordered in their shape."""
     z = np.asarray(logits, dtype=float)
-    own = np.array(z.reshape(-1, z.shape[-1]), order="C")  # pixel-major, so its transpose is class-major
-    x = own.T
-    loss, grad = loss_fn(x, target)
-    return loss, own.reshape(z.shape) if grad is x else _pixel_major(grad, z.shape)
+    loss, grad = loss_fn(np.array(_class_major(z), order="C"), target)
+    out = np.empty(grad.shape[::-1])
+    _transpose_into(grad, out)
+    return loss, out.reshape(z.shape)
 
 
 def _one_term(semantic, alpha: float, seg: str, beta: float, n_classes: int, logits, target) -> tuple[float, np.ndarray]:
@@ -499,10 +465,12 @@ def seg_loss_dice(logits: np.ndarray, target: np.ndarray) -> tuple[float, np.nda
     Per class: 1 - (2 sum(p*g) + eps) / (sum(p) + sum(g) + eps), with the
     sums running over all pixels, so the batch is one tile.
     """
-    z = np.asarray(logits, dtype=float)
-    b = _require_dense(_Batch(_class_major(z), target, z.shape[-1]))
-    loss, grad = _dice(b.tile(0, b.n))
-    return loss, _pixel_major(grad, z.shape)
+
+    def dice(x: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
+        b = _require_dense(_Batch(x, t, x.shape[0]))
+        return _dice(b.tile(0, b.n))
+
+    return _pixel_major_call(dice, logits, target)
 
 
 def tree_weighted_ce(tree: LabelTree, logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -541,10 +509,10 @@ def make_loss(tree: LabelTree, spec: LossSpec) -> Callable[[np.ndarray, np.ndarr
     chain, its edge weights and the (C,) LCA depths it shares with every leaf.
 
     The batch is worked in column tiles of at most ``TILE_BYTES`` of (C, T)
-    float64 (one tile with a Dice term). When it spans several, the callable
-    owns ``logits``: it writes each finished gradient tile over the columns
-    it has read and returns that buffer. A one-tile batch leaves ``logits``
-    as they are and returns a new gradient.
+    float64 (one tile with a Dice term), each in place in its own columns.
+    The callable owns ``logits`` and returns the gradient in the buffer it
+    worked in: ``logits`` themselves when they are C-ordered float64, else
+    a C-ordered float64 copy of them.
     """
     weighted = assign_weights(tree, spec.scheme)
     semantic = _Wasserstein(distance_matrix(weighted)) if spec.semantic == "wass" else _TreeCE(weighted)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, check_fields, read_json_object
+from .errors import ConfigError, ParseError, ValidationError, check_fields, read_json_object
 from .hierarchy import LabelTree, random_tree, read_tree, serialize
 from .seeding import substream
 
@@ -123,9 +123,7 @@ def generate(config: SynthConfig) -> Corpus:
         raise ConfigError(f"n_regions={config.n_regions} cannot cover {n_classes} classes")
     if config.sparsity == 0.0:
         raise ConfigError("sparsity=0 would leave no annotated pixels")
-    bad = [c for c in config.held_out if not 1 <= c <= n_classes]
-    if bad:
-        raise ConfigError(f"held_out codes {bad} outside 1..{n_classes}")
+    _check_codes(config.held_out, 1, n_classes, "synth.held_out", ConfigError)
 
     means = class_means(tree, config.channels, config.sigma_between, config.level_decay, substream(config.seed, "means"))
 
@@ -286,21 +284,42 @@ def save_corpus(corpus: Corpus, root: Path | str) -> Path:
     return root
 
 
+def _check_codes(codes, low: int, n_classes: int, where: str, error: type[ValidationError] = ParseError) -> None:
+    """Raise ``error`` naming ``where`` unless every class code is in ``low..n_classes``."""
+    codes = np.asarray(codes)
+    bad = codes[(codes < low) | (codes > n_classes)]
+    if bad.size:
+        raise error(f"{where}: class code {bad.flat[0]} outside {low}..{n_classes}")
+
+
 def load_corpus(root: Path | str) -> Corpus:
+    """Read a corpus directory, checking each field against the tree and the subject's features.
+
+    Every subject's labels and mask have its features' H x W, all subjects
+    share one channel count, labels hold codes 1..C, masks 0..C and
+    ``held_out`` 1..C; anything else is an error naming the file.
+    """
     root = Path(root)
     if not root.is_dir():
         raise ConfigError(f"corpus directory {root} does not exist")
     tree = read_tree(root / "hierarchy.json")
     config = synth_config_from_dict(read_json_object(root / "corpus.json"), tree)
+    _check_codes(config.held_out, 1, tree.n_leaves, f"{root / 'corpus.json'}: held_out", ConfigError)
     subjects = []
     for d in sorted(root.glob("s[0-9][0-9][0-9]")):
-        subjects.append(
-            Subject(
-                features=read_field(d / "features.bin"),
-                truth=read_field(d / "labels.bin"),
-                mask=read_field(d / "mask.bin"),
-            )
-        )
+        path = d / "features.bin"
+        features = read_field(path)
+        if subjects and features.shape[2] != subjects[0].features.shape[2]:
+            raise ParseError(f"{path}: {features.shape[2]} channels, the first subject has {subjects[0].features.shape[2]}")
+        fields = []
+        for name, low in (("labels", 1), ("mask", 0)):
+            path = d / f"{name}.bin"
+            field = read_field(path)
+            if field.shape != features.shape[:2]:
+                raise ParseError(f"{path}: {field.shape[0]}x{field.shape[1]} field beside {features.shape[0]}x{features.shape[1]} features")
+            _check_codes(field, low, tree.n_leaves, str(path))
+            fields.append(field)
+        subjects.append(Subject(features, *fields))
     if not subjects:
         raise ConfigError(f"{root} holds no subject directories")
     return Corpus(tree=tree, subjects=subjects, config=config)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from treeseg.cli import main
 from treeseg.distances import distance_matrix
 from treeseg.hierarchy import EdgeWeightScheme, assign_weights, parse_tree
-from treeseg.synth import SynthConfig, generate, load_corpus, save_corpus, write_field
+from treeseg.synth import SynthConfig, generate, load_corpus, read_field, save_corpus, write_field
 from treeseg.training import init_params, save_model
 
 from conftest import THREE_LEAF_DOC
@@ -481,6 +481,51 @@ class TestCorpusInputs:
     def test_missing_subject_mask(self, corpus_dir, tmp_path, capsys):
         (corpus_dir / "s001" / "mask.bin").unlink()
         assert str(corpus_dir / "s001" / "mask.bin") in self._sweep(corpus_dir, tmp_path, capsys)
+
+
+def with_code(code):
+    """A label field with one pixel's code replaced."""
+
+    def change(field):
+        field.flat[5] = code
+        return field
+
+    return change
+
+
+MALFORMED_FIELDS = {
+    "mask code 999": ("s001/mask.bin", with_code(999)),
+    "mask code -3": ("s001/mask.bin", with_code(-3)),
+    "mask 8x8": ("s001/mask.bin", lambda field: field[:8, :8]),  # the features are 16x16
+    "labels code 999": ("s002/labels.bin", with_code(999)),
+    "labels code 0": ("s002/labels.bin", with_code(0)),
+    "labels 8x8": ("s002/labels.bin", lambda field: field[:8, :8]),
+    "features 3 channels": ("s003/features.bin", lambda field: field[..., :3]),  # the others have 4
+}
+
+
+@pytest.mark.parametrize("command", ["sweep", "run"])
+@pytest.mark.parametrize("fault", [*MALFORMED_FIELDS, "held_out 999"])
+def test_malformed_corpus_exits_one_naming_the_file(corpus_dir, tmp_path, capsys, command, fault):
+    """A corpus field that does not fit the tree or its subject is exit 1 naming the file, before any work."""
+    if fault in MALFORMED_FIELDS:
+        name, change = MALFORMED_FIELDS[fault]
+        path = corpus_dir / name
+        write_field(path, change(read_field(path)))
+    else:
+        path = corpus_dir / "corpus.json"
+        path.write_text(json.dumps(json.loads(path.read_text()) | {"held_out": [999]}))
+    if command == "sweep":
+        model = tmp_path / "model.bin"
+        n_leaves = parse_tree((corpus_dir / "hierarchy.json").read_text()).n_leaves
+        save_model(init_params("linear", EXP_CONFIG["synth"]["channels"], n_leaves, 5, np.random.default_rng(0)), model)
+        argv = ["sweep", "--corpus", str(corpus_dir), "--model", str(model), "--out", str(tmp_path / "curve.csv")]
+    else:
+        cfg = tmp_path / "disk.json"
+        cfg.write_text(json.dumps({k: v for k, v in EXP_CONFIG.items() if k != "synth"} | {"corpus": str(corpus_dir)}))
+        argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert str(path) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tolerance", ["-1", "nan"])

@@ -466,7 +466,7 @@ def oracle_batch(rng, c, shape, sparse):
 
 def class_major_call(fn, logits, target):
     """A make_loss callable on (..., C) logits, its (C, n) gradient back in their shape."""
-    loss, grad = fn(np.ascontiguousarray(logits.reshape(-1, logits.shape[-1]).T), target)
+    loss, grad = fn(np.array(logits.reshape(-1, logits.shape[-1]).T, order="C"), target)
     return loss, grad.T.reshape(logits.shape)
 
 
@@ -674,7 +674,7 @@ def test_dice_batch_is_one_tile(monkeypatch):
     loss, grad = make_loss(tree, spec)(x, target)
     assert len(tiles) == 1
     assert loss == whole[0] and np.array_equal(grad, whole[1])
-    assert grad is not x and np.array_equal(x, logits.T)  # a one-tile batch leaves its logits alone
+    assert grad is x
 
 
 @pytest.mark.parametrize("sparse", [False, True])
@@ -696,7 +696,7 @@ def test_make_loss_writes_a_tiled_gradient_over_its_logits(monkeypatch, sparse):
     logits, target = tile_batch(tree.n_leaves, sparse)
     one_tile = np.ascontiguousarray(logits.T)
     _, whole = fn(one_tile, target)
-    assert whole is not one_tile and np.array_equal(one_tile, logits.T)
+    assert whole is one_tile
     force_tiles(monkeypatch, tree.n_leaves)
     x = np.ascontiguousarray(logits.T)
     _, grad = fn(x, target)
@@ -725,3 +725,65 @@ def test_tiled_loss_call_allocates_less_than_half_its_logits(semantic):
         tracemalloc.stop()
     assert grad is logits
     assert peak < logits.nbytes / 2
+
+
+# --- one ownership rule -------------------------------------------------------
+# The make_loss callable works every tile in place in its logits' own columns
+# and returns the buffer it worked in: the logits themselves when they are
+# C-ordered float64 (C, n), whatever the tile count, a Dice term or code 0.
+
+
+@pytest.mark.parametrize("semantic", ["wass", "twce"])
+@pytest.mark.parametrize("case", ["one tile", "tiles", "dice", "sparse", "sparse tiles"])
+def test_make_loss_returns_its_logits_holding_the_gradient(monkeypatch, semantic, case):
+    tree = TILE_TREES[21]
+    fn = make_loss(tree, LossSpec(semantic, EdgeWeightScheme("hier", kappa=2.0), seg="dice_ce" if case == "dice" else "ce"))
+    logits, target = tile_batch(tree.n_leaves, sparse=case.startswith("sparse"))
+    want_loss, want = class_major_call(fn, logits, target)
+    if case.endswith("tiles"):
+        force_tiles(monkeypatch, tree.n_leaves)
+    x = np.ascontiguousarray(logits.T)
+    loss, grad = fn(x, target)
+    assert grad is x and grad.dtype == np.float64 and grad.flags.c_contiguous
+    assert loss == want_loss and np.array_equal(grad.T, want)
+    assert (target == 0).any() == case.startswith("sparse")
+    assert not grad[:, target == 0].any()
+
+
+@pytest.mark.parametrize("semantic", ["wass", "twce"])
+def test_make_loss_copies_other_logits_once_and_gives_the_same_bits(semantic):
+    """F-ordered or float32 (C, n) logits are worked in a C-ordered float64
+    copy; an F-ordered view would sum each column's classes pairwise."""
+    tree = TILE_TREES[21]
+    fn = make_loss(tree, LossSpec(semantic, EdgeWeightScheme("hier", kappa=2.0), seg="ce"))
+    logits, target = tile_batch(tree.n_leaves, sparse=False)
+    single = logits.T.astype(np.float32)
+    for x in (logits.T, single, np.asfortranarray(single)):
+        kept = x.copy()
+        want_loss, want = fn(np.array(x, dtype=float, order="C"), target)
+        loss, grad = fn(x, target)
+        assert np.array_equal(x, kept) and x.dtype == kept.dtype
+        assert grad is not x and grad.dtype == np.float64 and grad.flags.c_contiguous
+        assert loss == want_loss and np.array_equal(grad, want)
+
+
+@pytest.mark.parametrize("semantic,bound", [("wass", 2.5), ("twce", 3.5)])
+def test_one_tile_loss_call_allocates_no_second_logits_buffer(semantic, bound):
+    """One one-tile C = 21 make_loss call with a CE term: its softmax and gradient live in the logits."""
+    import tracemalloc
+
+    tree = TILE_TREES[21]
+    fn = make_loss(tree, LossSpec(semantic, EdgeWeightScheme("hier", kappa=2.0), seg="ce"))
+    rng = np.random.default_rng(3)
+    n = 12_000
+    assert losses._tiles(n, losses._tile_width(tree.n_leaves)) == [(0, n)]
+    logits = rng.normal(size=(tree.n_leaves, n))
+    target = rng.integers(1, tree.n_leaves + 1, size=n)
+    tracemalloc.start()
+    try:
+        _, grad = fn(logits, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grad is logits
+    assert peak < bound * logits.nbytes, peak / logits.nbytes

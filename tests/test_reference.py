@@ -233,7 +233,7 @@ def ref_dense_twce(tree, b):
     softmax of a class-major ``losses._Batch`` taken as one tile and read
     pixel-major: an (n, N) node tensor, weighted and logged over all N
     columns, and its product with the (N, C) ancestor matrix for dL/dp. The
-    gradient comes back (C, pixels)."""
+    gradient comes back (C, pixels), zero on unannotated columns."""
     u = ref_ancestor_matrix(tree)
     chains = np.ascontiguousarray(u.T) * edge_weight_vector(tree)
     tile = b.tile(0, b.n)
@@ -252,7 +252,9 @@ def ref_dense_twce(tree, b):
     dldp -= inner
     dldp *= p
     dldp /= b.n
-    return loss, b.scatter(dldp.T)
+    grad = np.zeros_like(b.logits)
+    grad[:, slice(None) if b.idx is None else b.idx] = dldp.T
+    return loss, grad
 
 
 def ref_score_at_level(tree, probs, k):
@@ -523,7 +525,7 @@ def test_twce_matches_the_dense_kernel(scale, sparse):
             if sparse:
                 target[rng.random(shape) < 0.4] = 0
                 target.flat[0] = 1
-            ref_loss, ref_grad = ref_dense_twce(tree, losses._Batch(logits.reshape(-1, tree.n_leaves).T, target, tree.n_leaves))
+            ref_loss, ref_grad = ref_dense_twce(tree, losses._Batch(logits.reshape(-1, tree.n_leaves).T.copy(), target, tree.n_leaves))
             assert_twce_close(*tree_weighted_ce(tree, logits, target), ref_loss, ref_grad.T.reshape(logits.shape))
             true_mass = softmax(logits)[target > 0, target[target > 0] - 1]
             dead += int(np.sum(true_mass <= LOG_GUARD))

@@ -86,9 +86,11 @@ def number(block: dict, key: str, default, name: str = "", integer: bool = False
     return value
 
 
-def check_fields(block, cls, name: str, skip=()) -> None:
+def check_fields(block, cls, name: str, skip=(), prefix: str | None = None) -> None:
     """``check_keys`` on the fields of dataclass ``cls``; an int or float field takes only
-    such a number, a bool field only true or false."""
+    such a number, a bool field only true or false. A bad value's message starts with
+    ``prefix`` and the key, ``prefix`` being ``name.`` unless given."""
+    prefix = f"{name}." if prefix is None else prefix
     defaults = {f.name: f.default for f in fields(cls) if f.name not in skip}
     check_keys(block, defaults, name)
     for key, default in defaults.items():
@@ -96,9 +98,9 @@ def check_fields(block, cls, name: str, skip=()) -> None:
             continue
         if type(default) is bool:
             if not isinstance(block[key], bool):
-                raise ConfigError(f"{name}.{key} must be true or false, got {block[key]!r}")
+                raise ConfigError(f"{prefix}{key} must be true or false, got {block[key]!r}")
         elif type(default) in (int, float):
-            number(block, key, default, f"{name}.", integer=type(default) is int)
+            number(block, key, default, prefix, integer=type(default) is int)
 
 
 def read_json_object(path) -> dict:

@@ -21,7 +21,7 @@ import numpy as np
 from .distances import distance_matrix
 from .errors import ConfigError, check_fields, check_keys, number, read_json_object
 from .evaluation import EvalReport, confusion, evaluate_level, level_classes, map_to_level, pool_nsd
-from .gating import ThresholdPolicy, default_grid, gate, sweep_tau
+from .gating import LevelScorer, ThresholdPolicy, default_grid
 from .hierarchy import EdgeWeightScheme, LabelTree, assign_weights, parse_level, read_tree, resolve_level
 from .losses import LossSpec
 from .seeding import substream
@@ -39,7 +39,7 @@ from .synth import (
     val_view,
     write_field,
 )
-from .training import ModelParams, TrainConfig, absorb_standardization, predict, train
+from .training import ModelParams, TrainConfig, absorb_standardization, class_probs, train
 
 # fixed yardstick for the tree distance of misclassified pixels, independent
 # of the loss used for training
@@ -268,18 +268,20 @@ def run_fold(corpus: Corpus, fold: FoldSpec, config: ExperimentConfig) -> FoldRe
     eval_levels = [resolve_level(tree, level) for level in config.eval_levels]
     params, trace = fit(corpus, fold, config)
 
+    # each validation image is scored once, class-major, in the forward's own buffer
+    scorer = LevelScorer(tree, k)
     val = val_view(corpus, fold)
-    probs = [predict(params, f) for f, _, _ in val]
+    images = [scorer.score(class_probs(params, f)) for f, _, _ in val]
     truths = [t for _, t, _ in val]
     domains = [d for _, _, d in val]
 
     if config.tau is None:
-        tau, curve = sweep_tau(tree, probs, truths, k, default_grid(config.grid_step))
+        tau, curve = scorer.sweep(images, truths, default_grid(config.grid_step))
         swept = True
     else:
         tau, curve, swept = float(config.tau), None, False
     policy = ThresholdPolicy(tau=tau, level=k)
-    preds = [gate(tree, p, policy).labels for p in probs]
+    preds = [scorer.gate(image, policy.tau)[0].reshape(t.shape) for image, t in zip(images, truths)]
 
     pooled_pred, pooled_truth, pooled_domain = pool_pixels(preds), pool_pixels(truths), pool_pixels(domains)
     reports = {}
@@ -290,7 +292,7 @@ def run_fold(corpus: Corpus, fold: FoldSpec, config: ExperimentConfig) -> FoldRe
         reports[level] = rep
 
     # ungated leaf argmax, for accuracy and the semantic distance of errors
-    pooled_raw = pool_pixels([np.argmax(p, axis=-1) + 1 for p in probs])
+    pooled_raw = pool_pixels([scorer.leaf_argmax(image) + 1 for image in images])
     fg = pooled_domain & (pooled_truth > 0)
     leaf_acc = float(np.mean(pooled_raw[fg] == pooled_truth[fg])) if fg.any() else float("nan")
     m_err = distance_matrix(assign_weights(tree, ERROR_METRIC_SCHEME))

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, RangeError, StructureError, WeightError
+from .errors import ConfigError, ParseError, RangeError, StructureError, ValidationError, WeightError
 
 WEIGHT_SCHEMES = ("top", "leaf", "equal", "hier")
 
@@ -224,7 +224,10 @@ def parse_tree(document: str) -> LabelTree:
 
 
 def read_tree(path) -> LabelTree:
-    """Parse a hierarchy file; a missing file is a ConfigError, one that is not text a ParseError."""
+    """Parse a hierarchy file; a missing file is a ConfigError, one that is not text a ParseError.
+
+    Every error ``parse_tree`` raises keeps its type, its message prefixed with the path.
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"no hierarchy file at {path}")
@@ -232,7 +235,10 @@ def read_tree(path) -> LabelTree:
         text = path.read_text()
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not a UTF-8 text file") from None
-    return parse_tree(text)
+    try:
+        return parse_tree(text)
+    except ValidationError as e:
+        raise type(e)(f"{path}: {e}") from None
 
 
 def build_tree(root_name: str, child_names: dict[str, list[str]], weights: dict[str, float] | None = None) -> LabelTree:

@@ -36,9 +36,12 @@ Ownership: the ``make_loss`` callable owns the logits it is given and
 returns the gradient in the buffer it worked in, which is the logits
 themselves whenever they are C-ordered float64 (C, n). The public
 ``(..., C)`` functions pass the kernels a private copy, so a caller's
-array is never modified. ``softmax`` and ``log_softmax`` run the same
-tile loop, each tile in a buffer of its own, and write it straight into
-their pixel-major result.
+array is never modified. The softmax of prediction has one tile loop too,
+``softmax_columns``, which normalises each tile of a class-major buffer
+its caller owns in place: ``training.class_probs`` hands it the forward's
+logits, which become the probabilities validation scores; ``softmax``,
+``log_softmax`` and ``training.predict`` hand it a class-major buffer of
+their own and transpose the result once into their pixel-major layout.
 
 ``make_loss`` compiles the tree into the kernels' arrays once. The
 tree-weighted CE kernel reads only each pixel's ancestor chain (K nodes),
@@ -115,17 +118,25 @@ def _class_major(logits: np.ndarray) -> np.ndarray:
     return z.reshape(-1, z.shape[-1]).T
 
 
-def _transpose_into(x: np.ndarray, out: np.ndarray) -> None:
-    """Copy a (C, n) array into a (n, C) one.
+def _pixel_major(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A (C, n) array copied into a C-ordered (n, C) one, returned in ``shape``.
 
     Copied in (32, 1024) blocks: a plain transposed copy of a (99, 16384)
     softmax took 15-18 ms, the blocked one 6-9 ms (2 cores, numpy 2.4); at
-    21 classes both take ~0.5 ms.
+    21 classes both take ~0.5 ms. The other way round, a plain copy is the
+    faster one (``_columns_copy``).
     """
     c, n = x.shape
+    out = np.empty((n, c))
     for i in range(0, n, 1024):
         for k in range(0, c, 32):
             out[i : i + 1024, k : k + 32] = x[k : k + 32, i : i + 1024].T
+    return out.reshape(shape)
+
+
+def _columns_copy(values: np.ndarray) -> np.ndarray:
+    """``(..., C)`` values as a C-ordered float64 ``(C, n)`` copy of their own."""
+    return np.array(_class_major(values), order="C")
 
 
 def _exp_normalize(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,32 +147,35 @@ def _exp_normalize(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, s
 
 
-def _softmax_tiles(logits: np.ndarray, log: bool) -> np.ndarray:
-    """(Log-)softmax of ``(..., C)`` logits, C-ordered in their shape, one column tile at a time.
+def softmax_columns(x: np.ndarray, log: bool = False) -> np.ndarray:
+    """(Log-)softmax of class-major logits ``x`` (C, n), in x's own buffer; returns x.
 
-    Each tile is shifted and normalised class-major in its own buffer and
-    copied into its rows of the result; nothing else is logits-sized.
+    The caller owns ``x``, a C-ordered float64 array. Each column tile is
+    shifted and normalised in place, as a loss tile is; the only other
+    buffers are per tile.
     """
-    z = np.asarray(logits, dtype=float)
-    x = _class_major(z)
-    out = np.empty(x.shape[::-1])
     for start, stop in _tiles(x.shape[1], _tile_width(x.shape[0])):
         t = x[:, start:stop]
-        t = np.subtract(t, np.maximum.reduce(t, axis=0), order="C")
+        t -= np.maximum.reduce(t, axis=0)
         if log:
             t -= np.log(np.add.reduce(np.exp(t), axis=0))
         else:
             _exp_normalize(t)
-        _transpose_into(t, out[start:stop])
-    return out.reshape(z.shape)
+    return x
+
+
+def _softmax_pixel_major(logits: np.ndarray, log: bool) -> np.ndarray:
+    """(Log-)softmax of ``(..., C)`` logits, C-ordered in their shape, worked on a class-major copy."""
+    z = np.asarray(logits, dtype=float)
+    return _pixel_major(softmax_columns(_columns_copy(z), log), z.shape)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    return _softmax_tiles(logits, log=False)
+    return _softmax_pixel_major(logits, log=False)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    return _softmax_tiles(logits, log=True)
+    return _softmax_pixel_major(logits, log=True)
 
 
 class _Batch:
@@ -191,11 +205,12 @@ class _Batch:
         # fully annotated (every training batch): no gather and no write-back
         self.idx = None if idx.size == t.size else idx
         self.work = x if self.idx is None else x[:, idx]
-        self.leaf = (t if self.idx is None else t[idx]) - 1
+        # intp: a tile multiplies it into a flat index, which a narrow code dtype would overflow
+        self.leaf = np.subtract(t if self.idx is None else t[idx], 1, dtype=np.intp)
 
     def tile(self, start: int, stop: int) -> "_Tile":
         """The softmax of annotated columns ``start:stop``, in their own columns."""
-        return _Tile(self.work[:, start:stop], self.leaf[start:stop], self.n)
+        return _Tile(self.work, start, stop, self.leaf[start:stop], self.n)
 
     def gradient(self) -> np.ndarray:
         """The logits buffer once every tile holds its gradient; unannotated columns are zero."""
@@ -208,18 +223,24 @@ class _Batch:
 class _Tile:
     """The softmax of one column tile of a batch, shared by every term.
 
-    The tile's (C, T) view of the batch is shifted and normalised in place
-    into the softmax ``p``. A term reads ``p``, its column sums ``s`` and the
-    true leaf's shifted logit, and returns the tile's per-pixel losses and
-    its (C, T) share of the gradient of the batch mean (a mean over ``n``,
-    the batch's annotated pixels).
+    The tile's (C, T) view of the batch's ``work`` buffer is shifted and
+    normalised in place into the softmax ``p``. A term reads ``p``, its
+    column sums ``s`` and the true leaf's shifted logit, and returns the
+    tile's per-pixel losses and its (C, T) share of the gradient of the
+    batch mean (a mean over ``n``, the batch's annotated pixels). ``true``
+    holds each column's true-leaf entry as a flat index into ``flat``, the
+    buffer's 1-D view in memory order: ``leaf * N + column`` for the
+    C-ordered (C, N) logits of a dense batch.
     """
 
-    def __init__(self, z: np.ndarray, leaf: np.ndarray, n: int):
-        self.leaf, self.n, self.width = leaf, n, leaf.size
-        self.true = (leaf, np.arange(leaf.size))  # each column's true-leaf entry
+    def __init__(self, work: np.ndarray, start: int, stop: int, leaf: np.ndarray, n: int):
+        self.leaf, self.n, self.width = leaf, n, stop - start
+        self.flat = work.ravel(order="K")  # a view: the batch buffer is contiguous
+        row, col = (step // work.itemsize for step in work.strides)
+        self.true = leaf * row + np.arange(start, stop) * col
+        z = work[:, start:stop]
         z -= np.maximum.reduce(z, axis=0)
-        self.z_true = z[self.true]
+        self.z_true = self.flat[self.true]
         self.p, self.s = _exp_normalize(z)
 
 
@@ -244,17 +265,25 @@ def _sum_up(p: np.ndarray, plan: tuple, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_columns(p: np.ndarray, n_leaves: int) -> np.ndarray:
+    """Return class-major (C, n) ``p`` once each column is a probability vector over the leaves.
+
+    The messages speak of the caller's ``(..., C)`` layout, one row per pixel.
+    """
+    if p.shape[0] != n_leaves:
+        raise NormalizationError(f"expected {n_leaves} leaf columns, got {p.shape[0]}")
+    # written as failed passing conditions, so a NaN entry fails too
+    if p.size and not (p.min() >= -1e-9 and (np.abs(np.add.reduce(p, axis=0) - 1.0) <= 1e-9).all()):
+        raise NormalizationError("rows must be probability vectors over the leaves")
+    return p
+
+
 def leaf_rows(tree: LabelTree, probs: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     """``probs`` (..., C) as checked (n, C) probability rows, with the leading shape."""
     p = np.asarray(probs, dtype=float)
     lead = p.shape[:-1]
     p = p.reshape(-1, p.shape[-1])
-    if p.shape[1] != tree.n_leaves:
-        raise NormalizationError(f"expected {tree.n_leaves} leaf columns, got {p.shape[1]}")
-    # written as failed passing conditions, so a NaN entry fails too
-    if not (p >= -1e-9).all() or not (np.abs(p.sum(axis=1) - 1.0) <= 1e-9).all():
-        raise NormalizationError("rows must be probability vectors over the leaves")
-    return p, lead
+    return check_columns(p.T, tree.n_leaves).T, lead
 
 
 def aggregate(tree: LabelTree, probs: np.ndarray) -> np.ndarray:
@@ -350,8 +379,8 @@ def _ce(b: _Tile) -> tuple[np.ndarray, np.ndarray]:
     """The CE term. It builds its gradient in the softmax's own buffer, so it is the tile's last reader."""
     per = b.z_true - np.log(b.s)
     np.negative(per, out=per)
+    b.flat[b.true] -= 1.0  # through the batch buffer, so into the softmax
     grad = b.p
-    grad[b.true] -= 1.0
     grad /= b.n
     return per, grad
 
@@ -360,7 +389,7 @@ def _dice(b: _Tile) -> tuple[float, np.ndarray]:
     """The soft Dice term of a whole batch, which must be one tile."""
     p = b.p
     onehot = np.zeros_like(p)
-    onehot[b.true] = 1.0
+    onehot.reshape(-1)[b.true] = 1.0  # one tile of the whole batch: the flat index is onehot's too
     num = 2.0 * np.add.reduce(p * onehot, axis=1, keepdims=True) + DICE_SMOOTH
     den = np.add.reduce(p, axis=1, keepdims=True) + np.add.reduce(onehot, axis=1, keepdims=True) + DICE_SMOOTH
     loss = float(np.mean(1.0 - num / den))
@@ -429,10 +458,8 @@ def _pixel_major_call(loss_fn, logits: np.ndarray, target: np.ndarray) -> tuple[
     """A class-major ``loss_fn`` on ``(..., C)`` logits, handed a C-ordered class-major copy to
     own; the gradient is transposed back once, C-ordered in their shape."""
     z = np.asarray(logits, dtype=float)
-    loss, grad = loss_fn(np.array(_class_major(z), order="C"), target)
-    out = np.empty(grad.shape[::-1])
-    _transpose_into(grad, out)
-    return loss, out.reshape(z.shape)
+    loss, grad = loss_fn(_columns_copy(z), target)
+    return loss, _pixel_major(grad, z.shape)
 
 
 def _one_term(semantic, alpha: float, seg: str, beta: float, n_classes: int, logits, target) -> tuple[float, np.ndarray]:

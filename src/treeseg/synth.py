@@ -55,19 +55,29 @@ class SynthConfig:
         return d
 
 
-def synth_config_from_dict(block: dict, tree: LabelTree | None = None) -> SynthConfig:
+def synth_config_from_dict(block: dict, tree: LabelTree | None = None, source: Path | str | None = None) -> SynthConfig:
     """SynthConfig from a JSON synth block: integer lists become tuples; unknown keys,
-    non-numbers and non-lists are rejected."""
-    check_fields(block, SynthConfig, "synth", skip=("tree",))
+    non-numbers and non-lists are rejected.
+
+    An error names the config's ``synth.`` key, or, for a block read from the
+    file ``source`` (a corpus's ``corpus.json``), that file and the key.
+    """
+    name, prefix = ("synth", "synth.") if source is None else (str(source), f"{source}: ")
+    check_fields(block, SynthConfig, name, skip=("tree",), prefix=prefix)
     kwargs = dict(block)
     for key, size in (("tree_branching", 2), ("held_out", None)):
         if key in kwargs:
             value = kwargs[key]
             integers = isinstance(value, (list, tuple)) and all(isinstance(v, int) and not isinstance(v, bool) for v in value)
             if not integers or size not in (None, len(value)):
-                raise ConfigError(f"synth.{key} must be a list of {'two ' if size else ''}integers, got {value!r}")
+                raise ConfigError(f"{prefix}{key} must be a list of {'two ' if size else ''}integers, got {value!r}")
             kwargs[key] = tuple(value)
-    return SynthConfig(tree=tree, **kwargs)
+    try:
+        return SynthConfig(tree=tree, **kwargs)
+    except ConfigError as e:
+        if source is None:
+            raise
+        raise ConfigError(f"{source}: {e}") from None
 
 
 @dataclass
@@ -303,7 +313,7 @@ def load_corpus(root: Path | str) -> Corpus:
     if not root.is_dir():
         raise ConfigError(f"corpus directory {root} does not exist")
     tree = read_tree(root / "hierarchy.json")
-    config = synth_config_from_dict(read_json_object(root / "corpus.json"), tree)
+    config = synth_config_from_dict(read_json_object(root / "corpus.json"), tree, source=root / "corpus.json")
     _check_codes(config.held_out, 1, tree.n_leaves, f"{root / 'corpus.json'}: held_out", ConfigError)
     subjects = []
     for d in sorted(root.glob("s[0-9][0-9][0-9]")):

@@ -11,6 +11,11 @@ A batch is held class-major end to end: features as (d, n), hidden units
 as (h, n), logits and their gradient as (C, n), one column per pixel. Every
 reduction over a short axis (the classes, the hidden units) is then a pass
 over contiguous rows.
+
+Prediction is held the same way: ``class_probs`` turns the forward's (C, n)
+logits into probabilities in place, tile by tile, and validation scores
+them class-major (``gating.LevelScorer``). ``predict`` is that core plus one
+transpose into the pixel-major ``(..., C)`` layout of the public functions.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, EmptyMaskError, ParseError, ShapeError
 from .hierarchy import LabelTree
-from .losses import LossSpec, make_loss, softmax
+from .losses import LossSpec, _pixel_major, make_loss, softmax_columns
 from .seeding import substream
 from .synth import l1_normalize
 
@@ -141,15 +146,20 @@ def absorb_standardization(params: ModelParams, mu: np.ndarray, sd: np.ndarray) 
     return out
 
 
-def predict(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Per-pixel softmax leaf probabilities of raw features, same leading shape as the input, C-ordered."""
+def class_probs(params: ModelParams, features: np.ndarray) -> np.ndarray:
+    """Softmax leaf probabilities of raw ``(..., d)`` features, class-major (C, n), in the forward's own buffer."""
     features = np.asarray(features, dtype=float)
     if features.shape[-1] != params.in_dim:
         raise ShapeError(f"model expects {params.in_dim} channels, got {features.shape[-1]}")
     if params.preproc == "l1":
         features = l1_normalize(features)
     logits, _ = _forward(params, features.reshape(-1, params.in_dim).T)
-    return softmax(logits.T).reshape(*features.shape[:-1], params.n_classes)
+    return softmax_columns(logits)
+
+
+def predict(params: ModelParams, features: np.ndarray) -> np.ndarray:
+    """Per-pixel softmax leaf probabilities of raw features, same leading shape as the input, C-ordered."""
+    return _pixel_major(class_probs(params, features), (*np.shape(features)[:-1], params.n_classes))
 
 
 def _flip(arr: np.ndarray, flip_h: bool, flip_v: bool) -> np.ndarray:

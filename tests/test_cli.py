@@ -419,6 +419,17 @@ def test_non_finite_tree_weight_exits_one(tmp_path, capsys, weight):
     assert "INVALID" in out and "'a'" in out
 
 
+@pytest.mark.parametrize("doc, problem", [("{}", "every node requires a 'name' field"), ('{"name": "r", "children": [{"name": "a"}, {"name": "a"}]}', "duplicate node name 'a'")])
+def test_hierarchy_that_is_not_a_tree_names_the_file(tmp_path, capsys, doc, problem):
+    """Valid JSON that is not a tree: the message names the file before the problem."""
+    path = tmp_path / "hier.json"
+    path.write_text(doc)
+    assert main(["tree", "check", str(path)]) == 1
+    assert f"{path}: {problem}" in capsys.readouterr().out
+    assert main(["tree", "distmat", str(path)]) == 1
+    assert f"{path}: {problem}" in capsys.readouterr().err
+
+
 class TestCompareInputs:
     def test_missing_run_directory_exits_one(self, tmp_path, capsys):
         missing = tmp_path / "no_run"
@@ -481,6 +492,19 @@ class TestCorpusInputs:
     def test_missing_subject_mask(self, corpus_dir, tmp_path, capsys):
         (corpus_dir / "s001" / "mask.bin").unlink()
         assert str(corpus_dir / "s001" / "mask.bin") in self._sweep(corpus_dir, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "key, value, problem",
+        [("tree_depth", "x", "must be an integer"), ("tree_branching", [2], "must be a list of two integers"), ("sparsity", 2.0, "must be in [0, 1]")],
+    )
+    def test_bad_corpus_json_field_names_the_file(self, corpus_dir, tmp_path, capsys, key, value, problem):
+        """A corpus.json field is the file's, not a config's synth block."""
+        path = corpus_dir / "corpus.json"
+        data = json.loads(path.read_text())
+        data[key] = value
+        path.write_text(json.dumps(data))
+        err = self._sweep(corpus_dir, tmp_path, capsys)
+        assert f"{path}: {key} {problem}" in err and "synth." not in err
 
 
 def with_code(code):
@@ -580,6 +604,29 @@ class TestModelInputs:
             assert main(argv) == 1
             assert "rows must be probability vectors" in capsys.readouterr().err
         assert not (tmp_path / "curve.csv").exists()
+
+    @pytest.mark.parametrize("command", ["gate", "sweep", "run"])
+    def test_nan_probabilities_exit_one(self, corpus_dir, exp_file, tmp_path, capsys, monkeypatch, command):
+        """NaN probabilities fail the column check on every path that scores them."""
+        import treeseg.experiment
+        import treeseg.training
+
+        real = treeseg.training.class_probs
+
+        def nan_probs(params, features):
+            p = real(params, features)
+            p[0] = np.nan  # the first leaf, at every pixel
+            return p
+
+        monkeypatch.setattr(treeseg.training, "class_probs", nan_probs)
+        monkeypatch.setattr(treeseg.experiment, "class_probs", nan_probs)
+        model = tmp_path / "model.bin"
+        save_model(init_params("linear", EXP_CONFIG["synth"]["channels"], load_corpus(corpus_dir).tree.n_leaves, 5, np.random.default_rng(0)), model)
+        argv = {args[0]: args for args in self._commands(corpus_dir, model, tmp_path)}
+        argv["run"] = ["run", "--config", str(exp_file), "--out", str(tmp_path / "run")]
+        assert main(argv[command]) == 1
+        assert "rows must be probability vectors" in capsys.readouterr().err
+        assert not (tmp_path / "curve.csv").exists() and not (tmp_path / "run" / "report.json").exists()
 
     def test_missing_model_file_exits_one(self, corpus_dir, tmp_path, capsys):
         model = tmp_path / "nowhere" / "model.bin"

@@ -2,14 +2,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from treeseg.errors import ConfigError, NormalizationError, RangeError
 from treeseg.evaluation import ovr_scores
-from treeseg.gating import ThresholdPolicy, default_grid, gate, score_at_level, sweep_tau
+from treeseg.gating import ThresholdPolicy, default_grid, first_max, gate, score_at_level, sweep_tau
 from treeseg.hierarchy import leaf_level_map, level_nodes
 from treeseg.losses import aggregate
 
 from conftest import make_random_tree, random_probs
+
+
+class TestFirstMax:
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12), elements=st.integers(-3, 3)))
+    def test_is_numpys_argmax_and_max_down_the_columns(self, s):
+        """Small integers make ties common; np.argmax takes the first index of a tie."""
+        for a in (s, s.astype(float)):
+            best, top = first_max(a)
+            assert np.array_equal(best, np.argmax(a, axis=0))
+            assert np.array_equal(top, np.max(a, axis=0))
+            assert best.dtype == np.int64
 
 
 class TestScoreAtLevel:

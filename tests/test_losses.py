@@ -787,3 +787,62 @@ def test_one_tile_loss_call_allocates_no_second_logits_buffer(semantic, bound):
         tracemalloc.stop()
     assert grad is logits
     assert peak < bound * logits.nbytes, peak / logits.nbytes
+
+
+# --- the true-leaf index -------------------------------------------------------
+# A tile reads and updates each column's true-leaf entry through a flat index
+# into the batch buffer. The frozen tile and terms below index it the way the
+# flat index replaced: the pair (leaf, arange(T)) into the tile's own view.
+
+
+class PairIndexTile(losses._Tile):
+    def __init__(self, work, start, stop, leaf, n):
+        z = work[:, start:stop]
+        self.leaf, self.n, self.width = leaf, n, stop - start
+        self.true = (leaf, np.arange(self.width))
+        z -= np.maximum.reduce(z, axis=0)
+        self.z_true = z[self.true]
+        self.p, self.s = losses._exp_normalize(z)
+
+
+def pair_index_ce(b):
+    per = b.z_true - np.log(b.s)
+    np.negative(per, out=per)
+    grad = b.p
+    grad[b.true] -= 1.0
+    grad /= b.n
+    return per, grad
+
+
+def pair_index_dice(b):
+    p = b.p
+    onehot = np.zeros_like(p)
+    onehot[b.true] = 1.0
+    num = 2.0 * np.add.reduce(p * onehot, axis=1, keepdims=True) + losses.DICE_SMOOTH
+    den = np.add.reduce(p, axis=1, keepdims=True) + np.add.reduce(onehot, axis=1, keepdims=True) + losses.DICE_SMOOTH
+    loss = float(np.mean(1.0 - num / den))
+    dldp = -(2.0 * onehot * den - num) / (den * den) / p.shape[0]
+    return loss, losses._chain_softmax(p, dldp)
+
+
+@pytest.mark.parametrize("c", sorted(TILE_TREES))
+@pytest.mark.parametrize("semantic,seg,sparse", [("wass", "ce", True), ("twce", "ce", True), ("twce", "none", True), ("wass", "dice_ce", False)])
+def test_flat_true_leaf_index_keeps_the_pair_index_bits(monkeypatch, c, semantic, seg, sparse):
+    """Multi-tile batches with unannotated columns (one tile for Dice, which needs a dense batch)."""
+    tree = TILE_TREES[c]
+    fn = make_loss(tree, LossSpec(semantic, EdgeWeightScheme("hier", kappa=2.0), seg=seg))
+    logits, target = tile_batch(tree.n_leaves, sparse, seed=4)
+    force_tiles(monkeypatch, tree.n_leaves)
+    tiles = []
+    take = losses._Batch.tile
+    monkeypatch.setattr(losses._Batch, "tile", lambda b, start, stop: tiles.append(start) or take(b, start, stop))
+    flat = class_major_call(fn, logits, target)
+    assert len(tiles) == (1 if seg == "dice_ce" else 3)
+    narrow = class_major_call(fn, logits, target.astype(np.uint8))  # codes whose dtype cannot hold a flat index
+    monkeypatch.setattr(losses, "_Tile", PairIndexTile)
+    monkeypatch.setattr(losses, "_ce", pair_index_ce)
+    monkeypatch.setattr(losses, "_dice", pair_index_dice)
+    pair = class_major_call(fn, logits, target)
+    for other in (pair, narrow):
+        assert flat[0] == other[0]
+        assert np.array_equal(flat[1], other[1])

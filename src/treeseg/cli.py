@@ -17,11 +17,11 @@ import numpy as np
 
 from . import experiment as exp
 from .distances import distance_matrix
-from .errors import ConfigError, ShapeError, TreesegError, ValidationError, read_json_object
+from .errors import ConfigError, ShapeError, TreesegError, ValidationError, read_block, read_json_object
 from .evaluation import evaluate_level, pool_nsd
 from .gating import ThresholdPolicy, default_grid, gate, sweep_tau
 from .hierarchy import EdgeWeightScheme, assign_weights, parse_level, read_tree, resolve_level
-from .synth import generate, load_corpus, make_folds, read_field, save_corpus, save_folds, synth_config_from_dict, write_field
+from .synth import SynthConfig, generate, load_corpus, make_folds, read_field, save_corpus, save_folds, write_field
 from .training import load_model, predict, save_model
 
 
@@ -65,7 +65,7 @@ def cmd_synth(args) -> int:
         corpus = generate(replace(config.synth, seed=config.seed))
         folds = make_folds(corpus, config.n_subject_folds, config.n_label_folds)
     else:  # a bare synth block
-        cfg = synth_config_from_dict(data)
+        cfg = read_block(data, SynthConfig, "synth")
         corpus = generate(cfg if args.seed is None else replace(cfg, seed=args.seed))
         folds = make_folds(corpus, 2)
     out = Path(args.out)

@@ -6,6 +6,7 @@ else is treated as a runtime failure (exit code 2).
 """
 
 import json
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -86,21 +87,41 @@ def number(block: dict, key: str, default, name: str = "", integer: bool = False
     return value
 
 
-def check_fields(block, cls, name: str, skip=(), prefix: str | None = None) -> None:
-    """``check_keys`` on the fields of dataclass ``cls``; an int or float field takes only
-    such a number, a bool field only true or false. A bad value's message starts with
-    ``prefix`` and the key, ``prefix`` being ``name.`` unless given."""
+@contextmanager
+def key_prefix(prefix: str):
+    """Re-raise a ConfigError raised inside the block with ``prefix`` before its message."""
+    try:
+        yield
+    except ConfigError as e:
+        raise ConfigError(f"{prefix}{e}") from None
+
+
+def read_block(block, cls, name: str, prefix: str | None = None, **given):
+    """Dataclass ``cls`` built from the JSON ``block``; the caller sets the ``given`` fields.
+
+    The block's keys must be the other fields, each value of its default's kind:
+    a bool, an int, a float, or a list of integers as long as a non-empty default,
+    made a tuple. Every error, ``cls``'s own checks' too, starts with ``prefix``
+    (``name.`` unless given) and the key."""
     prefix = f"{name}." if prefix is None else prefix
-    defaults = {f.name: f.default for f in fields(cls) if f.name not in skip}
+    defaults = {f.name: f.default for f in fields(cls) if f.name not in given}
     check_keys(block, defaults, name)
-    for key, default in defaults.items():
-        if key not in block:
-            continue
+    for key, value in block.items():
+        default = defaults[key]
         if type(default) is bool:
-            if not isinstance(block[key], bool):
-                raise ConfigError(f"{prefix}{key} must be true or false, got {block[key]!r}")
+            if not isinstance(value, bool):
+                raise ConfigError(f"{prefix}{key} must be true or false, got {value!r}")
         elif type(default) in (int, float):
             number(block, key, default, prefix, integer=type(default) is int)
+        elif type(default) is tuple:
+            integers = isinstance(value, (list, tuple)) and all(isinstance(v, int) and not isinstance(v, bool) for v in value)
+            if not integers or (default and len(value) != len(default)):
+                size = {0: "", 2: "two "}.get(len(default), f"{len(default)} ")
+                raise ConfigError(f"{prefix}{key} must be a list of {size}integers, got {value!r}")
+            value = tuple(value)
+        given[key] = value
+    with key_prefix(prefix):
+        return cls(**given)
 
 
 def read_json_object(path) -> dict:

@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .distances import distance_matrix
-from .errors import ConfigError, check_fields, check_keys, number, read_json_object
+from .errors import ConfigError, check_keys, key_prefix, number, read_block, read_json_object
 from .evaluation import EvalReport, confusion, evaluate_level, level_classes, map_to_level, pool_nsd
-from .gating import LevelScorer, ThresholdPolicy, default_grid
+from .gating import LevelScorer, ThresholdPolicy, check_grid_step, default_grid
 from .hierarchy import EdgeWeightScheme, LabelTree, assign_weights, parse_level, read_tree, resolve_level
 from .losses import LossSpec
 from .seeding import substream
@@ -34,7 +34,6 @@ from .synth import (
     load_corpus,
     make_folds,
     save_folds,
-    synth_config_from_dict,
     train_view,
     val_view,
     write_field,
@@ -46,6 +45,8 @@ from .training import ModelParams, TrainConfig, absorb_standardization, class_pr
 ERROR_METRIC_SCHEME = EdgeWeightScheme("hier", kappa=10.0)
 
 PREPROC_KINDS = ("standardize", "l1", "none")
+
+CONFIG_KEYS = ("hierarchy", "corpus", "loss", "train", "synth", "gate", "eval", "preproc", "n_subject_folds", "n_label_folds", "fold_subset", "seed")
 
 
 def fit_standardizer(train_feats: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -76,9 +77,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.synth is None and self.corpus_path is None:
             raise ConfigError("config needs either a synth block or a corpus path")
+        if self.loss.alpha == 0 and (self.loss.seg == "none" or self.loss.beta == 0):
+            other = "loss.seg is 'none'" if self.loss.seg == "none" else "loss.beta is 0"
+            raise ConfigError(f"the loss has no term: loss.alpha is 0 and {other}")
         if self.preproc not in PREPROC_KINDS:
             raise ConfigError(f"preproc must be one of {PREPROC_KINDS}, got {self.preproc!r}")
+        if not self.seed >= 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         self.gate_level = parse_level(self.gate_level)
+        with key_prefix("gate."):
+            if self.tau is not None:
+                ThresholdPolicy(self.tau)
+            check_grid_step(self.grid_step)
         if not isinstance(self.eval_levels, (list, tuple)):
             raise ConfigError(f"eval.levels must be a list of levels, got {self.eval_levels!r}")
         self.eval_levels = tuple(parse_level(level) for level in self.eval_levels)
@@ -86,11 +96,13 @@ class ExperimentConfig:
             raise ConfigError(f"eval.tolerance must be >= 0, got {self.nsd_tolerance!r}")
         if self.fold_subset is not None:
             n_folds = self.n_subject_folds * self.n_label_folds
-            if not isinstance(self.fold_subset, (list, tuple)):
-                raise ConfigError("fold_subset must be a list of fold indices")
+            if not isinstance(self.fold_subset, (list, tuple)) or not self.fold_subset:
+                raise ConfigError("fold_subset must be a non-empty list of fold indices")
             for i in self.fold_subset:
                 if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < n_folds:
                     raise ConfigError(f"fold_subset index {i!r} is outside 0..{n_folds - 1}")
+            if len(set(self.fold_subset)) < len(self.fold_subset):
+                raise ConfigError(f"fold_subset names a fold twice: {list(self.fold_subset)}")
             self.fold_subset = tuple(self.fold_subset)
 
 
@@ -107,10 +119,13 @@ def loss_spec_from_dict(d: dict) -> LossSpec:
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from the JSON config file layout; unknown block keys are rejected."""
+    """Build an ExperimentConfig from the JSON config file layout; unknown keys, at the top level
+    or in a block, are rejected."""
+    check_keys(d, CONFIG_KEYS, "top-level")
+    for key in ("hierarchy", "corpus"):
+        if d.get(key) is not None and not isinstance(d[key], str):
+            raise ConfigError(f"{key} must be a path string, got {d[key]!r}")
     loss = loss_spec_from_dict(d.get("loss", {}))
-    train_block = d.get("train", {})
-    check_fields(train_block, TrainConfig, "train")
     tree = None
     if d.get("hierarchy") is not None:
         if "synth" not in d:
@@ -125,8 +140,9 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     check_keys(eval_block, ("levels", "tolerance"), "eval")
     return ExperimentConfig(
         loss=loss,
-        train=TrainConfig(**train_block),
-        synth=synth_config_from_dict(d["synth"], tree) if "synth" in d else None,
+        # the seeds are not settable: fit and build_corpus seed from the experiment seed
+        train=read_block(d.get("train", {}), TrainConfig, "train", seed=0),
+        synth=read_block(d["synth"], SynthConfig, "synth", tree=tree, seed=0) if "synth" in d else None,
         corpus_path=corpus_path,
         gate_level=gate_block.get("level", "topmost"),
         tau=number(gate_block, "tau", None, "gate."),

@@ -196,10 +196,15 @@ def gate(tree: LabelTree, probs: np.ndarray, policy: ThresholdPolicy) -> Predict
     return PredictionField(labels=labels.reshape(lead), level_class=level_class.reshape(lead), level=k)
 
 
+def check_grid_step(step: float) -> None:
+    """Raise ConfigError unless ``step`` is a sweep-grid step, in (0, 1]."""
+    if not 0 < step <= 1:
+        raise ConfigError(f"grid_step must be in (0, 1], got {step}")
+
+
 def default_grid(step: float = 0.01) -> np.ndarray:
     """Thresholds 0, step, ..., < 1 (the paper-style sweep grid)."""
-    if not 0 < step <= 1:
-        raise ConfigError("grid step must be in (0, 1]")
+    check_grid_step(step)
     return np.round(np.arange(0.0, 1.0 - 1e-12, step), 10)
 
 

@@ -14,12 +14,13 @@ cannot change the output.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, ValidationError, check_fields, read_json_object
+from .errors import ConfigError, ParseError, ValidationError, read_block, read_json_object
 from .hierarchy import LabelTree, random_tree, read_tree, serialize
 from .seeding import substream
 
@@ -44,40 +45,26 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        lo, hi = self.tree_branching
+        if not self.tree_depth >= 1:
+            raise ConfigError(f"tree_depth must be >= 1, got {self.tree_depth}")
+        if not 0 <= lo <= hi or hi < 2:
+            raise ConfigError(f"tree_branching must be [lo, hi] with 0 <= lo <= hi and hi >= 2, got {list(self.tree_branching)}")
+        for key in ("n_subjects", "height", "width", "channels"):
+            if not getattr(self, key) >= 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key in ("sigma_between", "sigma_within", "level_decay"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be finite and > 0, got {getattr(self, key)}")
         if not 0.0 <= self.sparsity <= 1.0:
             raise ConfigError(f"sparsity must be in [0, 1], got {self.sparsity}")
-        if self.sigma_between <= 0 or self.sigma_within <= 0:
-            raise ConfigError("sigma_between and sigma_within must be > 0")
+        if not self.seed >= 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
         d["tree"] = None if self.tree is None else self.tree.to_dict()
         return d
-
-
-def synth_config_from_dict(block: dict, tree: LabelTree | None = None, source: Path | str | None = None) -> SynthConfig:
-    """SynthConfig from a JSON synth block: integer lists become tuples; unknown keys,
-    non-numbers and non-lists are rejected.
-
-    An error names the config's ``synth.`` key, or, for a block read from the
-    file ``source`` (a corpus's ``corpus.json``), that file and the key.
-    """
-    name, prefix = ("synth", "synth.") if source is None else (str(source), f"{source}: ")
-    check_fields(block, SynthConfig, name, skip=("tree",), prefix=prefix)
-    kwargs = dict(block)
-    for key, size in (("tree_branching", 2), ("held_out", None)):
-        if key in kwargs:
-            value = kwargs[key]
-            integers = isinstance(value, (list, tuple)) and all(isinstance(v, int) and not isinstance(v, bool) for v in value)
-            if not integers or size not in (None, len(value)):
-                raise ConfigError(f"{prefix}{key} must be a list of {'two ' if size else ''}integers, got {value!r}")
-            kwargs[key] = tuple(value)
-    try:
-        return SynthConfig(tree=tree, **kwargs)
-    except ConfigError as e:
-        if source is None:
-            raise
-        raise ConfigError(f"{source}: {e}") from None
 
 
 @dataclass
@@ -313,8 +300,9 @@ def load_corpus(root: Path | str) -> Corpus:
     if not root.is_dir():
         raise ConfigError(f"corpus directory {root} does not exist")
     tree = read_tree(root / "hierarchy.json")
-    config = synth_config_from_dict(read_json_object(root / "corpus.json"), tree, source=root / "corpus.json")
-    _check_codes(config.held_out, 1, tree.n_leaves, f"{root / 'corpus.json'}: held_out", ConfigError)
+    path = root / "corpus.json"
+    config = read_block(read_json_object(path), SynthConfig, str(path), prefix=f"{path}: ", tree=tree)
+    _check_codes(config.held_out, 1, tree.n_leaves, f"{path}: held_out", ConfigError)
     subjects = []
     for d in sorted(root.glob("s[0-9][0-9][0-9]")):
         path = d / "features.bin"

@@ -55,15 +55,20 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.model not in MODEL_KINDS:
-            raise ConfigError(f"model must be one of {MODEL_KINDS}")
+            raise ConfigError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
         if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError("optimizer must be 'adam' or 'sgd'")
-        if self.lr <= 0:
-            raise ConfigError("learning rate must be > 0")
+            raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
+        for key in ("hidden", "batch_size", "epochs"):
+            if not getattr(self, key) >= 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key in ("lr", "adam_eps"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be finite and > 0, got {getattr(self, key)}")
         if not 0 < self.gamma <= 1:
-            raise ConfigError("gamma must be in (0, 1]")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ConfigError("batch_size and epochs must be >= 1")
+            raise ConfigError(f"gamma must be in (0, 1], got {self.gamma}")
+        for key in ("beta1", "beta2", "momentum"):
+            if not 0 <= getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be in [0, 1), got {getattr(self, key)}")
 
 
 @dataclass

@@ -1,6 +1,7 @@
 import io
 import json
 from contextlib import redirect_stderr
+from dataclasses import fields as dataclass_fields
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 
 from treeseg.cli import main
 from treeseg.distances import distance_matrix
+from treeseg.experiment import CONFIG_KEYS
 from treeseg.hierarchy import EdgeWeightScheme, assign_weights, parse_tree
 from treeseg.synth import SynthConfig, generate, load_corpus, read_field, save_corpus, write_field
-from treeseg.training import init_params, save_model
+from treeseg.training import TrainConfig, init_params, save_model
 
 from conftest import THREE_LEAF_DOC
 
@@ -38,6 +40,17 @@ def exp_file(tmp_path):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(EXP_CONFIG))
     return path
+
+
+@pytest.fixture
+def no_training(monkeypatch):
+    """Training raises, so a test can show that a config fails before it."""
+    import treeseg.experiment
+
+    def train(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(treeseg.experiment, "train", train)
 
 
 class TestTreeCommands:
@@ -234,13 +247,7 @@ class TestLevelSpelling:
         assert manifests[0] == manifests[1]
 
     @pytest.mark.parametrize("block", [{"gate": {"level": "junk"}}, {"eval": {"levels": ["leaf", "junk"]}}])
-    def test_junk_level_fails_before_training(self, tmp_path, monkeypatch, capsys, block):
-        import treeseg.experiment
-
-        def no_training(*args, **kwargs):
-            raise AssertionError("training started")
-
-        monkeypatch.setattr(treeseg.experiment, "train", no_training)
+    def test_junk_level_fails_before_training(self, tmp_path, no_training, capsys, block):
         path = _write_config(tmp_path, "junk", **block)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert "'junk'" in capsys.readouterr().err
@@ -255,6 +262,9 @@ class TestLevelSpelling:
         ({"loss": dict(EXP_CONFIG["loss"], alhpa=0.5)}, "alhpa"),
         ({"gate": {"leve": "leaf"}}, "leve"),
         ({"eval": {"level": ["leaf"]}}, "level"),
+        ({"n_label_fold": 2}, "n_label_fold"),
+        ({"train": dict(EXP_CONFIG["train"], seed=3)}, "seed"),
+        ({"synth": dict(EXP_CONFIG["synth"], seed=3)}, "seed"),
     ],
 )
 def test_unknown_config_key_exits_one(tmp_path, capsys, block, key):
@@ -273,26 +283,14 @@ def test_malformed_config_json_exits_one(tmp_path, capsys, command, text):
 
 
 @pytest.mark.parametrize("subset", [[7], [-1], [0, 2], "0"])
-def test_fold_subset_out_of_range_exits_one(tmp_path, monkeypatch, capsys, subset):
-    import treeseg.experiment
-
-    def no_training(*args, **kwargs):
-        raise AssertionError("training started")
-
-    monkeypatch.setattr(treeseg.experiment, "train", no_training)
+def test_fold_subset_out_of_range_exits_one(tmp_path, no_training, capsys, subset):
     path = _write_config(tmp_path, "subset", fold_subset=subset)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert "fold_subset" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [("alpha", "NaN"), ("beta", "Infinity"), ("kappa", "Infinity")])
-def test_non_finite_loss_setting_exits_one(tmp_path, monkeypatch, capsys, key, value):
-    import treeseg.experiment
-
-    def no_training(*args, **kwargs):
-        raise AssertionError("training started")
-
-    monkeypatch.setattr(treeseg.experiment, "train", no_training)
+def test_non_finite_loss_setting_exits_one(tmp_path, no_training, capsys, key, value):
     path = _write_config(tmp_path, "nonfinite", loss=dict(EXP_CONFIG["loss"], **{key: float(value)}))
     assert f'"{key}": {value}' in path.read_text()
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
@@ -316,13 +314,7 @@ def test_non_finite_loss_setting_exits_one(tmp_path, monkeypatch, capsys, key, v
         ({"synth": dict(EXP_CONFIG["synth"], tree_branching="ab")}, "synth.tree_branching"),
     ],
 )
-def test_non_numeric_config_value_exits_one(tmp_path, monkeypatch, capsys, changes, key):
-    import treeseg.experiment
-
-    def no_training(*args, **kwargs):
-        raise AssertionError("training started")
-
-    monkeypatch.setattr(treeseg.experiment, "train", no_training)
+def test_non_numeric_config_value_exits_one(tmp_path, no_training, capsys, changes, key):
     path = _write_config(tmp_path, "nan", **changes)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert f"{key} must be" in capsys.readouterr().err
@@ -332,6 +324,87 @@ def test_string_eval_levels_asks_for_a_list(tmp_path, capsys):
     path = _write_config(tmp_path, "levels", eval={"levels": "leaf"})
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert "eval.levels must be a list" in capsys.readouterr().err
+
+
+NAN, INF = float("nan"), float("inf")
+
+SYNTH_RANGE_CASES = [
+    ("tree_depth", 0),
+    ("tree_depth", -1),
+    ("tree_branching", [0, 0]),
+    ("tree_branching", [1, 1]),
+    ("tree_branching", [0, 1]),
+    ("tree_branching", [3, 2]),
+    ("n_subjects", 0),
+    ("height", 0),
+    ("width", 0),
+    ("channels", 0),
+    ("sigma_within", NAN),
+    ("sigma_between", INF),
+    ("level_decay", NAN),
+    ("level_decay", 0),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "synth", "synth-bare"])
+@pytest.mark.parametrize("key, value", SYNTH_RANGE_CASES)
+def test_synth_setting_out_of_range_exits_one(tmp_path, no_training, capsys, command, key, value):
+    """A synth value that would hang or crash generation is exit 1 naming the key, before any work."""
+    synth = dict(EXP_CONFIG["synth"], **{key: value})
+    if command == "synth-bare":
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps(synth))
+    else:
+        path = _write_config(tmp_path, "synth", synth=synth)
+    out = tmp_path / "out"
+    assert main([command.split("-")[0], "--config", str(path), "--out", str(out)]) == 1
+    assert f"synth.{key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bare_synth_block_keeps_its_seed(tmp_path, capsys):
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(dict(EXP_CONFIG["synth"], seed=5)))
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "corpus")]) == 0
+    assert json.loads((tmp_path / "corpus" / "corpus.json").read_text())["seed"] == 5
+    path.write_text(json.dumps(dict(EXP_CONFIG["synth"], seed=-1)))
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "bad")]) == 1
+    assert "synth.seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"train": dict(EXP_CONFIG["train"], lr=NAN)}, "train.lr must be finite and > 0"),
+        ({"train": dict(EXP_CONFIG["train"], lr=0)}, "train.lr must be finite and > 0"),
+        ({"train": dict(EXP_CONFIG["train"], adam_eps=INF)}, "train.adam_eps must be finite and > 0"),
+        ({"train": dict(EXP_CONFIG["train"], beta1=2.0)}, "train.beta1 must be in [0, 1)"),
+        ({"train": dict(EXP_CONFIG["train"], beta2=1.0)}, "train.beta2 must be in [0, 1)"),
+        ({"train": dict(EXP_CONFIG["train"], momentum=-0.1)}, "train.momentum must be in [0, 1)"),
+        ({"train": dict(EXP_CONFIG["train"], hidden=0)}, "train.hidden must be >= 1"),
+        ({"train": dict(EXP_CONFIG["train"], model="cnn")}, "train.model must be one of"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"hierarchy": 5}, "hierarchy must be a path string"),
+        ({"corpus": 5}, "corpus must be a path string"),
+        ({"loss": {"semantic": "twce", "alpha": 0, "seg": "none"}}, "the loss has no term: loss.alpha is 0 and loss.seg is 'none'"),
+        ({"loss": {"semantic": "wass", "alpha": 0, "beta": 0}}, "the loss has no term: loss.alpha is 0 and loss.beta is 0"),
+        ({"gate": {"tau": 1.5}}, "gate.tau must be in [0, 1]"),
+        ({"gate": {"tau": -0.1}}, "gate.tau must be in [0, 1]"),
+        ({"gate": {"tau": NAN}}, "gate.tau must be in [0, 1]"),
+        ({"gate": {"grid_step": 0}}, "gate.grid_step must be in (0, 1]"),
+        ({"gate": {"grid_step": 2}}, "gate.grid_step must be in (0, 1]"),
+        ({"fold_subset": []}, "fold_subset must be a non-empty list"),
+        ({"fold_subset": [0, 0]}, "fold_subset names a fold twice"),
+    ],
+)
+def test_config_value_out_of_range_exits_one(tmp_path, no_training, capsys, changes, message):
+    """Each range is checked when the config is read: exit 1 naming the key, before the out dir exists."""
+    path = _write_config(tmp_path, "range", **changes)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_non_finite_feature_file_exits_one(exp_file, tmp_path, capsys):
@@ -713,3 +786,51 @@ def test_model_file_fuzz_through_gate(fuzz_inputs, kind, mutation):
     assert code == (0 if mutation is None else 1), (mutation, err.getvalue())
     if code:
         assert str(model) in err.getvalue()
+
+
+# -- config fuzz ---------------------------------------------------------------
+# One key of one block (the top level included) replaced by a value of the
+# wrong kind, null, a list, a string, a non-finite or non-positive number, or
+# a small valid one. Each config must either exit 1 naming an error before
+# training, or reach training; every size stays at or below the base config's.
+
+
+class TrainingReached(Exception):
+    pass
+
+
+FUZZ_KEYS = {
+    None: CONFIG_KEYS,
+    "loss": ("semantic", "scheme", "kappa", "seg", "alpha", "beta"),
+    "train": tuple(f.name for f in dataclass_fields(TrainConfig) if f.name != "seed"),
+    "synth": tuple(f.name for f in dataclass_fields(SynthConfig) if f.name not in ("tree", "seed")),
+    "gate": ("level", "tau", "grid_step"),
+    "eval": ("levels", "tolerance"),
+}
+FUZZ_SLOTS = [(block, key) for block, keys in FUZZ_KEYS.items() for key in keys]
+FUZZ_VALUES = [{"bogus": 1}, True, None, [1, 2], [], "x", "leaf", NAN, INF, -INF, -1, -0.5, 0, 0.0, 1, 2, 0.5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot=st.sampled_from(FUZZ_SLOTS), value=st.sampled_from(FUZZ_VALUES))
+def test_config_fuzz_through_run(tmp_path_factory, slot, value):
+    import treeseg.experiment
+
+    block, key = slot
+    config = json.loads(json.dumps(EXP_CONFIG))
+    (config if block is None else config.setdefault(block, {}))[key] = value
+    root = tmp_path_factory.mktemp("config_fuzz")
+    path = root / "cfg.json"
+    path.write_text(json.dumps(config))
+
+    def reached(*args, **kwargs):
+        raise TrainingReached
+
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, redirect_stderr(err):
+        mp.setattr(treeseg.experiment, "train", reached)
+        try:
+            code = main(["run", "--config", str(path), "--out", str(root / "out"), "--jobs", "1"])
+        except TrainingReached:
+            return
+    assert code == 1 and "error:" in err.getvalue(), (slot, value, code, err.getvalue())

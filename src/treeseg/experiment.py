@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .distances import distance_matrix
-from .errors import ConfigError, check_keys, key_prefix, number, read_block, read_json_object
+from .errors import ConfigError, RangeError, check_keys, key_prefix, number, read_block, read_json_object
 from .evaluation import EvalReport, confusion, evaluate_level, level_classes, map_to_level, pool_nsd
 from .gating import LevelScorer, ThresholdPolicy, check_grid_step, default_grid
 from .hierarchy import EdgeWeightScheme, LabelTree, assign_weights, parse_level, read_tree, resolve_level
@@ -180,6 +180,17 @@ def config_folds(corpus: Corpus, config: ExperimentConfig) -> list[FoldSpec]:
     return folds if config.fold_subset is None else [folds[i] for i in config.fold_subset]
 
 
+def config_levels(tree: LabelTree, config: ExperimentConfig) -> tuple[int, list[int]]:
+    """The gate level and the evaluation levels on ``tree``; a level the tree lacks names its key."""
+    levels = []
+    for key, level in [("gate.level", config.gate_level), *(("eval.levels", level) for level in config.eval_levels)]:
+        try:
+            levels.append(resolve_level(tree, level))
+        except RangeError as e:
+            raise ConfigError(f"{key}: {e}") from None
+    return levels[0], levels[1:]
+
+
 def fit(corpus: Corpus, fold: FoldSpec, config: ExperimentConfig) -> tuple[ModelParams, list[float]]:
     """Train the fold's model; it predicts on raw features.
 
@@ -280,8 +291,7 @@ class FoldResult:
 
 def run_fold(corpus: Corpus, fold: FoldSpec, config: ExperimentConfig) -> FoldResult:
     tree = corpus.tree
-    k = resolve_level(tree, config.gate_level)
-    eval_levels = [resolve_level(tree, level) for level in config.eval_levels]
+    k, eval_levels = config_levels(tree, config)
     params, trace = fit(corpus, fold, config)
 
     # each validation image is scored once, class-major, in the forward's own buffer
@@ -359,10 +369,11 @@ def write_manifest(out: Path) -> None:
 
 def run_experiment(config: ExperimentConfig, out: Path | str, jobs: int = 1) -> Path:
     """Run the full pipeline and write reports; returns the output directory."""
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
     corpus = build_corpus(config)
     folds = config_folds(corpus, config)
+    config_levels(corpus.tree, config)  # the last config errors, raised before anything is written
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
     save_folds(folds, out / "folds.json")
 
     if jobs > 1:

@@ -21,6 +21,18 @@ The semantic losses are the label-space Wasserstein loss (closed form
 over aggregated node probabilities; both can be compounded with a generic
 segmentation loss as ``alpha * semantic + beta * seg``.
 
+A compound is one fused pass per tile, not a sum of separate terms.
+``make_loss`` folds ``alpha`` into the semantic kernel's compiled table
+(``alpha * M``, or ``alpha`` times the chain weights), and the kernel
+writes the whole gradient, ``p * (dL/dp - <p, dL/dp> + beta) - beta *
+onehot`` over n with ``L`` the alpha-weighted term, into the tile's
+softmax. So a compound equals the sum of its separately computed terms
+to rounding, not to the bit. What stays bitwise: ``alpha == 0`` (plain
+CE, the one path without a semantic kernel) equals ``seg_loss_ce``;
+``beta == 0`` equals the lone term (``wasserstein_crisp``,
+``tree_weighted_ce``), since ``seg="none"`` is the same kernel with
+``beta = 0``; and every result is independent of the tile width.
+
 A loss call validates its batch once (``_Batch``) and then works through
 the annotated columns in tiles of at most ``TILE_BYTES`` of (C, T)
 float64. Each tile (``_Tile``) is shifted, exponentiated and normalised
@@ -204,7 +216,7 @@ class _Batch:
         self.logits, self.n = x, idx.size
         # fully annotated (every training batch): no gather and no write-back
         self.idx = None if idx.size == t.size else idx
-        self.work = x if self.idx is None else x[:, idx]
+        self.work = x if self.idx is None else np.take(x, idx, axis=1)  # C-ordered, as x[:, idx] is not
         # intp: a tile multiplies it into a flat index, which a narrow code dtype would overflow
         self.leaf = np.subtract(t if self.idx is None else t[idx], 1, dtype=np.intp)
 
@@ -224,10 +236,10 @@ class _Tile:
     """The softmax of one column tile of a batch, shared by every term.
 
     The tile's (C, T) view of the batch's ``work`` buffer is shifted and
-    normalised in place into the softmax ``p``. A term reads ``p``, its
-    column sums ``s`` and the true leaf's shifted logit, and returns the
-    tile's per-pixel losses and its (C, T) share of the gradient of the
-    batch mean (a mean over ``n``, the batch's annotated pixels). ``true``
+    normalised in place into the softmax ``p``. The terms read ``p``, its
+    column sums ``s`` and the true leaf's shifted logit, and one kernel then
+    writes the tile's whole gradient of the batch mean (a mean over ``n``,
+    the batch's annotated pixels) over ``p``. ``true``
     holds each column's true-leaf entry as a flat index into ``flat``, the
     buffer's 1-D view in memory order: ``leaf * N + column`` for the
     C-ordered (C, N) logits of a dense batch.
@@ -307,23 +319,26 @@ def _chain_softmax(p: np.ndarray, dldp: np.ndarray) -> np.ndarray:
     return dldp
 
 
-# --- term kernels: (tile) -> ((T,) per-pixel losses, (C, T) gradient of the batch mean)
+# --- semantic kernels: (tile, beta) -> (T,) per-pixel alpha * semantic losses; the tile's
+# softmax becomes the gradient of the batch mean of alpha * semantic + beta * CE
 
 
 class _Wasserstein:
-    """Closed-form label-space Wasserstein term over a fixed ground metric."""
+    """Closed-form label-space Wasserstein term over a fixed ground metric, alpha folded in."""
 
-    def __init__(self, m: np.ndarray):
-        self.m = np.ascontiguousarray(m, dtype=float)
+    def __init__(self, m: np.ndarray, alpha: float = 1.0):
+        self.m = np.ascontiguousarray(m, dtype=float) * alpha
         self.n_classes = self.m.shape[0]
 
-    def __call__(self, b: _Tile) -> tuple[np.ndarray, np.ndarray]:
-        cols = np.take(self.m, b.leaf, axis=1)  # (C, T): distance of every leaf to the column's true leaf
-        per = np.add.reduce(b.p * cols, axis=0)  # the per-pixel loss is also the softmax chain's inner product
-        cols -= per
+    def __call__(self, b: _Tile, beta: float) -> np.ndarray:
+        cols = np.take(self.m, b.leaf, axis=1)  # (C, T): alpha * the distance of every leaf to the true leaf
         cols *= b.p
-        cols /= b.n
-        return per, cols
+        per = np.add.reduce(cols, axis=0)  # the per-pixel loss is also the softmax chain's inner product
+        b.p *= beta - per
+        b.p += cols
+        b.flat[b.true] -= beta
+        b.p /= b.n
+        return per
 
 
 class _TreeCE:
@@ -333,21 +348,21 @@ class _TreeCE:
     of its true leaf g (g included, at most K nodes), with subtree masses
     P_v. With ``q_v = w_v / P_v`` on that chain, ``dL/dp_l = -sum q_v`` over
     the ancestors g shares with leaf l: a root-first prefix sum of the
-    chain, cut at their LCA depth.
+    chain, cut at their LCA depth. ``alpha`` is folded into the weights.
     """
 
-    def __init__(self, tree: LabelTree):
+    def __init__(self, tree: LabelTree, alpha: float = 1.0):
         c = self.n_classes = tree.n_leaves
         self.n_nodes = tree.n_nodes
         self.plan = _aggregation_plan(tree)
         # chain[k, g]: g's ancestor at depth k + 1, root side first; g itself past its own depth
         self.chain = np.ascontiguousarray(tree.ancestor_table[:c, 1:].T)
         own = np.arange(1, tree.levels + 1)[:, None] <= np.array([tree.depth[g] for g in range(c)])
-        self.weight = np.where(own, edge_weight_vector(tree)[self.chain], 0.0)  # (K, C), zero on the padding
+        self.weight = alpha * np.where(own, edge_weight_vector(tree)[self.chain], 0.0)  # (K, C), zero on the padding
         # lca[l, g]: how many non-root ancestors leaves l and g share, the depth of their LCA
         self.lca = ((self.chain[:, :, None] == self.chain[:, None]) & own[:, None]).sum(axis=0)
 
-    def __call__(self, b: _Tile) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, b: _Tile, beta: float) -> np.ndarray:
         k, rows = self.chain.shape[0], np.arange(b.width)
         mass = _sum_up(b.p, self.plan, np.empty((self.n_nodes, b.width)))  # node-major: contiguous rows to sum
         at = np.take(self.chain, b.leaf, axis=1)
@@ -366,23 +381,29 @@ class _TreeCE:
         np.cumsum(q, axis=0, out=cum.T[1:])
         # the softmax chain's inner product sum_l p_l dL/dp_l, summed per chain node
         inner = np.add.reduce(np.multiply(q, mass, out=q), axis=0)
+        inner -= beta
+        del mass, w, live, q  # the (K, T) tables go before the (C, T) gather: cum and inner hold the rest
         at = np.take(self.lca, b.leaf, axis=1)
         at += (k + 1) * rows
         grad = np.take(cum, at)  # (C, T): dL/dp
         grad -= inner
-        grad *= b.p
-        grad /= b.n
-        return per, grad
+        b.p *= grad
+        b.flat[b.true] -= beta  # through the batch buffer, so into the softmax
+        b.p /= b.n
+        return per
 
 
-def _ce(b: _Tile) -> tuple[np.ndarray, np.ndarray]:
-    """The CE term. It builds its gradient in the softmax's own buffer, so it is the tile's last reader."""
+def _ce(b: _Tile) -> np.ndarray:
+    """The CE term's per-pixel losses, from the shifted true logit and the column sums."""
     per = b.z_true - np.log(b.s)
-    np.negative(per, out=per)
-    b.flat[b.true] -= 1.0  # through the batch buffer, so into the softmax
-    grad = b.p
-    grad /= b.n
-    return per, grad
+    return np.negative(per, out=per)
+
+
+def _plain_ce(b: _Tile, beta: float) -> None:
+    """The tile's gradient of beta * CE alone (alpha == 0), built in the softmax's own buffer."""
+    b.flat[b.true] -= 1.0
+    b.p /= b.n
+    b.p *= beta
 
 
 def _dice(b: _Tile) -> tuple[float, np.ndarray]:
@@ -420,38 +441,33 @@ def _compound(
 ) -> tuple[float, np.ndarray]:
     """alpha * semantic + beta * seg on one batch, one softmax per column tile.
 
-    The arithmetic is that of summing the separate terms, so the result is
-    the same to the bit; ``alpha == 0`` (the plain-CE baseline) skips the
-    semantic term, whose products would all be zero. Every term's share of
-    the gradient finishes in the tile's own columns, and the batch's buffer
-    is returned (see the module notes).
+    The semantic kernel, compiled with ``alpha`` folded in, writes the
+    tile's whole alpha * semantic + beta * CE gradient over its softmax;
+    ``seg="none"`` is the same kernel with ``beta = 0``. ``alpha == 0`` (the
+    plain-CE baseline) runs no semantic kernel. A Dice term reads the
+    softmax first and adds beta times its gradient last. The result equals
+    the sum of the separate terms to rounding (see the module notes), and
+    the batch's buffer is returned.
     """
     b = _Batch(logits, target, n_classes)
     dice = seg == "dice_ce"
+    beta = 0.0 if seg == "none" else beta
     sem, ce, dc = [], [], []
     for start, stop in _tiles(b.n, _require_dense(b).n if dice else _tile_width(n_classes)):
         tile = b.tile(start, stop)
-        if alpha:
-            per, sem_grad = semantic(tile)
-            sem.append(per)
-            sem_grad *= alpha
-        if seg == "none":
-            tile.p[...] = sem_grad if alpha else 0.0
-            continue
         if dice:
-            loss, dc_grad = _dice(tile)  # before the CE, which turns the softmax into its gradient
+            loss, dc_grad = _dice(tile)  # before the softmax turns into the gradient
             dc.append(loss)
-        per, seg_grad = _ce(tile)
-        ce.append(per)
-        if dice:
-            seg_grad += dc_grad
-        seg_grad *= beta
         if alpha:
-            seg_grad += sem_grad
-    loss = alpha * _mean(sem) if alpha else 0.0
-    if seg != "none":
-        loss += beta * (_mean(ce) + dc[0] if dice else _mean(ce))
-    return loss, b.gradient()
+            sem.append(semantic(tile, beta))
+        else:
+            _plain_ce(tile, beta)
+        ce.append(_ce(tile))  # from z_true and s, after the kernel: one (T,) buffer fewer at its peak
+        if dice:
+            dc_grad *= beta
+            tile.p += dc_grad
+    loss = _mean(sem) if alpha else 0.0
+    return loss + beta * (_mean(ce) + dc[0] if dice else _mean(ce)), b.gradient()
 
 
 def _pixel_major_call(loss_fn, logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -542,7 +558,7 @@ def make_loss(tree: LabelTree, spec: LossSpec) -> Callable[[np.ndarray, np.ndarr
     a C-ordered float64 copy of them.
     """
     weighted = assign_weights(tree, spec.scheme)
-    semantic = _Wasserstein(distance_matrix(weighted)) if spec.semantic == "wass" else _TreeCE(weighted)
+    semantic = _Wasserstein(distance_matrix(weighted), spec.alpha) if spec.semantic == "wass" else _TreeCE(weighted, spec.alpha)
 
     def loss_fn(logits, target):
         return _compound(semantic, spec.alpha, spec.seg, spec.beta, semantic.n_classes, logits, target)

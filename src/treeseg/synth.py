@@ -117,7 +117,7 @@ def generate(config: SynthConfig) -> Corpus:
     tree = config.tree or random_tree(substream(config.seed, "tree"), config.tree_depth, config.tree_branching)
     n_classes = tree.n_leaves
     if config.n_regions < n_classes:
-        raise ConfigError(f"n_regions={config.n_regions} cannot cover {n_classes} classes")
+        raise ConfigError(f"synth.n_regions={config.n_regions} cannot cover {n_classes} classes")
     if config.sparsity == 0.0:
         raise ConfigError("sparsity=0 would leave no annotated pixels")
     _check_codes(config.held_out, 1, n_classes, "synth.held_out", ConfigError)

@@ -396,10 +396,17 @@ def test_bare_synth_block_keeps_its_seed(tmp_path, capsys):
         ({"gate": {"grid_step": 2}}, "gate.grid_step must be in (0, 1]"),
         ({"fold_subset": []}, "fold_subset must be a non-empty list"),
         ({"fold_subset": [0, 0]}, "fold_subset names a fold twice"),
+        # checked against the generated tree or corpus
+        ({"synth": dict(EXP_CONFIG["synth"], n_regions=2)}, "synth.n_regions=2 cannot cover 9 classes"),
+        ({"n_subject_folds": 9}, "n_subject_folds=9 infeasible for 4 subjects"),
+        ({"synth": dict(EXP_CONFIG["synth"], held_out=[99])}, "synth.held_out: class code 99 outside 1..9"),
+        ({"gate": {"level": 7}}, "gate.level: level 7 out of range [0, 2]"),
+        ({"eval": {"levels": ["leaf", 7]}}, "eval.levels: level 7 out of range [0, 2]"),
     ],
 )
 def test_config_value_out_of_range_exits_one(tmp_path, no_training, capsys, changes, message):
-    """Each range is checked when the config is read: exit 1 naming the key, before the out dir exists."""
+    """Each range is checked before training and before the out dir exists (no folds.json
+    either): exit 1 naming the key."""
     path = _write_config(tmp_path, "range", **changes)
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 1

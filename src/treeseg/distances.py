@@ -5,12 +5,15 @@ tree. ``solve_transport_lp`` is an exact LP oracle used to validate the
 closed-form losses; ``tree_wasserstein`` is an independent second oracle
 exploiting the tree structure (sum over edges of weight times absolute
 subtree mass difference).
+
+Only ``solve_transport_lp`` needs scipy, and it imports ``scipy.optimize``
+when called: no training, gating or evaluation path uses the LP oracle,
+so importing treeseg does not load scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import NormalizationError
 from .hierarchy import LabelTree, edge_weight_vector
@@ -51,6 +54,9 @@ def solve_transport_lp(m: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[flo
     Returns (cost, plan). Intended for validation at label-space scale
     (C <= ~64); the marginal constraints hold to 1e-9 on the plan.
     """
+    # importing scipy.optimize costs more than the rest of the package; only this oracle needs it
+    from scipy.optimize import linprog
+
     p = _check_marginal("p", p)
     q = _check_marginal("q", q)
     c = len(p)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -105,11 +106,26 @@ def class_means(tree: LabelTree, channels: int, sigma_between: float, level_deca
     return np.stack([means[leaf] for leaf in range(tree.n_leaves)])
 
 
+_VORONOI_ROWS = 8  # image rows whose (rows, W, R) distances are held at once
+
+
 def _voronoi_regions(height: int, width: int, n_regions: int, rng: np.random.Generator) -> np.ndarray:
-    seeds = np.column_stack([rng.uniform(0, height, n_regions), rng.uniform(0, width, n_regions)])
-    yy, xx = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
-    d2 = (yy[..., None] - seeds[:, 0]) ** 2 + (xx[..., None] - seeds[:, 1]) ** 2
-    return np.argmin(d2, axis=-1)
+    """(H, W) index of the nearest of ``n_regions`` uniform seeds to each pixel.
+
+    Exact: the squared distance separates into a row term and a column term,
+    and each pixel's ``(y - sy)**2 + (x - sx)**2`` is the same float sum
+    whichever way the two terms are tabulated, so a block of rows at a time
+    gives the bits a full (H, W, R) distance array gives, and ``argmin``
+    keeps the first of tied seeds either way.
+    """
+    sy = rng.uniform(0, height, n_regions)
+    sx = rng.uniform(0, width, n_regions)
+    dy = (np.arange(height)[:, None] - sy) ** 2
+    dx = (np.arange(width)[:, None] - sx) ** 2
+    out = np.empty((height, width), dtype=np.intp)
+    for i in range(0, height, _VORONOI_ROWS):
+        np.argmin(dy[i : i + _VORONOI_ROWS, None, :] + dx, axis=-1, out=out[i : i + _VORONOI_ROWS])
+    return out
 
 
 def generate(config: SynthConfig) -> Corpus:
@@ -135,18 +151,21 @@ def generate(config: SynthConfig) -> Corpus:
             ]
         )
         truth = region_class[regions]
-        noise = rng.standard_normal((config.height, config.width, config.channels))
-        features = means[truth - 1] + config.sigma_within * noise
-        features = features - features.min()  # reflectance-like: nonnegative
+        features = rng.standard_normal((config.height, config.width, config.channels))
+        features *= config.sigma_within
+        features += means[truth - 1]
+        features -= features.min()  # reflectance-like: nonnegative
 
         mask = np.zeros_like(truth)
-        flat_regions = regions.reshape(-1)
         flat_mask = mask.reshape(-1)
-        for r in range(config.n_regions):
+        # each region's pixels in ascending order: one stable sort of the map, cut at the region sizes
+        flat_regions = regions.reshape(-1)
+        ends = np.cumsum(np.bincount(flat_regions, minlength=config.n_regions))
+        by_region = np.split(np.argsort(flat_regions, kind="stable"), ends[:-1])
+        for r, pix in enumerate(by_region):
             code = int(region_class[r])
             if code in config.held_out:
                 continue
-            pix = np.flatnonzero(flat_regions == r)
             n_keep = max(1, int(round(config.sparsity * pix.size)))
             keep = pix if n_keep >= pix.size else rng.choice(pix, size=n_keep, replace=False)
             flat_mask[keep] = code
@@ -235,13 +254,13 @@ def val_view(corpus: Corpus, fold: FoldSpec) -> list[tuple[np.ndarray, np.ndarra
 
 
 def write_field(path: Path, arr: np.ndarray) -> None:
-    arr = np.ascontiguousarray(arr)
+    # copies only an array not already C-ordered in the file's dtype
+    arr = np.ascontiguousarray(arr, dtype="<f8" if arr.dtype.kind == "f" else "<i8")
     h, w = arr.shape[0], arr.shape[1]
     d = arr.shape[2] if arr.ndim == 3 else 1
-    dtype = "<f8" if arr.dtype.kind == "f" else "<i8"
     with open(path, "wb") as f:
         f.write(f"{h} {w} {d}\n".encode("ascii"))
-        f.write(arr.astype(dtype).tobytes())
+        f.write(memoryview(arr).cast("B"))
 
 
 def read_field(path: Path) -> np.ndarray:
@@ -254,15 +273,19 @@ def read_field(path: Path) -> np.ndarray:
             h, w, d = (int(x) for x in f.readline().decode("ascii").split())
         except ValueError:
             raise ParseError(f"{path}: malformed field header") from None
-        payload = f.read()
-    if min(h, w, d) < 1 or (d != 1 and not features):
-        raise ParseError(f"{path}: bad field shape {h}*{w}*{d}")
-    if len(payload) != 8 * h * w * d:
-        raise ParseError(f"{path}: payload of {len(payload)} bytes != 8*{h}*{w}*{d}")
-    arr = np.frombuffer(payload, dtype="<f8" if features else "<i8")
+        if min(h, w, d) < 1 or (d != 1 and not features):
+            raise ParseError(f"{path}: bad field shape {h}*{w}*{d}")
+        size = os.fstat(f.fileno()).st_size - f.tell()
+        if size != 8 * h * w * d:
+            raise ParseError(f"{path}: payload of {size} bytes != 8*{h}*{w}*{d}")
+        # the payload is read once, straight into the array that is returned
+        arr = np.empty((h, w, d) if features else (h, w), dtype="<f8" if features else "<i8")
+        got = f.readinto(memoryview(arr).cast("B"))
+    if got != size:
+        raise ParseError(f"{path}: payload of {got} bytes != 8*{h}*{w}*{d}")
     if features and not np.isfinite(arr).all():
         raise ParseError(f"{path}: non-finite feature values")
-    return arr.reshape((h, w, d) if features else (h, w)).copy()
+    return arr
 
 
 def save_corpus(corpus: Corpus, root: Path | str) -> Path:

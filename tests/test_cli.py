@@ -1,7 +1,11 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr
 from dataclasses import fields as dataclass_fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,6 +151,22 @@ class TestRunAndCompare:
         main(["run", "--config", str(exp_file), "--out", str(a)])
         main(["run", "--config", str(exp_file), "--out", str(b)])
         assert (a / "manifest.json").read_text() == (b / "manifest.json").read_text()
+
+    def test_run_loads_no_scipy(self, exp_file, tmp_path):
+        """Only the LP oracle needs scipy: importing treeseg and a whole run load none of it."""
+        script = (
+            "import io, json, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "import treeseg, treeseg.cli\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    code = treeseg.cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        cmd = [sys.executable, "-c", script, str(exp_file), str(tmp_path / "run")]
+        done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60, check=True)
+        assert json.loads(done.stdout.splitlines()[-1]) == [0, []]
 
     def test_fixed_tau_zero_equals_ungated_argmax_eval(self, tmp_path):
         cfg = dict(EXP_CONFIG)

@@ -232,7 +232,7 @@ class TestCompound:
         loss, _ = compound_wass(spec, tree, logits, np.array([1, 2]))
         assert abs(loss - 0.6202073132529316) <= 1e-12
 
-    def test_linearity_is_bitwise(self):
+    def test_linearity_matches_ref_compound(self):
         """The fused compound is 0.3 * semantic + 0.7 * CE to the reference's tolerance, not to
         the bit: alpha is folded into the kernel's weights."""
         t = make_random_tree(25)
@@ -499,13 +499,13 @@ class TestFusedMatchesReference:
             assert_twce_close(*tree_weighted_ce(tree, logits, target), *ref_twce(tree, logits, target))
 
     @pytest.mark.parametrize("seg,sparse", [("ce", False), ("ce", True), ("dice_ce", False), ("none", False), ("none", True)])
-    def test_fused_twce_is_the_sum_of_its_terms_to_the_bit(self, seg, sparse):
+    def test_fused_twce_matches_ref_compound(self, seg, sparse):
         """The fused compound shares one softmax and one gradient pass, and equals
         alpha * tree-weighted CE + beta * seg to the reference's tolerance."""
         assert_fused_is_the_sum_of_its_terms("twce", seg, sparse)
 
     @pytest.mark.parametrize("seg,sparse", [("ce", False), ("ce", True), ("dice_ce", False)])
-    def test_fused_wass_is_the_sum_of_its_terms_to_the_bit(self, seg, sparse):
+    def test_fused_wass_matches_ref_compound(self, seg, sparse):
         """The same for alpha * Wasserstein + beta * seg."""
         assert_fused_is_the_sum_of_its_terms("wass", seg, sparse)
 

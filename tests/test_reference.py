@@ -11,6 +11,9 @@ counts every threshold in one pass, and level scores sum only the level's
 subtrees. These tests hold them equal to the walks and loops, bit for bit.
 The tree-weighted CE now reads each pixel's ancestor chain and sums in
 another order, so it is held to the dense kernel within a tolerance.
+Corpus generation now tabulates Voronoi distances a block of rows at a
+time, takes every region's pixels from one sort and builds the features
+in place; it is held to the full-distance-array generator, byte for byte.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from treeseg import losses
+from treeseg import losses, synth
 from treeseg.distances import distance_matrix
 from treeseg.errors import ConfigError, EmptyEvalError
 from treeseg.evaluation import confusion, dice_scores, evaluate_level, level_classes, nsd_scores, ovr_scores
@@ -38,8 +41,10 @@ from treeseg.hierarchy import (
     random_tree,
 )
 from treeseg.losses import LOG_GUARD, aggregate, softmax, tree_weighted_ce
+from treeseg.seeding import substream
+from treeseg.synth import SynthConfig, class_means, generate
 
-from conftest import assert_twce_close
+from conftest import assert_twce_close, make_random_tree
 
 # -- frozen tree walks -------------------------------------------------------
 
@@ -293,6 +298,49 @@ def ref_sweep_tau(tree, prob_fields, masks, k, grid):
     return best_tau, curve
 
 
+def ref_voronoi_regions(height, width, n_regions, rng):
+    seeds = np.column_stack([rng.uniform(0, height, n_regions), rng.uniform(0, width, n_regions)])
+    yy, xx = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
+    d2 = (yy[..., None] - seeds[:, 0]) ** 2 + (xx[..., None] - seeds[:, 1]) ** 2
+    return np.argmin(d2, axis=-1)
+
+
+def ref_generate(config):
+    """Every subject's (features, truth, mask) from a full (H, W, R) distance
+    array and one ``flatnonzero`` per region."""
+    tree = config.tree or random_tree(substream(config.seed, "tree"), config.tree_depth, config.tree_branching)
+    n_classes = tree.n_leaves
+    means = class_means(tree, config.channels, config.sigma_between, config.level_decay, substream(config.seed, "means"))
+    subjects = []
+    for s in range(config.n_subjects):
+        rng = substream(config.seed, "subject", s)
+        regions = ref_voronoi_regions(config.height, config.width, config.n_regions, rng)
+        region_class = np.concatenate(
+            [
+                rng.permutation(n_classes) + 1,
+                rng.integers(1, n_classes + 1, config.n_regions - n_classes),
+            ]
+        )
+        truth = region_class[regions]
+        noise = rng.standard_normal((config.height, config.width, config.channels))
+        features = means[truth - 1] + config.sigma_within * noise
+        features = features - features.min()
+
+        mask = np.zeros_like(truth)
+        flat_regions = regions.reshape(-1)
+        flat_mask = mask.reshape(-1)
+        for r in range(config.n_regions):
+            code = int(region_class[r])
+            if code in config.held_out:
+                continue
+            pix = np.flatnonzero(flat_regions == r)
+            n_keep = max(1, int(round(config.sparsity * pix.size)))
+            keep = pix if n_keep >= pix.size else rng.choice(pix, size=n_keep, replace=False)
+            flat_mask[keep] = code
+        subjects.append((features, truth, mask))
+    return subjects
+
+
 # -- random inputs -----------------------------------------------------------
 
 
@@ -530,6 +578,42 @@ def test_twce_matches_the_dense_kernel(scale, sparse):
             true_mass = softmax(logits)[target > 0, target[target > 0] - 1]
             dead += int(np.sum(true_mass <= LOG_GUARD))
     assert (dead > 0) == (scale == 80.0)  # x80 logits put true leaves below the log guard
+
+
+# -- synthetic corpora -------------------------------------------------------
+
+
+def test_voronoi_regions_match_the_full_distance_array():
+    rng = np.random.default_rng(31)
+    for height, width, n_regions in ((1, 1, 1), (1, 9, 4), (8, 8, 3), (37, 91, 40), (64, 64, 48), (17, 5, 200)):
+        seed = int(rng.integers(1 << 30))
+        got = synth._voronoi_regions(height, width, n_regions, np.random.default_rng(seed))
+        want = ref_voronoi_regions(height, width, n_regions, np.random.default_rng(seed))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def generate_cases():
+    tree = make_random_tree(4)
+    wide = tree_with_leaves(19, 99, 99, (4, 5))
+    return [
+        pytest.param(SynthConfig(sparsity=0.6), id="readme-default"),
+        pytest.param(SynthConfig(n_subjects=3, sparsity=0.3, held_out=(1, 3), seed=5), id="sparse-held-out"),
+        pytest.param(SynthConfig(n_subjects=2, height=37, width=91, channels=3, n_regions=40, sparsity=0.7, seed=9), id="37x91"),
+        pytest.param(SynthConfig(tree=tree, n_subjects=2, n_regions=tree.n_leaves, sparsity=0.5, seed=2), id="one-region-per-class"),
+        pytest.param(SynthConfig(tree=wide, n_subjects=2, height=128, width=128, n_regions=160, seed=3), id="128x128-C99"),
+    ]
+
+
+@pytest.mark.parametrize("config", generate_cases())
+def test_generate_matches_the_full_distance_generator(config):
+    corpus = generate(config)
+    want = ref_generate(config)
+    assert len(corpus.subjects) == len(want) == config.n_subjects
+    for sub, (features, truth, mask) in zip(corpus.subjects, want):
+        for got, ref in ((sub.features, features), (sub.truth, truth), (sub.mask, mask)):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
 
 
 def rebind(monkeypatch, original, replacement):

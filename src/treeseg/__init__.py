@@ -16,7 +16,7 @@ from .errors import (
     ValidationError,
     WeightError,
 )
-from .evaluation import EvalReport, confusion, dice_scores, evaluate_level, hard_class_report, nsd_scores, ovr_scores
+from .evaluation import EvalReport, confusion, dice_scores, evaluate_level, nsd_scores, ovr_scores
 from .gating import PredictionField, ThresholdPolicy, default_grid, gate, score_at_level, sweep_tau
 from .hierarchy import (
     EdgeWeightScheme,

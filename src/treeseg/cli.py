@@ -16,13 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from . import experiment as exp
+from . import training
 from .distances import distance_matrix
 from .errors import ConfigError, ShapeError, TreesegError, ValidationError, read_block, read_json_object
 from .evaluation import evaluate_level, pool_nsd
-from .gating import ThresholdPolicy, default_grid, gate, sweep_tau
-from .hierarchy import EdgeWeightScheme, assign_weights, parse_level, read_tree, resolve_level
+from .gating import LevelScorer, ThresholdPolicy, default_grid
+from .hierarchy import WEIGHT_SCHEMES, EdgeWeightScheme, assign_weights, parse_level, read_tree, resolve_level
 from .synth import SynthConfig, generate, load_corpus, make_folds, read_field, save_corpus, save_folds, write_field
-from .training import load_model, predict, save_model
+from .training import load_model, save_model
 
 
 def cmd_tree_check(args) -> int:
@@ -88,22 +89,22 @@ def cmd_train(args) -> int:
 
 def cmd_gate(args) -> int:
     corpus, params = load_corpus(args.corpus), load_model(args.model)
-    level = resolve_level(corpus.tree, args.level)
-    policy = ThresholdPolicy(tau=args.tau, level=level)
+    scorer = LevelScorer(corpus.tree, resolve_level(corpus.tree, args.level))
+    ThresholdPolicy(args.tau)  # rejects a tau outside [0, 1] before anything is written
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i, s in enumerate(corpus.subjects):
-        field = gate(corpus.tree, predict(params, s.features), policy)
-        write_field(out / f"pred_s{i:03d}.bin", field.labels.astype(np.int64))
-    print(f"gated {len(corpus.subjects)} subjects at level {level}, tau={args.tau:g} -> {out}")
+        labels, _ = scorer.gate(scorer.score(training.class_probs(params, s.features)), args.tau)
+        write_field(out / f"pred_s{i:03d}.bin", labels.reshape(s.features.shape[:-1]))
+    print(f"gated {len(corpus.subjects)} subjects at level {scorer.k}, tau={args.tau:g} -> {out}")
     return 0
 
 
 def cmd_sweep(args) -> int:
     corpus, params = load_corpus(args.corpus), load_model(args.model)
-    probs = [predict(params, s.features) for s in corpus.subjects]
-    masks = [s.mask for s in corpus.subjects]
-    tau_m, curve = sweep_tau(corpus.tree, probs, masks, resolve_level(corpus.tree, args.level), default_grid(args.grid_step))
+    scorer = LevelScorer(corpus.tree, resolve_level(corpus.tree, args.level))
+    images = [scorer.score(training.class_probs(params, s.features)) for s in corpus.subjects]
+    tau_m, curve = scorer.sweep(images, [s.mask for s in corpus.subjects], default_grid(args.grid_step))
     out = Path(args.out) if args.out else Path("tau_curve.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
     exp.write_tau_curve(curve, out)
@@ -179,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tree_check)
     p = tree_sub.add_parser("distmat", help="emit the leaf distance matrix as CSV")
     p.add_argument("file")
-    p.add_argument("--scheme", choices=["top", "leaf", "equal", "hier"], default="equal")
+    p.add_argument("--scheme", choices=WEIGHT_SCHEMES, default="equal")
     p.add_argument("--kappa", type=float, default=10.0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_tree_distmat)

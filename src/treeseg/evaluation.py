@@ -322,35 +322,3 @@ def confusion(
     for f, (pred, truth) in enumerate(zip(fold_preds, fold_truths)):
         per_fold[f] = _count_table(pred, truth, codes, domains[f] if domains else None)[:m, :m]
     return ConfusionTensor(classes=codes, per_fold=per_fold)
-
-
-@dataclass
-class HardClassReport:
-    threshold: float
-    subset: list[int]  # class codes with baseline score below the threshold
-    names: list[str]
-    means: dict[str, dict[str, float | None]]  # report label -> subset means
-    note: str = ""
-
-
-def hard_class_report(
-    baseline: EvalReport, reports: dict[str, EvalReport] | None = None, threshold: float = 0.7
-) -> HardClassReport:
-    """Select classes whose baseline Dice falls below the threshold and
-    report subset means for the baseline and any comparison reports."""
-    picked = [i for i, d in enumerate(baseline.dice) if not np.isnan(d) and d < threshold]
-    subset = [baseline.classes[i] for i in picked]
-    all_reports = {"baseline": baseline, **(reports or {})}
-    means: dict[str, dict[str, float | None]] = {}
-    for label, rep in all_reports.items():
-        rows = [rep.classes.index(c) for c in subset if c in rep.classes]
-
-        def sub_mean(arr):
-            if arr is None or not rows:
-                return None
-            vals = arr[rows]
-            return None if np.all(np.isnan(vals)) else float(np.nanmean(vals))
-
-        means[label] = {"dice": sub_mean(rep.dice), "nsd": sub_mean(rep.nsd), "f1": sub_mean(rep.f1)}
-    note = "" if subset else f"no classes below baseline Dice {threshold}"
-    return HardClassReport(threshold=threshold, subset=subset, names=[baseline.names[i] for i in picked], means=means, note=note)

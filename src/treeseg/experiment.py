@@ -77,6 +77,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.synth is None and self.corpus_path is None:
             raise ConfigError("config needs either a synth block or a corpus path")
+        if self.synth is not None and self.corpus_path is not None:
+            raise ConfigError("config names both 'corpus' and a 'synth' block; give one of them")
         if self.loss.alpha == 0 and (self.loss.seg == "none" or self.loss.beta == 0):
             other = "loss.seg is 'none'" if self.loss.seg == "none" else "loss.beta is 0"
             raise ConfigError(f"the loss has no term: loss.alpha is 0 and {other}")
@@ -306,8 +308,7 @@ def run_fold(corpus: Corpus, fold: FoldSpec, config: ExperimentConfig) -> FoldRe
         swept = True
     else:
         tau, curve, swept = float(config.tau), None, False
-    policy = ThresholdPolicy(tau=tau, level=k)
-    preds = [scorer.gate(image, policy.tau)[0].reshape(t.shape) for image, t in zip(images, truths)]
+    preds = [scorer.gate(image, tau)[0].reshape(t.shape) for image, t in zip(images, truths)]
 
     pooled_pred, pooled_truth, pooled_domain = pool_pixels(preds), pool_pixels(truths), pool_pixels(domains)
     reports = {}

@@ -147,10 +147,11 @@ def parse_tree(document: str) -> LabelTree:
     """Parse and validate a hierarchy document.
 
     The document is nested JSON ``{"name": str, "weight": number?,
-    "children": [...]}``. A child entry may also be a string naming a node
-    defined elsewhere; that allows documents to (incorrectly) attach one
-    node under two parents or to form cycles, both rejected with
-    StructureError.
+    "children": [...]}``. Every node is defined nested under its one
+    parent, so a child entry that is a string naming a node is always
+    rejected: it names nothing (ParseError) or names a defined node a
+    second time, under a second parent or as the root (a cycle), which is
+    a StructureError.
     """
     try:
         data = json.loads(document)
@@ -163,6 +164,7 @@ def parse_tree(document: str) -> LabelTree:
 
     defs: dict[str, dict] = {}  # name -> node object
     child_names: dict[str, list[str]] = {}
+    refs: list[str] = []  # string child entries, each parent's after its subtrees'
 
     def collect(obj: dict) -> str:
         if not isinstance(obj, dict) or "name" not in obj:
@@ -181,43 +183,20 @@ def parse_tree(document: str) -> LabelTree:
         kids = obj.get("children", [])
         if not isinstance(kids, list):
             raise ParseError(f"children of {name!r} must be a list")
-        names = []
-        for entry in kids:
-            if isinstance(entry, str):
-                names.append(entry)
-            else:
-                names.append(collect(entry))
-        child_names[name] = names
+        child_names[name] = [collect(entry) for entry in kids if not isinstance(entry, str)]
+        refs.extend(entry for entry in kids if isinstance(entry, str))
         return name
 
     root_name = collect(data)
 
-    parent_count: dict[str, int] = {}
-    for p, kids in child_names.items():
-        for c in kids:
-            if c not in defs:
-                raise ParseError(f"child reference {c!r} does not name a defined node")
-            parent_count[c] = parent_count.get(c, 0) + 1
-
-    for name, count in parent_count.items():
-        if count > 1:
-            raise StructureError(f"node {name!r} is listed under {count} parents")
-    if root_name in parent_count:
+    for c in refs:
+        if c not in defs:
+            raise ParseError(f"child reference {c!r} does not name a defined node")
+    for c in refs:
+        if c != root_name:
+            raise StructureError(f"node {c!r} is listed under {1 + refs.count(c)} parents")
+    if refs:
         raise StructureError(f"root {root_name!r} appears as a child (cycle)")
-
-    # Reachability from the root; with single parents, unreached defined
-    # nodes mean a second root or a detached cycle.
-    reached, stack = {root_name}, [root_name]
-    while stack:
-        u = stack.pop()
-        for c in child_names[u]:
-            if c in reached:
-                raise StructureError(f"cycle through node {c!r}")
-            reached.add(c)
-            stack.append(c)
-    unreached = set(defs) - reached
-    if unreached:
-        raise StructureError(f"nodes not reachable from the root: {sorted(unreached)}")
 
     weights = {name: float(defs[name].get("weight", 1.0)) for name in defs}
     return build_tree(root_name, child_names, weights)

@@ -27,8 +27,9 @@ A compound is one fused pass per tile, not a sum of separate terms.
 writes the whole gradient, ``p * (dL/dp - <p, dL/dp> + beta) - beta *
 onehot`` over n with ``L`` the alpha-weighted term, into the tile's
 softmax. So a compound equals the sum of its separately computed terms
-to rounding, not to the bit. What stays bitwise: ``alpha == 0`` (plain
-CE, the one path without a semantic kernel) equals ``seg_loss_ce``;
+to rounding, not to the bit. With ``alpha == 0`` (the plain-CE baseline)
+``make_loss`` compiles no kernel: no edge weights, distance matrix or
+chain tables. What stays bitwise: ``alpha == 0`` equals ``seg_loss_ce``;
 ``beta == 0`` equals the lone term (``wasserstein_crisp``,
 ``tree_weighted_ce``), since ``seg="none"`` is the same kernel with
 ``beta = 0``; and every result is independent of the tile width.
@@ -55,9 +56,9 @@ logits, which become the probabilities validation scores; ``softmax``,
 ``log_softmax`` and ``training.predict`` hand it a class-major buffer of
 their own and transpose the result once into their pixel-major layout.
 
-``make_loss`` compiles the tree into the kernels' arrays once. The
-tree-weighted CE kernel reads only each pixel's ancestor chain (K nodes),
-not every node.
+``make_loss`` compiles the tree into the kernels' arrays once, if
+``alpha > 0``. The tree-weighted CE kernel reads only each pixel's
+ancestor chain (K nodes), not every node.
 """
 
 from __future__ import annotations
@@ -124,12 +125,6 @@ def _tiles(n: int, width: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n]))
 
 
-def _class_major(logits: np.ndarray) -> np.ndarray:
-    """``(..., C)`` logits as a ``(C, n)`` view."""
-    z = np.asarray(logits, dtype=float)
-    return z.reshape(-1, z.shape[-1]).T
-
-
 def _pixel_major(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """A (C, n) array copied into a C-ordered (n, C) one, returned in ``shape``.
 
@@ -148,7 +143,8 @@ def _pixel_major(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def _columns_copy(values: np.ndarray) -> np.ndarray:
     """``(..., C)`` values as a C-ordered float64 ``(C, n)`` copy of their own."""
-    return np.array(_class_major(values), order="C")
+    z = np.asarray(values, dtype=float)
+    return np.array(z.reshape(-1, z.shape[-1]).T, order="C")
 
 
 def _exp_normalize(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -290,14 +286,6 @@ def check_columns(p: np.ndarray, n_leaves: int) -> np.ndarray:
     return p
 
 
-def leaf_rows(tree: LabelTree, probs: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """``probs`` (..., C) as checked (n, C) probability rows, with the leading shape."""
-    p = np.asarray(probs, dtype=float)
-    lead = p.shape[:-1]
-    p = p.reshape(-1, p.shape[-1])
-    return check_columns(p.T, tree.n_leaves).T, lead
-
-
 def aggregate(tree: LabelTree, probs: np.ndarray) -> np.ndarray:
     """Extend leaf probabilities to all nodes by one leaf-to-root pass.
 
@@ -305,9 +293,11 @@ def aggregate(tree: LabelTree, probs: np.ndarray) -> np.ndarray:
     computed by summing children into parents in depth order. Input is
     ``(..., C)``, output ``(..., N)``.
     """
-    p, lead = leaf_rows(tree, probs)
-    out = np.zeros((p.shape[0], tree.n_nodes))
-    _sum_up(p.T, _aggregation_plan(tree), out.T)
+    p = np.asarray(probs, dtype=float)
+    lead = p.shape[:-1]
+    p = check_columns(p.reshape(-1, p.shape[-1]).T, tree.n_leaves)
+    out = np.zeros((p.shape[1], tree.n_nodes))
+    _sum_up(p, _aggregation_plan(tree), out.T)
     return out.reshape(*lead, tree.n_nodes)
 
 
@@ -432,7 +422,6 @@ def _mean(parts: list[np.ndarray]) -> float:
 
 def _compound(
     semantic: _Wasserstein | _TreeCE | None,
-    alpha: float,
     seg: str,
     beta: float,
     n_classes: int,
@@ -443,9 +432,10 @@ def _compound(
 
     The semantic kernel, compiled with ``alpha`` folded in, writes the
     tile's whole alpha * semantic + beta * CE gradient over its softmax;
-    ``seg="none"`` is the same kernel with ``beta = 0``. ``alpha == 0`` (the
-    plain-CE baseline) runs no semantic kernel. A Dice term reads the
-    softmax first and adds beta times its gradient last. The result equals
+    ``seg="none"`` is the same kernel with ``beta = 0``. ``semantic`` is
+    None for ``alpha == 0`` (the plain-CE baseline): ``make_loss`` then
+    compiles no kernel, and each tile gets beta * CE alone. A Dice term
+    reads the softmax first and adds beta times its gradient last. The result equals
     the sum of the separate terms to rounding (see the module notes), and
     the batch's buffer is returned.
     """
@@ -458,15 +448,15 @@ def _compound(
         if dice:
             loss, dc_grad = _dice(tile)  # before the softmax turns into the gradient
             dc.append(loss)
-        if alpha:
-            sem.append(semantic(tile, beta))
-        else:
+        if semantic is None:
             _plain_ce(tile, beta)
+        else:
+            sem.append(semantic(tile, beta))
         ce.append(_ce(tile))  # from z_true and s, after the kernel: one (T,) buffer fewer at its peak
         if dice:
             dc_grad *= beta
             tile.p += dc_grad
-    loss = _mean(sem) if alpha else 0.0
+    loss = 0.0 if semantic is None else _mean(sem)
     return loss + beta * (_mean(ce) + dc[0] if dice else _mean(ce)), b.gradient()
 
 
@@ -478,9 +468,9 @@ def _pixel_major_call(loss_fn, logits: np.ndarray, target: np.ndarray) -> tuple[
     return loss, _pixel_major(grad, z.shape)
 
 
-def _one_term(semantic, alpha: float, seg: str, beta: float, n_classes: int, logits, target) -> tuple[float, np.ndarray]:
+def _one_term(semantic, seg: str, beta: float, n_classes: int, logits, target) -> tuple[float, np.ndarray]:
     """One term on ``(..., C)`` logits: the compound with the other weight at zero."""
-    return _pixel_major_call(lambda x, t: _compound(semantic, alpha, seg, beta, n_classes, x, t), logits, target)
+    return _pixel_major_call(lambda x, t: _compound(semantic, seg, beta, n_classes, x, t), logits, target)
 
 
 # --- public entry points ------------------------------------------------------
@@ -494,12 +484,12 @@ def wasserstein_crisp(m: np.ndarray, logits: np.ndarray, target: np.ndarray) -> 
     averaged over annotated pixels.
     """
     term = _Wasserstein(m)
-    return _one_term(term, 1.0, "none", 0.0, term.n_classes, logits, target)
+    return _one_term(term, "none", 0.0, term.n_classes, logits, target)
 
 
 def seg_loss_ce(logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Standard softmax cross-entropy over annotated pixels."""
-    return _one_term(None, 0.0, "ce", 1.0, np.shape(logits)[-1], logits, target)
+    return _one_term(None, "ce", 1.0, np.shape(logits)[-1], logits, target)
 
 
 def seg_loss_dice(logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -524,7 +514,7 @@ def tree_weighted_ce(tree: LabelTree, logits: np.ndarray, target: np.ndarray) ->
     unit weights on leaf edges and zero elsewhere this is the standard CE.
     """
     term = _TreeCE(tree)
-    return _one_term(term, 1.0, "none", 0.0, term.n_classes, logits, target)
+    return _one_term(term, "none", 0.0, term.n_classes, logits, target)
 
 
 def compound_wass(spec: LossSpec, tree: LabelTree, logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -550,6 +540,7 @@ def make_loss(tree: LabelTree, spec: LossSpec) -> Callable[[np.ndarray, np.ndarr
     term reads a precomputed distance matrix; the tree-weighted CE reads
     the aggregation order and three leaf tables, each leaf's (K,) ancestor
     chain, its edge weights and the (C,) LCA depths it shares with every leaf.
+    With ``alpha == 0`` nothing is compiled and the callable is beta * seg.
 
     The batch is worked in column tiles of at most ``TILE_BYTES`` of (C, T)
     float64 (one tile with a Dice term), each in place in its own columns.
@@ -557,10 +548,12 @@ def make_loss(tree: LabelTree, spec: LossSpec) -> Callable[[np.ndarray, np.ndarr
     worked in: ``logits`` themselves when they are C-ordered float64, else
     a C-ordered float64 copy of them.
     """
-    weighted = assign_weights(tree, spec.scheme)
-    semantic = _Wasserstein(distance_matrix(weighted), spec.alpha) if spec.semantic == "wass" else _TreeCE(weighted, spec.alpha)
+    semantic, n_classes = None, tree.n_leaves
+    if spec.alpha:
+        weighted = assign_weights(tree, spec.scheme)
+        semantic = _Wasserstein(distance_matrix(weighted), spec.alpha) if spec.semantic == "wass" else _TreeCE(weighted, spec.alpha)
 
     def loss_fn(logits, target):
-        return _compound(semantic, spec.alpha, spec.seg, spec.beta, semantic.n_classes, logits, target)
+        return _compound(semantic, spec.seg, spec.beta, n_classes, logits, target)
 
     return loss_fn

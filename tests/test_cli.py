@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 from treeseg.cli import main
 from treeseg.distances import distance_matrix
-from treeseg.experiment import CONFIG_KEYS
-from treeseg.hierarchy import EdgeWeightScheme, assign_weights, parse_tree
+from treeseg.experiment import CONFIG_KEYS, write_tau_curve
+from treeseg.gating import ThresholdPolicy, default_grid, gate, sweep_tau
+from treeseg.hierarchy import EdgeWeightScheme, assign_weights, parse_level, parse_tree, resolve_level
 from treeseg.synth import SynthConfig, generate, load_corpus, read_field, save_corpus, write_field
-from treeseg.training import TrainConfig, init_params, save_model
+from treeseg.training import TrainConfig, init_params, load_model, predict, save_model
 
 from conftest import THREE_LEAF_DOC
 
@@ -434,6 +435,16 @@ def test_config_value_out_of_range_exits_one(tmp_path, no_training, capsys, chan
     assert not out.exists()
 
 
+def test_config_with_corpus_and_synth_exits_one(corpus_dir, tmp_path, no_training, capsys):
+    """A config names its corpus once: a corpus path beside a synth block is exit 1 naming both keys."""
+    path = _write_config(tmp_path, "both", corpus=str(corpus_dir), synth=dict(EXP_CONFIG["synth"], n_subjects=99))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "'corpus'" in err and "'synth'" in err
+    assert not out.exists()
+
+
 def test_non_finite_feature_file_exits_one(exp_file, tmp_path, capsys):
     corpus_dir = tmp_path / "corpus"
     assert main(["synth", "--config", str(exp_file), "--out", str(corpus_dir)]) == 0
@@ -468,6 +479,46 @@ def test_train_and_gate_reproduce_run_fold_zero(tmp_path, preproc):
     for s in fold["val_subjects"]:
         name = f"pred_s{s:03d}.bin"
         assert (preds / name).read_bytes() == (run_dir / "fold_000" / name).read_bytes(), name
+
+
+class TestScoringMatchesTheLibrary:
+    """gate and sweep score each subject once, class-major; their files hold the bytes that
+    the public (..., C) gate and sweep_tau give over predict."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("mlp_twce")
+        path = _write_config(root, "exp", loss=dict(EXP_CONFIG["loss"], semantic="twce"), train=dict(EXP_CONFIG["train"], model="mlp"))
+        corpus_dir, model = root / "corpus", root / "model.bin"
+        assert main(["synth", "--config", str(path), "--out", str(corpus_dir)]) == 0
+        assert main(["train", "--config", str(path), "--out", str(model)]) == 0
+        corpus, params = load_corpus(corpus_dir), load_model(model)
+        assert any((s.mask == 0).any() for s in corpus.subjects)  # the sweep skips unannotated pixels
+        return corpus_dir, model, corpus, params
+
+    @pytest.mark.parametrize("level", ["leaf", "1", "topmost"])
+    def test_sweep_writes_the_curve_of_sweep_tau(self, trained, tmp_path, level):
+        corpus_dir, model, corpus, params = trained
+        out, ref = tmp_path / "tau_curve.csv", tmp_path / "ref.csv"
+        assert main(["sweep", "--corpus", str(corpus_dir), "--model", str(model), "--level", level, "--grid-step", "0.05", "--out", str(out)]) == 0
+        k = resolve_level(corpus.tree, parse_level(level))
+        probs = [predict(params, s.features) for s in corpus.subjects]
+        write_tau_curve(sweep_tau(corpus.tree, probs, [s.mask for s in corpus.subjects], k, default_grid(0.05))[1], ref)
+        assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("level", ["leaf", "1", "topmost"])
+    def test_gate_writes_the_fields_of_gate(self, trained, tmp_path, level):
+        corpus_dir, model, corpus, params = trained
+        out, ref = tmp_path / "preds", tmp_path / "ref.bin"
+        assert main(["gate", "--corpus", str(corpus_dir), "--model", str(model), "--level", level, "--tau", "0.6", "--out", str(out)]) == 0
+        policy = ThresholdPolicy(0.6, level=resolve_level(corpus.tree, parse_level(level)))
+        gated = []
+        for i, s in enumerate(corpus.subjects):
+            labels = gate(corpus.tree, predict(params, s.features), policy).labels
+            write_field(ref, labels.astype(np.int64))
+            assert (out / f"pred_s{i:03d}.bin").read_bytes() == ref.read_bytes()
+            gated.append(labels == 0)
+        assert 0 < np.mean(gated) < 1  # tau gates some pixels at every level, not all
 
 
 class TestEvalTolerance:

@@ -6,7 +6,6 @@ from treeseg.evaluation import (
     confusion,
     dice_scores,
     evaluate_level,
-    hard_class_report,
     map_to_level,
     nsd_scores,
     ovr_scores,
@@ -200,42 +199,6 @@ class TestConfusion:
         assert tensor.classes == [1, 2, 0]
         assert tensor.per_fold[0][0, 2] == 1  # truth 1 predicted background
         assert tensor.per_fold[0][2, 1] == 1  # pseudo-background predicted class 2
-
-
-class TestHardClasses:
-    def test_none_below_threshold(self):
-        rep = _mk_report([1, 2, 3], [0.9, 0.8, 0.75])
-        out = hard_class_report(rep, threshold=0.7)
-        assert out.subset == []
-        assert out.note != ""
-
-    def test_threshold_one_selects_all(self):
-        rep = _mk_report([1, 2], [0.9, 0.2])
-        out = hard_class_report(rep, threshold=1.0)
-        assert out.subset == [1, 2]
-
-    def test_subset_means(self):
-        base = _mk_report([1, 2, 3], [0.9, 0.5, 0.3])
-        other = _mk_report([1, 2, 3], [0.9, 0.7, 0.5])
-        out = hard_class_report(base, {"candidate": other}, threshold=0.7)
-        assert out.subset == [2, 3]
-        assert out.means["baseline"]["dice"] == pytest.approx(0.4)
-        assert out.means["candidate"]["dice"] == pytest.approx(0.6)
-
-
-def _mk_report(classes, dice_values):
-    from treeseg.evaluation import EvalReport
-
-    n = len(classes)
-    return EvalReport(
-        level=0,
-        classes=classes,
-        names=[f"c{c}" for c in classes],
-        dice=np.asarray(dice_values, dtype=float),
-        tpr=np.full(n, np.nan),
-        bacc=np.full(n, np.nan),
-        f1=np.full(n, np.nan),
-    )
 
 
 class TestEvaluateLevel:

@@ -77,6 +77,18 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_tree(doc)
 
+    @pytest.mark.parametrize(
+        "children, error",
+        [
+            (["a", {"name": "a"}, {"name": "b"}], StructureError),  # a node defined after the string naming it
+            ([{"name": "a", "children": ["b", {"name": "c"}, {"name": "d"}]}, {"name": "b"}], StructureError),
+            ([{"name": "a", "children": ["b", "ghost"]}, {"name": "b"}], ParseError),  # a string naming nothing is a ParseError first
+        ],
+    )
+    def test_every_string_child_entry_is_rejected(self, children, error):
+        with pytest.raises(error):
+            parse_tree(json.dumps({"name": "r", "children": children}))
+
     def test_file_weights_are_kept(self):
         doc = json.dumps({"name": "r", "children": [{"name": "a", "weight": 2.5}, {"name": "b"}]})
         t = parse_tree(doc)

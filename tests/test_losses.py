@@ -211,6 +211,27 @@ class TestCompound:
         assert loss == ce
         assert np.array_equal(grad, ce_grad)
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("semantic", ["wass", "twce"])
+    def test_alpha_zero_compiles_no_tree(self, monkeypatch, semantic, sparse):
+        """With alpha = 0 make_loss assigns no edge weights and builds no distance matrix or
+        chain tables, and its callable still gives seg_loss_ce's bits."""
+
+        def compiled(*args, **kwargs):
+            raise AssertionError("alpha = 0 compiled the tree")
+
+        for name in ("assign_weights", "distance_matrix", "_Wasserstein", "_TreeCE"):
+            monkeypatch.setattr(losses, name, compiled)
+        t = make_random_tree(21)
+        rng = np.random.default_rng(8)
+        logits = rng.normal(size=(40, t.n_leaves))
+        target = rng.integers(0 if sparse else 1, t.n_leaves + 1, size=40)
+        loss_fn = make_loss(t, LossSpec(semantic, EdgeWeightScheme("hier", kappa=3.0), seg="ce", alpha=0.0, beta=1.0))
+        loss, grad = loss_fn(np.array(logits.T, order="C"), target)
+        ce, ce_grad = seg_loss_ce(logits, target)
+        assert loss == ce
+        assert np.array_equal(grad, ce_grad.T)
+
     def test_beta_zero_perfect_prediction_is_zero(self):
         t = make_random_tree(22)
         spec = LossSpec("wass", EdgeWeightScheme("equal"), seg="ce", alpha=1.0, beta=0.0)

@@ -296,7 +296,8 @@ def run_fold(corpus: Corpus, fold: FoldSpec, config: ExperimentConfig) -> FoldRe
     k, eval_levels = config_levels(tree, config)
     params, trace = fit(corpus, fold, config)
 
-    # each validation image is scored once, class-major, in the forward's own buffer
+    # each validation image is scored once, class-major, in the forward's own buffer,
+    # down to four per-pixel vectors: no image's probabilities outlive its scoring
     scorer = LevelScorer(tree, k)
     val = val_view(corpus, fold)
     images = [scorer.score(class_probs(params, f)) for f, _, _ in val]
@@ -319,7 +320,7 @@ def run_fold(corpus: Corpus, fold: FoldSpec, config: ExperimentConfig) -> FoldRe
         reports[level] = rep
 
     # ungated leaf argmax, for accuracy and the semantic distance of errors
-    pooled_raw = pool_pixels([scorer.leaf_argmax(image) + 1 for image in images])
+    pooled_raw = pool_pixels([image.leaf + 1 for image in images])
     fg = pooled_domain & (pooled_truth > 0)
     leaf_acc = float(np.mean(pooled_raw[fg] == pooled_truth[fg])) if fg.any() else float("nan")
     m_err = distance_matrix(assign_weights(tree, ERROR_METRIC_SCHEME))

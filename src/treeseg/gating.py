@@ -9,9 +9,14 @@ over the positive classes on a validation set.
 The kernels work class-major, on (C, n) probabilities, one column per
 pixel, as training does. A ``LevelScorer`` compiles one tree level; its
 ``score`` checks an image's columns, sums its level scores node-major and
-finds each column's first maximum, once. The sweep's counting, the gate and
-the ungated leaf argmax then read that ``ScoredImage``, so a validation
-fold scores each image once. The public ``(..., C)`` functions
+finds each column's first maximum, once. The leaf that the gate picks
+inside the winning subtree does not depend on the threshold, so ``score``
+also finds it, with the ungated leaf argmax, and reduces the image to a
+``ScoredImage`` of four (n,) vectors; the probabilities can go as soon as
+the image is scored. The sweep's counting, the gate
+(``where(top > tau, inside + 1, 0)``) and the leaf argmax then read those
+vectors, so a validation fold scores each image once and holds O(n) per
+image until every threshold is known. The public ``(..., C)`` functions
 ``score_at_level``, ``gate`` and ``sweep_tau`` transpose once into the
 same kernels.
 """
@@ -75,12 +80,17 @@ def first_max(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class ScoredImage:
-    """One image scored at a tree level: its checked (C, n) leaf probabilities and,
-    per column, the level slot of the first maximum level score and that score."""
+    """One image scored at a tree level, four (n,) vectors with one entry per column:
+    the level slot of the first maximum level score, that score, the first most
+    probable leaf inside that slot, and the first most probable leaf of all.
 
-    probs: np.ndarray
+    The leaf inside the slot does not depend on the threshold, so an image
+    keeps no probabilities once it is scored."""
+
     best: np.ndarray
     top: np.ndarray
+    inside: np.ndarray
+    leaf: np.ndarray
 
 
 class LevelScorer:
@@ -109,25 +119,24 @@ class LevelScorer:
         return _sum_up(p, self.plan, np.zeros((self.n_nodes, p.shape[1])))[self.node_ids]
 
     def score(self, probs: np.ndarray) -> ScoredImage:
-        """Score one image's C-ordered (C, n) probabilities once, for the sweep, the gate and the leaf argmax."""
-        return ScoredImage(probs, *first_max(self.scores(probs)))
-
-    def leaf_argmax(self, image: ScoredImage) -> np.ndarray:
-        """Each column's ungated most probable leaf index; at level 0 that is the level argmax."""
-        return image.best if self.k == 0 else first_max(image.probs)[0]
+        """Score one image's C-ordered (C, n) probabilities once, for the sweep, the gate and
+        the leaf argmax; the returned image holds no reference to ``probs``."""
+        best, top = first_max(self.scores(probs))
+        if self.k == 0:  # every slot is one leaf
+            return ScoredImage(best, top, best, best)
+        inside = self.lone[best] - 1
+        for slot, leaves in enumerate(self.under):
+            if leaves.size == 1:
+                continue
+            cols = np.flatnonzero(best == slot)
+            if cols.size:
+                inside[cols] = leaves[first_max(probs[np.ix_(leaves, cols)])[0]]
+        return ScoredImage(best, top, inside, first_max(probs)[0])
 
     def gate(self, image: ScoredImage, tau: float) -> tuple[np.ndarray, np.ndarray]:
         """Flat ``(labels, level_class)``: leaf codes, 0 where the top score is not above
         tau, and every column's level-k argmax node id, gated or not."""
-        keep = image.top > tau
-        labels = np.where(keep, self.lone[image.best], 0)
-        for slot, leaves in enumerate(self.under):
-            if leaves.size == 1:
-                continue
-            cols = np.flatnonzero(keep & (image.best == slot))
-            if cols.size:
-                labels[cols] = leaves[first_max(image.probs[np.ix_(leaves, cols)])[0]] + 1
-        return labels, self.node_ids[image.best]
+        return np.where(image.top > tau, image.inside + 1, 0), self.node_ids[image.best]
 
     def sweep(self, images: list[ScoredImage], masks: list[np.ndarray], grid: np.ndarray) -> tuple[float, np.ndarray]:
         """``(tau_m, curve)`` over the annotated (code > 0) columns of the scored images; see ``sweep_tau``."""

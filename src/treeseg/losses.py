@@ -43,13 +43,21 @@ per-pixel vector assembled from all tiles, and no sum crosses a column,
 so loss and gradient are the same to the bit at any tile width; a lone
 leftover column joins the last tile, because numpy sums the classes of a
 one-column array in another order. Soft Dice couples all pixels, so a
-batch with a Dice term is one tile.
+batch with a Dice term is one tile (``batch_tiles``).
 
-Ownership: the ``make_loss`` callable owns the logits it is given and
-returns the gradient in the buffer it worked in, which is the logits
-themselves whenever they are C-ordered float64 (C, n). The public
-``(..., C)`` functions pass the kernels a private copy, so a caller's
-array is never modified. The softmax of prediction has one tile loop too,
+The tile kernel has one home, ``_Loss.tile``, the ``make_loss`` callable's
+per-tile method. A whole-batch call loops it over column views of the
+batch's logits. Training never makes a batch's logits whole: it makes each
+tile's (C, T) logits from the features and hands them over one at a time
+with the batch's ``Terms``, so each tile's gradient divides by the batch's
+pixel count and the batch loss is the mean of the per-pixel terms that all
+tiles gathered, the bits of a whole-batch call on the same logits.
+
+Ownership: the ``make_loss`` callable owns the logits it is given, a
+whole batch or one tile of one, and returns the gradient in the buffer it
+worked in, which is the logits themselves whenever they are C-ordered
+float64 (C, n). The public ``(..., C)`` functions pass the kernels a
+private copy, so a caller's array is never modified. The softmax of prediction has one tile loop too,
 ``softmax_columns``, which normalises each tile of a class-major buffer
 its caller owns in place: ``training.class_probs`` hands it the forward's
 logits, which become the probabilities validation scores; ``softmax``,
@@ -65,7 +73,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -193,10 +200,12 @@ class _Batch:
     over contiguous memory: C-ordered float64 logits are used as they are,
     any others are copied once. A batch with unannotated (code 0) pixels
     gathers its annotated columns into a buffer of its own, and
-    ``gradient`` writes them back over zeroed logits.
+    ``gradient`` writes them back over zeroed logits. Each tile's gradient
+    is that of a mean over ``divisor`` pixels: the batch's ``n`` annotated
+    ones, or a larger batch's when these logits are one tile of it.
     """
 
-    def __init__(self, logits: np.ndarray, target: np.ndarray, n_classes: int):
+    def __init__(self, logits: np.ndarray, target: np.ndarray, n_classes: int, divisor: int | None = None):
         x = np.asarray(logits, dtype=float, order="C")
         t = np.asarray(target).reshape(-1)
         if x.ndim != 2 or x.shape[0] != n_classes:
@@ -210,6 +219,7 @@ class _Batch:
         if idx.size == 0:
             raise EmptyMaskError("no annotated pixels")
         self.logits, self.n = x, idx.size
+        self.divisor = self.n if divisor is None else divisor
         # fully annotated (every training batch): no gather and no write-back
         self.idx = None if idx.size == t.size else idx
         self.work = x if self.idx is None else np.take(x, idx, axis=1)  # C-ordered, as x[:, idx] is not
@@ -218,7 +228,7 @@ class _Batch:
 
     def tile(self, start: int, stop: int) -> "_Tile":
         """The softmax of annotated columns ``start:stop``, in their own columns."""
-        return _Tile(self.work, start, stop, self.leaf[start:stop], self.n)
+        return _Tile(self.work, start, stop, self.leaf[start:stop], self.divisor)
 
     def gradient(self) -> np.ndarray:
         """The logits buffer once every tile holds its gradient; unannotated columns are zero."""
@@ -420,44 +430,83 @@ def _mean(parts: list[np.ndarray]) -> float:
     return float((parts[0] if len(parts) == 1 else np.concatenate(parts)).mean())
 
 
-def _compound(
-    semantic: _Wasserstein | _TreeCE | None,
-    seg: str,
-    beta: float,
-    n_classes: int,
-    logits: np.ndarray,
-    target: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """alpha * semantic + beta * seg on one batch, one softmax per column tile.
+def batch_tiles(n: int, n_classes: int, dice: bool) -> list[tuple[int, int]]:
+    """The column tiles a batch of n annotated pixels is worked in; a Dice term couples
+    all pixels, so a batch with one is one tile."""
+    return _tiles(n, n if dice else _tile_width(n_classes))
 
-    The semantic kernel, compiled with ``alpha`` folded in, writes the
-    tile's whole alpha * semantic + beta * CE gradient over its softmax;
-    ``seg="none"`` is the same kernel with ``beta = 0``. ``semantic`` is
-    None for ``alpha == 0`` (the plain-CE baseline): ``make_loss`` then
-    compiles no kernel, and each tile gets beta * CE alone. A Dice term
-    reads the softmax first and adds beta times its gradient last. The result equals
-    the sum of the separate terms to rounding (see the module notes), and
-    the batch's buffer is returned.
+
+class Terms:
+    """The per-pixel loss terms of one batch of ``n`` annotated pixels, gathered tile by tile.
+
+    ``sem`` and ``ce`` hold each tile's (T,) alpha * semantic and CE losses,
+    ``dice`` the soft Dice loss of a batch with a Dice term (one tile), and
+    ``beta`` the seg weight the loss applied. The batch loss is the mean of
+    each vector that the tiles make up, so it has the same bits at any tile
+    width.
     """
-    b = _Batch(logits, target, n_classes)
-    dice = seg == "dice_ce"
-    beta = 0.0 if seg == "none" else beta
-    sem, ce, dc = [], [], []
-    for start, stop in _tiles(b.n, _require_dense(b).n if dice else _tile_width(n_classes)):
-        tile = b.tile(start, stop)
-        if dice:
-            loss, dc_grad = _dice(tile)  # before the softmax turns into the gradient
-            dc.append(loss)
-        if semantic is None:
-            _plain_ce(tile, beta)
+
+    def __init__(self, n: int):
+        self.n, self.beta = n, 0.0
+        self.sem: list[np.ndarray] = []
+        self.ce: list[np.ndarray] = []
+        self.dice: float | None = None
+
+    def loss(self) -> float:
+        """alpha * semantic + beta * seg over the batch, once every tile is in."""
+        loss = _mean(self.sem) if self.sem else 0.0
+        ce = _mean(self.ce)
+        return loss + self.beta * (ce if self.dice is None else ce + self.dice)
+
+
+class _Loss:
+    """alpha * semantic + beta * seg, compiled for one tree: the ``make_loss`` callable.
+
+    ``tile`` is the one tile kernel. The semantic kernel, compiled with
+    ``alpha`` folded in, writes the tile's whole alpha * semantic + beta * CE
+    gradient over its softmax; ``seg="none"`` is the same kernel with
+    ``beta = 0``. ``semantic`` is None for ``alpha == 0`` (the plain-CE
+    baseline): ``make_loss`` then compiles no kernel, and each tile gets
+    beta * CE alone. A Dice term reads the softmax first and adds beta times
+    its gradient last. The result equals the sum of the separate terms to
+    rounding (see the module notes).
+    """
+
+    def __init__(self, semantic: _Wasserstein | _TreeCE | None, seg: str, beta: float, n_classes: int):
+        self.semantic, self.n_classes, self.dice = semantic, n_classes, seg == "dice_ce"
+        self.beta = 0.0 if seg == "none" else beta
+
+    def tile(self, t: _Tile, terms: Terms) -> None:
+        """One tile's per-pixel terms into ``terms``, and its gradient of the batch mean over its softmax."""
+        if self.dice:
+            terms.dice, dc_grad = _dice(t)  # before the softmax turns into the gradient
+        if self.semantic is None:
+            _plain_ce(t, self.beta)
         else:
-            sem.append(semantic(tile, beta))
-        ce.append(_ce(tile))  # from z_true and s, after the kernel: one (T,) buffer fewer at its peak
-        if dice:
-            dc_grad *= beta
-            tile.p += dc_grad
-    loss = 0.0 if semantic is None else _mean(sem)
-    return loss + beta * (_mean(ce) + dc[0] if dice else _mean(ce)), b.gradient()
+            terms.sem.append(self.semantic(t, self.beta))
+        terms.ce.append(_ce(t))  # from z_true and s, after the kernel: one (T,) buffer fewer at its peak
+        if self.dice:
+            dc_grad *= self.beta
+            t.p += dc_grad
+
+    def __call__(self, logits: np.ndarray, target: np.ndarray, terms: Terms | None = None) -> tuple[float | None, np.ndarray]:
+        """``(loss, grad)`` of a whole batch of class-major (C, n) logits, worked in column tiles.
+
+        Given the ``terms`` of a batch, ``logits`` are instead one tile of
+        that batch's ``batch_tiles`` (the whole batch, with a Dice term),
+        worked as one tile: its terms join ``terms``, the gradient is that
+        of the batch mean, and ``loss`` is None until ``terms.loss()`` reads
+        it once every tile is in.
+        """
+        whole = terms is None
+        b = _Batch(logits, target, self.n_classes, None if whole else terms.n)
+        if self.dice:
+            _require_dense(b)
+        terms = Terms(b.n) if whole else terms
+        terms.beta = self.beta
+        for start, stop in batch_tiles(b.n, self.n_classes, self.dice) if whole else [(0, b.n)]:
+            self.tile(b.tile(start, stop), terms)
+        return terms.loss() if whole else None, b.gradient()
 
 
 def _pixel_major_call(loss_fn, logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -470,7 +519,7 @@ def _pixel_major_call(loss_fn, logits: np.ndarray, target: np.ndarray) -> tuple[
 
 def _one_term(semantic, seg: str, beta: float, n_classes: int, logits, target) -> tuple[float, np.ndarray]:
     """One term on ``(..., C)`` logits: the compound with the other weight at zero."""
-    return _pixel_major_call(lambda x, t: _compound(semantic, seg, beta, n_classes, x, t), logits, target)
+    return _pixel_major_call(_Loss(semantic, seg, beta, n_classes), logits, target)
 
 
 # --- public entry points ------------------------------------------------------
@@ -531,7 +580,7 @@ def compound_twce(spec: LossSpec, tree: LabelTree, logits: np.ndarray, target: n
     return _pixel_major_call(make_loss(tree, spec), logits, target)
 
 
-def make_loss(tree: LabelTree, spec: LossSpec) -> Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]]:
+def make_loss(tree: LabelTree, spec: LossSpec) -> _Loss:
     """Bind a LossSpec to a tree, compiling the weighted tree into arrays once.
 
     The returned ``loss_fn(logits, target)`` takes class-major logits
@@ -546,14 +595,12 @@ def make_loss(tree: LabelTree, spec: LossSpec) -> Callable[[np.ndarray, np.ndarr
     float64 (one tile with a Dice term), each in place in its own columns.
     The callable owns ``logits`` and returns the gradient in the buffer it
     worked in: ``logits`` themselves when they are C-ordered float64, else
-    a C-ordered float64 copy of them.
+    a C-ordered float64 copy of them. ``loss_fn(logits, target, terms)``
+    works one tile of a batch whose logits are made a tile at a time
+    (``training.train``); see ``_Loss``.
     """
-    semantic, n_classes = None, tree.n_leaves
+    semantic = None
     if spec.alpha:
         weighted = assign_weights(tree, spec.scheme)
         semantic = _Wasserstein(distance_matrix(weighted), spec.alpha) if spec.semantic == "wass" else _TreeCE(weighted, spec.alpha)
-
-    def loss_fn(logits, target):
-        return _compound(semantic, spec.seg, spec.beta, n_classes, logits, target)
-
-    return loss_fn
+    return _Loss(semantic, spec.seg, spec.beta, tree.n_leaves)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -315,9 +316,13 @@ def _check_codes(codes, low: int, n_classes: int, where: str, error: type[Valida
 def load_corpus(root: Path | str) -> Corpus:
     """Read a corpus directory, checking each field against the tree and the subject's features.
 
-    Every subject's labels and mask have its features' H x W, all subjects
-    share one channel count, labels hold codes 1..C, masks 0..C and
-    ``held_out`` 1..C; anything else is an error naming the file.
+    The subjects are the directories ``s000`` to ``s{n-1:03d}`` for the
+    ``n_subjects`` that ``corpus.json`` declares, named as ``save_corpus``
+    writes them; a missing one, or any other ``s<digits>`` directory, is an
+    error naming it. Every subject's labels and mask have its features'
+    H x W, all subjects share one channel count, labels hold codes 1..C,
+    masks 0..C and ``held_out`` 1..C; anything else is an error naming the
+    file.
     """
     root = Path(root)
     if not root.is_dir():
@@ -326,8 +331,15 @@ def load_corpus(root: Path | str) -> Corpus:
     path = root / "corpus.json"
     config = read_block(read_json_object(path), SynthConfig, str(path), prefix=f"{path}: ", tree=tree)
     _check_codes(config.held_out, 1, tree.n_leaves, f"{path}: held_out", ConfigError)
+    declared = f"{path} declares {config.n_subjects} subjects, s000 to s{config.n_subjects - 1:03d}"
+    names = [f"s{i:03d}" for i in range(config.n_subjects)]  # as save_corpus writes them
+    extra = sorted(d.name for d in root.iterdir() if d.is_dir() and re.fullmatch(r"s[0-9]+", d.name) and d.name not in names)
+    if extra:
+        raise ConfigError(f"unexpected subject directory {root / extra[0]}: {declared}")
     subjects = []
-    for d in sorted(root.glob("s[0-9][0-9][0-9]")):
+    for d in (root / name for name in names):
+        if not d.is_dir():
+            raise ConfigError(f"missing subject directory {d}: {declared}")
         path = d / "features.bin"
         features = read_field(path)
         if subjects and features.shape[2] != subjects[0].features.shape[2]:
@@ -341,8 +353,6 @@ def load_corpus(root: Path | str) -> Corpus:
             _check_codes(field, low, tree.n_leaves, str(path))
             fields.append(field)
         subjects.append(Subject(features, *fields))
-    if not subjects:
-        raise ConfigError(f"{root} holds no subject directories")
     return Corpus(tree=tree, subjects=subjects, config=config)
 
 

@@ -7,12 +7,26 @@ images. Only annotated pixels ever enter the computation, which makes the
 positive-only contract (unannotated pixels cannot influence parameters)
 hold bitwise by construction.
 
-A batch is held class-major end to end: features as (d, n), hidden units
-as (h, n), logits and their gradient as (C, n), one column per pixel. Every
-reduction over a short axis (the classes, the hidden units) is then a pass
-over contiguous rows.
+A batch is held class-major end to end: features as (d, n), one column
+per pixel. Logits, hidden units and their gradients exist one column tile
+at a time: for each tile of ``losses.batch_tiles`` (at most
+``losses.TILE_BYTES`` of (C, T) float64, or the whole batch with a Dice
+term), the forward makes the tile's (h, T) hidden units and (C, T) logits,
+the loss turns the logits into their gradient of the batch mean in place,
+and the backward adds the tile's parameter gradients to the batch's. So a
+batch's (C, n) logits never exist whole. Every reduction over a short
+axis (the classes, the hidden units) is a pass over contiguous rows.
 
-Prediction is held the same way: ``class_probs`` turns the forward's (C, n)
+A batch of one tile (every batch at C = 21) runs the operations of a
+whole-batch step. In a wider one, the loss of each tile divides by the
+batch's pixel count, so given the same logits each tile's logit gradient
+has the bits of the matching columns of a one-tile gradient, and the batch
+loss is the mean of the per-pixel terms of all tiles, as one tile computes
+it. The parameter gradients are summed tile by tile, and the BLAS product
+of a tile may round its logits otherwise than the whole batch's does, so a
+batch wider than one tile moves the parameters in the last bits.
+
+Prediction is held class-major too: ``class_probs`` turns the forward's (C, n)
 logits into probabilities in place, tile by tile, and validation scores
 them class-major (``gating.LevelScorer``). ``predict`` is that core plus one
 transpose into the pixel-major ``(..., C)`` layout of the public functions.
@@ -29,7 +43,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, EmptyMaskError, ParseError, ShapeError
 from .hierarchy import LabelTree
-from .losses import LossSpec, _pixel_major, make_loss, softmax_columns
+from .losses import LossSpec, Terms, _pixel_major, batch_tiles, make_loss, softmax_columns
 from .seeding import substream
 from .synth import l1_normalize
 
@@ -135,6 +149,14 @@ def _backward(params: ModelParams, x: np.ndarray, hidden: np.ndarray | None, gra
     return [x @ grad_hidden.T, np.add.reduce(grad_hidden, axis=1), hidden @ grad_logits.T, np.add.reduce(grad_logits, axis=1)]
 
 
+def _tile_gradients(params: ModelParams, loss_fn, x: np.ndarray, y: np.ndarray, terms: Terms) -> list[np.ndarray]:
+    """Forward, loss and backward of one column tile of a batch, whose loss terms gather in
+    ``terms``: the tile's parameter gradients. Its logits die on return, before the next tile's."""
+    logits, hidden = _forward(params, x)
+    _, grad_logits = loss_fn(logits, y, terms)
+    return _backward(params, x, hidden, grad_logits)
+
+
 def absorb_standardization(params: ModelParams, mu: np.ndarray, sd: np.ndarray) -> ModelParams:
     """Fold an affine input transform x -> (x - mu) / sd into the first layer.
 
@@ -227,11 +249,17 @@ def train(
             y = np.concatenate([pool[i][1] for i in chosen])
             if y.size == 0:
                 continue
-            logits, hidden = _forward(params, x)
-            loss, grad_logits = loss_fn(logits, y)
+            terms, grads = Terms(y.size), None
+            for lo, hi in batch_tiles(y.size, tree.n_leaves, spec.seg == "dice_ce"):
+                tile_grads = _tile_gradients(params, loss_fn, x[:, lo:hi], y[lo:hi], terms)
+                if grads is None:
+                    grads = tile_grads
+                else:
+                    for g, t in zip(grads, tile_grads):
+                        g += t
+            loss = terms.loss()
             if not np.isfinite(loss):
                 raise DivergenceError(epoch)
-            grads = _backward(params, x, hidden, grad_logits)
             step += 1
             for a, g, m1, m2 in zip(params.arrays, grads, slots, second):
                 if config.optimizer == "adam":

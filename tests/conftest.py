@@ -20,6 +20,13 @@ THREE_LEAF_DOC = json.dumps(
 )
 
 
+def wide_tree_doc(groups: int = 9, leaves: int = 11) -> str:
+    """A depth-2 hierarchy of ``groups`` groups of ``leaves`` leaves: C = 99 by default."""
+    return json.dumps(
+        {"name": "root", "children": [{"name": f"g{i}", "children": [{"name": f"g{i}l{j}"} for j in range(leaves)]} for i in range(groups)]}
+    )
+
+
 @pytest.fixture
 def three_leaf_tree():
     return parse_tree(THREE_LEAF_DOC)

@@ -1,10 +1,11 @@
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
-from contextlib import redirect_stderr
-from dataclasses import fields as dataclass_fields
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from treeseg.hierarchy import EdgeWeightScheme, assign_weights, parse_level, par
 from treeseg.synth import SynthConfig, generate, load_corpus, read_field, save_corpus, write_field
 from treeseg.training import TrainConfig, init_params, load_model, predict, save_model
 
-from conftest import THREE_LEAF_DOC
+from conftest import THREE_LEAF_DOC, wide_tree_doc
 
 EXP_CONFIG = {
     "loss": {"semantic": "wass", "scheme": "hier", "kappa": 10, "alpha": 0.5, "beta": 0.5, "seg": "ce"},
@@ -547,8 +548,9 @@ class TestEvalTolerance:
         sub, preds = tmp_path / "val_corpus", tmp_path / "val_preds"
         sub.mkdir()
         preds.mkdir()
-        for name in ("hierarchy.json", "corpus.json"):
-            (sub / name).write_bytes((corpus_dir / name).read_bytes())
+        (sub / "hierarchy.json").write_bytes((corpus_dir / "hierarchy.json").read_bytes())
+        meta = json.loads((corpus_dir / "corpus.json").read_text())
+        (sub / "corpus.json").write_text(json.dumps(meta | {"n_subjects": len(fold["val_subjects"])}))
         for i, s in enumerate(fold["val_subjects"]):
             (corpus_dir / f"s{s:03d}").rename(sub / f"s{i:03d}")
             (run_dir / "fold_000" / f"pred_s{s:03d}.bin").rename(preds / f"pred_s{i:03d}.bin")
@@ -701,6 +703,65 @@ def test_malformed_corpus_exits_one_naming_the_file(corpus_dir, tmp_path, capsys
         argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
     assert main(argv) == 1
     assert str(path) in capsys.readouterr().err
+
+
+def _run_on_corpus(corpus_dir, tmp_path):
+    cfg = tmp_path / "disk.json"
+    cfg.write_text(json.dumps({k: v for k, v in EXP_CONFIG.items() if k != "synth"} | {"corpus": str(corpus_dir)}))
+    return main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize(
+    "fault, named",
+    [("gap", "s001"), ("missing last", "s003"), ("extra", "s009")],
+)
+def test_corpus_subject_directories_are_the_ones_corpus_json_declares(corpus_dir, tmp_path, capsys, fault, named):
+    """corpus.json declares 4 subjects, so run reads s000 to s003: a missing one or any other
+    s<digits> directory is exit 1 naming it, before any output."""
+    if fault == "extra":
+        shutil.copytree(corpus_dir / "s000", corpus_dir / named)
+    else:
+        shutil.rmtree(corpus_dir / named)
+    assert _run_on_corpus(corpus_dir, tmp_path) == 1
+    assert str(corpus_dir / named) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_thousand_and_one_subjects_load_back_in_order(tmp_path):
+    """save_corpus names subject 1000 s1000; load_corpus reads it back, after s999."""
+    corpus = generate(SynthConfig(tree=parse_tree(THREE_LEAF_DOC), n_subjects=1, height=5, width=5, channels=1, n_regions=3, seed=3))
+    base = corpus.subjects[0]
+    subjects = [replace(base, features=base.features + i) for i in range(1001)]
+    root = save_corpus(replace(corpus, subjects=subjects, config=replace(corpus.config, n_subjects=1001)), tmp_path / "corpus")
+    loaded = load_corpus(root)
+    assert len(loaded.subjects) == 1001
+    assert [s.features[0, 0, 0] for s in loaded.subjects] == [base.features[0, 0, 0] + i for i in range(1001)]
+
+
+def test_run_on_a_wide_corpus_holds_no_batch_logits(tmp_path, monkeypatch):
+    """treeseg run at C = 99 on batches of eight tiles: training works one column tile at a time
+    and validation keeps four vectors per image, so the whole run's tracemalloc peak stays below
+    one training batch's (C, n) float64 logits."""
+    import tracemalloc
+
+    from treeseg import losses
+
+    hier = tmp_path / "wide_tree.json"
+    hier.write_text(wide_tree_doc())
+    synth = {"n_subjects": 8, "height": 32, "width": 32, "channels": 4, "n_regions": 99, "sparsity": 1.0}
+    path = _write_config(tmp_path, "wide", hierarchy=str(hier), synth=synth, train={"epochs": 1}, gate={"level": "leaf"}, eval={"levels": ["leaf"]})
+    batch_pixels = 4 * 32 * 32  # the 4 training subjects of a fold, in one batch of up to 5
+    monkeypatch.setattr(losses, "TILE_BYTES", 8 * 99 * batch_pixels // 8)
+    with redirect_stdout(io.StringIO()):
+        # once untraced first: the modules a run imports on first use are not the run's arrays
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "warm")]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 8 * 99 * batch_pixels, peak / (8 * 99 * batch_pixels)
 
 
 @pytest.mark.parametrize("tolerance", ["-1", "nan"])

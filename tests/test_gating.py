@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 from treeseg.errors import ConfigError, NormalizationError, RangeError
 from treeseg.evaluation import ovr_scores
-from treeseg.gating import ThresholdPolicy, default_grid, first_max, gate, score_at_level, sweep_tau
-from treeseg.hierarchy import leaf_level_map, level_nodes
+from treeseg.gating import LevelScorer, ThresholdPolicy, default_grid, first_max, gate, score_at_level, sweep_tau
+from treeseg.hierarchy import leaf_level_map, level_nodes, resolve_level
 from treeseg.losses import aggregate
 
 from conftest import make_random_tree, random_probs
@@ -180,6 +182,17 @@ class TestGate:
     def test_policy_validation(self):
         with pytest.raises(ConfigError):
             ThresholdPolicy(tau=1.5)
+
+    @pytest.mark.parametrize("level", ["leaf", 1, "topmost"])
+    def test_a_scored_image_holds_only_per_pixel_vectors(self, rng, level):
+        """Scoring reduces an image's (C, n) probabilities to (n,) vectors and keeps none of them."""
+        t = make_random_tree(15)
+        p = np.ascontiguousarray(random_probs(rng, 30, t.n_leaves).T)
+        image = LevelScorer(t, resolve_level(t, level)).score(p)
+        for f in dataclasses.fields(image):
+            value = getattr(image, f.name)
+            assert isinstance(value, np.ndarray) and value.shape == (30,), f.name
+            assert not np.shares_memory(value, p), f.name
 
 
 class TestSweep:

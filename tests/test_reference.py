@@ -14,6 +14,9 @@ another order, so it is held to the dense kernel within a tolerance.
 Corpus generation now tabulates Voronoi distances a block of rows at a
 time, takes every region's pixels from one sort and builds the features
 in place; it is held to the full-distance-array generator, byte for byte.
+The gate and the ungated leaf argmax now read four per-pixel vectors that
+scoring keeps in place of an image's probabilities; they are held to the
+gate that read the probabilities at gating time, bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from treeseg import losses, synth
 from treeseg.distances import distance_matrix
 from treeseg.errors import ConfigError, EmptyEvalError
 from treeseg.evaluation import confusion, dice_scores, evaluate_level, level_classes, nsd_scores, ovr_scores
-from treeseg.gating import ThresholdPolicy, default_grid, gate, score_at_level, sweep_tau
+from treeseg.gating import LevelScorer, ThresholdPolicy, default_grid, first_max, gate, score_at_level, sweep_tau
 from treeseg.hierarchy import (
     EdgeWeightScheme,
     LabelTree,
@@ -39,6 +42,7 @@ from treeseg.hierarchy import (
     leaf_level_map,
     level_nodes,
     random_tree,
+    resolve_level,
 )
 from treeseg.losses import LOG_GUARD, aggregate, softmax, tree_weighted_ce
 from treeseg.seeding import substream
@@ -531,6 +535,55 @@ def test_sweep_matches_the_per_grid_point_loop():
                 assert np.array_equal(curve, ref_curve)
                 checked += 1
     assert checked > 200
+
+
+# -- gating from four per-pixel vectors ----------------------------------------
+# ``LevelScorer.score`` reduces an image's (C, n) probabilities at once to
+# four (n,) vectors and drops them; the gate and the leaf argmax read those.
+# The frozen pair below read the probabilities at gating time instead, kept
+# beside the image until every threshold was known.
+
+
+def ref_gate_from_probs(scorer, probs, tau):
+    """``(labels, level_class, ungated leaf argmax)`` of class-major (C, n) probabilities,
+    the leaf inside the winning slot looked up in the probabilities once tau is known."""
+    best, top = first_max(scorer.scores(probs))
+    keep = top > tau
+    labels = np.where(keep, scorer.lone[best], 0)
+    for slot, leaves in enumerate(scorer.under):
+        if leaves.size == 1:
+            continue
+        cols = np.flatnonzero(keep & (best == slot))
+        if cols.size:
+            labels[cols] = leaves[first_max(probs[np.ix_(leaves, cols)])[0]] + 1
+    return labels, scorer.node_ids[best], best if scorer.k == 0 else first_max(probs)[0]
+
+
+def tied_probabilities(rng, tree, n):
+    """(C, n) rows in tenths or quarters, so leaves and level scores tie, plus a uniform column."""
+    units = int(rng.choice([4, 10]))
+    p = rng.multinomial(units, np.full(tree.n_leaves, 1.0 / tree.n_leaves), size=n) / units
+    p[0] = 1.0 / tree.n_leaves
+    return np.ascontiguousarray(p.T)
+
+
+def test_gate_from_the_scored_vectors_matches_the_gate_from_probabilities():
+    rng = np.random.default_rng(17)
+    checked = 0
+    for tree in weighted_trees(18, 60):
+        levels = {resolve_level(tree, level) for level in ("leaf", "topmost")} | ({1} if tree.levels > 1 else set())
+        for probs in (tied_probabilities(rng, tree, 40), np.ascontiguousarray(rng.dirichlet(np.ones(tree.n_leaves), size=40).T)):
+            for k in sorted(levels):
+                scorer = LevelScorer(tree, k)
+                image = scorer.score(probs.copy())
+                for tau in (0.0, 0.5, 0.99):
+                    labels, level_class, leaf = ref_gate_from_probs(scorer, probs, tau)
+                    got_labels, got_class = scorer.gate(image, tau)
+                    for got, ref in ((got_labels, labels), (got_class, level_class), (image.leaf, leaf)):
+                        assert got.dtype == ref.dtype
+                        assert np.array_equal(got, ref)
+                    checked += 1
+    assert checked > 500
 
 
 # -- tree-weighted CE --------------------------------------------------------

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from treeseg import losses, training
 from treeseg.errors import ConfigError, DivergenceError, ParseError, ShapeError
-from treeseg.hierarchy import EdgeWeightScheme
+from treeseg.hierarchy import EdgeWeightScheme, parse_tree
 from treeseg.losses import LossSpec, make_loss
 from treeseg.seeding import substream
 from treeseg.synth import SynthConfig, generate, l1_normalize
@@ -16,7 +17,7 @@ from treeseg.training import (
     train,
 )
 
-from conftest import make_random_tree
+from conftest import make_random_tree, wide_tree_doc
 
 CE_SPEC = LossSpec("wass", EdgeWeightScheme("equal"), seg="ce", alpha=0.0, beta=1.0)
 
@@ -222,3 +223,64 @@ def test_l1_model_normalizes_raw_features(rng):
     plain = predict(params, l1_normalize(feats))
     params.preproc = "l1"
     assert np.array_equal(predict(params, feats), plain)
+
+
+# --- training in column tiles -------------------------------------------------
+# Each batch runs forward, loss and backward one column tile at a time and
+# sums the parameter gradients over its tiles, so a batch's (C, n) logits
+# never exist whole. Each tile's logit gradient is that of the batch mean:
+# given the same logits (at these sizes a tile's product has the whole
+# batch's bits), it has the bits of the batch's one-tile gradient, and only
+# the sum of the tiles' parameter gradients rounds in another order.
+
+
+BACKWARD = training._backward
+
+
+def tiled_training_run(monkeypatch, data, tree, spec, config, tile_bytes):
+    """(params, trace, the logit gradient of every tile in order) of one ``train`` call."""
+    monkeypatch.setattr(losses, "TILE_BYTES", tile_bytes)
+    grads = []
+    monkeypatch.setattr(training, "_backward", lambda p, x, h, g: grads.append(g.copy()) or BACKWARD(p, x, h, g))
+    params, trace = train(data, tree, spec, config)
+    return params, trace, grads
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+@pytest.mark.parametrize("semantic", ["wass", "twce"])
+def test_tiled_training_matches_one_tile_per_batch(monkeypatch, kind, semantic):
+    """One epoch of one dense batch of 1024 pixels, in eleven tiles of at most 100 columns."""
+    corpus = generate(SynthConfig(n_subjects=4, height=16, width=16, channels=4, n_regions=24, seed=6))
+    data, tree = [(s.features, s.mask) for s in corpus.subjects], corpus.tree
+    spec = LossSpec(semantic, EdgeWeightScheme("hier", kappa=2.0), seg="ce")
+    config = TrainConfig(model=kind, hidden=8, lr=0.01, epochs=1, batch_size=4, seed=3)
+    whole = tiled_training_run(monkeypatch, data, tree, spec, config, 1 << 40)
+    tiled = tiled_training_run(monkeypatch, data, tree, spec, config, 8 * tree.n_leaves * 100)
+    assert whole[1] == tiled[1]  # the train_trace, to the bit
+    assert [g.shape[1] for g in whole[2]] == [1024]
+    assert [g.shape[1] for g in tiled[2]] == [100] * 10 + [24]
+    assert np.array_equal(np.concatenate(tiled[2], axis=1), whole[2][0])
+    for a, b in zip(whole[0].arrays, tiled[0].arrays):
+        np.testing.assert_allclose(b, a, rtol=1e-12, atol=0)
+
+
+def test_a_tiled_training_step_allocates_less_than_half_its_logits(monkeypatch):
+    """One training step on a C = 99 batch of eight tiles: the tiles, not a (C, n) logits array."""
+    import tracemalloc
+
+    tree = parse_tree(wide_tree_doc())
+    rng = np.random.default_rng(7)
+    monkeypatch.setattr(losses, "TILE_BYTES", 8 * tree.n_leaves * 512)
+    features = rng.standard_normal((64, 64, 4))
+    mask = rng.integers(1, tree.n_leaves + 1, size=(64, 64))
+    logits_bytes = 8 * tree.n_leaves * mask.size
+    assert mask.size == 8 * losses._tile_width(tree.n_leaves)
+    spec = LossSpec("wass", EdgeWeightScheme("hier", kappa=2.0), seg="ce")
+    tracemalloc.start()
+    try:
+        _, trace = train([(features, mask)], tree, spec, TrainConfig(epochs=1, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 1
+    assert peak < logits_bytes / 2, peak / logits_bytes

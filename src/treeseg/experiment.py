@@ -198,16 +198,24 @@ def fit(corpus: Corpus, fold: FoldSpec, config: ExperimentConfig) -> tuple[Model
 
     Standardization is fitted on the training pixels and absorbed into the
     weights; l1 normalization is recorded in the model, which applies it
-    itself. Training is seeded per fold from the experiment seed.
+    itself. Either is handed to ``train``, which applies it to the annotated
+    pixels it keeps, so no preprocessed image is made. Training is seeded
+    per fold from the experiment seed.
     """
     data = train_view(corpus, fold)
+    preprocess = None
     if config.preproc == "standardize":
         mu, sd = fit_standardizer([f for f, _ in data])
-        data = [((f - mu) / sd, m) for f, m in data]
+
+        def preprocess(rows: np.ndarray) -> np.ndarray:
+            rows -= mu
+            rows /= sd
+            return rows
+
     elif config.preproc == "l1":
-        data = [(l1_normalize(f), m) for f, m in data]
+        preprocess = l1_normalize
     seed = int(substream(config.seed, "train", fold.index).integers(2**31))
-    params, trace = train(data, corpus.tree, config.loss, replace(config.train, seed=seed))
+    params, trace = train(data, corpus.tree, config.loss, replace(config.train, seed=seed), preprocess)
     if config.preproc == "standardize":
         params = absorb_standardization(params, mu, sd)
     params.preproc = "l1" if config.preproc == "l1" else "none"

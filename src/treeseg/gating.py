@@ -103,20 +103,30 @@ class LevelScorer:
 
     def __init__(self, tree: LabelTree, k: int):
         level_of_leaf = leaf_level_map(tree, k)
-        self.k, self.n_leaves, self.n_nodes = k, tree.n_leaves, tree.n_nodes
+        self.k, self.n_leaves = k, tree.n_leaves
         self.node_ids = np.unique(level_of_leaf).astype(np.int64)
-        self.plan = tuple((v, kids) for v, kids in _aggregation_plan(tree) if tree.levels - tree.depth[v] <= k)
+        plan = [(v, kids) for v, kids in _aggregation_plan(tree) if tree.levels - tree.depth[v] <= k]
+        # the planned nodes renumbered C, C + 1, ... in plan order, so that _sum_up gives them
+        # one row each and no other node a row; the leaves keep their ids. rows: each level
+        # slot's node in those ids
+        renumber = {v: self.n_leaves + i for i, (v, _) in enumerate(plan)}
+        self.plan = tuple((renumber[v], tuple(renumber.get(u, u) for u in kids)) for v, kids in plan)
+        self.rows = [renumber.get(v, v) for v in self.node_ids.tolist()]
         self.under = [np.flatnonzero(level_of_leaf == node) for node in self.node_ids]
         # a slot whose subtree is one leaf labels its pixels with that leaf, no argmax needed
         self.lone = np.array([leaves[0] + 1 if leaves.size == 1 else 0 for leaves in self.under], dtype=np.int64)
         self.code_of_leaf = level_of_leaf + 1  # leaf index -> level-k node code
 
     def scores(self, probs: np.ndarray) -> np.ndarray:
-        """The (m, n) level scores of (C, n) probabilities, after checking every column."""
+        """The (m, n) level scores of (C, n) probabilities, after checking every column.
+
+        Only the planned nodes get rows of their own; a level node that is a
+        leaf is read from ``probs``."""
         p = check_columns(probs, self.n_leaves)
         if self.k == 0:
             return p
-        return _sum_up(p, self.plan, np.zeros((self.n_nodes, p.shape[1])))[self.node_ids]
+        inner = _sum_up(p, self.plan, np.empty((len(self.plan), p.shape[1])))
+        return np.stack([p[v] if v < self.n_leaves else inner[v - self.n_leaves] for v in self.rows])
 
     def score(self, probs: np.ndarray) -> ScoredImage:
         """Score one image's C-ordered (C, n) probabilities once, for the sweep, the gate and

@@ -267,20 +267,22 @@ def _aggregation_plan(tree: LabelTree) -> tuple[tuple[int, tuple[int, ...]], ...
     return tuple((v, tuple(tree.nodes[v].children)) for v in tree.deepest_first() if tree.nodes[v].children)
 
 
-def _sum_up(p: np.ndarray, plan: tuple, out: np.ndarray) -> np.ndarray:
-    """(C, n) leaf probabilities -> subtree masses in ``out``, indexed node-major (N, n).
+def _sum_up(p: np.ndarray, plan: tuple, inner: np.ndarray) -> np.ndarray:
+    """(C, n) leaf probabilities -> the planned inner nodes' subtree masses in ``inner``.
 
-    Leaf rows are copied and every planned node is the sum of its children,
-    in plan order. The caller picks the memory layout: a C-ordered (N, n)
-    buffer keeps each node's row contiguous, the transposed view of an
-    (n, N) buffer fills a pixel-major array with the same sums.
+    Leaves are nodes 0..C-1; planned node v gets row v - C of ``inner``, the
+    sum of its children in plan order, a leaf child read from ``p``. The
+    caller picks the memory layout: a C-ordered buffer keeps each node's row
+    contiguous, the transposed view of an (n, N) buffer past its C leaf
+    columns fills a pixel-major array with the same sums.
     """
-    out[: p.shape[0]] = p
+    c = p.shape[0]
     for v, kids in plan:
-        out[v] = out[kids[0]]
-        for c in kids[1:]:
-            out[v] += out[c]
-    return out
+        out = inner[v - c]
+        out[...] = p[kids[0]] if kids[0] < c else inner[kids[0] - c]
+        for u in kids[1:]:
+            out += p[u] if u < c else inner[u - c]
+    return inner
 
 
 def check_columns(p: np.ndarray, n_leaves: int) -> np.ndarray:
@@ -307,7 +309,8 @@ def aggregate(tree: LabelTree, probs: np.ndarray) -> np.ndarray:
     lead = p.shape[:-1]
     p = check_columns(p.reshape(-1, p.shape[-1]).T, tree.n_leaves)
     out = np.zeros((p.shape[1], tree.n_nodes))
-    _sum_up(p, _aggregation_plan(tree), out.T)
+    out.T[: tree.n_leaves] = p
+    _sum_up(p, _aggregation_plan(tree), out.T[tree.n_leaves :])
     return out.reshape(*lead, tree.n_nodes)
 
 
@@ -364,7 +367,9 @@ class _TreeCE:
 
     def __call__(self, b: _Tile, beta: float) -> np.ndarray:
         k, rows = self.chain.shape[0], np.arange(b.width)
-        mass = _sum_up(b.p, self.plan, np.empty((self.n_nodes, b.width)))  # node-major: contiguous rows to sum
+        mass = np.empty((self.n_nodes, b.width))  # node-major: contiguous rows to sum
+        mass[: self.n_classes] = b.p
+        _sum_up(b.p, self.plan, mass[self.n_classes :])
         at = np.take(self.chain, b.leaf, axis=1)
         at *= b.width
         at += rows

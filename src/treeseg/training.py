@@ -7,9 +7,14 @@ images. Only annotated pixels ever enter the computation, which makes the
 positive-only contract (unannotated pixels cannot influence parameters)
 hold bitwise by construction.
 
-A batch is held class-major end to end: features as (d, n), one column
-per pixel. Logits, hidden units and their gradients exist one column tile
-at a time: for each tile of ``losses.batch_tiles`` (at most
+A batch is held class-major end to end, one column per pixel. Training
+keeps one copy of the features: each image's annotated pixels,
+preprocessed (``train``'s ``preprocess``) and channel-major (d, n_i). A
+batch's (d, n) features are the virtual concatenation of its images' and
+are never made whole: a tile's columns are a view of one image's array
+when the tile lies inside that image, else the concatenation of just the
+slices it spans. Logits, hidden units and their gradients exist one column
+tile at a time too: for each tile of ``losses.batch_tiles`` (at most
 ``losses.TILE_BYTES`` of (C, T) float64, or the whole batch with a Dice
 term), the forward makes the tile's (h, T) hidden units and (C, T) logits,
 the loss turns the logits into their gradient of the batch mean in place,
@@ -37,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -197,15 +202,33 @@ def _flip(arr: np.ndarray, flip_h: bool, flip_v: bool) -> np.ndarray:
     return arr
 
 
+def _columns(parts: list[np.ndarray], lo: int, hi: int) -> np.ndarray:
+    """Columns ``[lo, hi)`` of the (d, n) concatenation of the (d, n_i) ``parts``: a view
+    of one part when they lie inside it, else the concatenation of the slices they span."""
+    spans, start = [], 0
+    for x in parts:
+        stop = start + x.shape[1]
+        if lo < stop and start < hi:
+            spans.append(x[:, max(lo - start, 0) : hi - start])
+        start = stop
+    return spans[0] if len(spans) == 1 else np.concatenate(spans, axis=1)
+
+
 def train(
     subjects: Sequence[tuple[np.ndarray, np.ndarray]],
     tree: LabelTree,
     spec: LossSpec,
     config: TrainConfig,
+    preprocess: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[ModelParams, list[float]]:
     """Train on (features, mask) images; returns (params, per-epoch loss trace).
 
     The loss sees only annotated pixels. Deterministic given config.seed.
+    ``preprocess`` is the per-pixel preprocessing of raw features, if any:
+    it gets one image's annotated pixels as fresh (n_i, d) rows, which it
+    may change in place, and returns them preprocessed. Those rows,
+    channel-major, are the only preprocessed copy of the features; a batch
+    is never concatenated, each tile reads its columns from its images'.
     """
     if not subjects:
         raise EmptyMaskError("no training subjects")
@@ -216,7 +239,10 @@ def train(
     def annotated(features: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The annotated pixels' features channel-major (d, n_i) and their codes."""
         keep = mask.reshape(-1) > 0
-        return np.ascontiguousarray(features.reshape(-1, features.shape[-1])[keep].T), mask.reshape(-1)[keep]
+        rows = features.reshape(-1, features.shape[-1])[keep]
+        if preprocess is not None:
+            rows = preprocess(rows)
+        return np.ascontiguousarray(rows.T), mask.reshape(-1)[keep]
 
     static = [annotated(f, m) for f, m in subjects]
     if sum(y.size for _, y in static) == 0:
@@ -245,13 +271,13 @@ def train(
         batch_losses = []
         for start in range(0, len(order), config.batch_size):
             chosen = order[start : start + config.batch_size]
-            x = np.concatenate([pool[i][0] for i in chosen], axis=1)
+            xs = [pool[i][0] for i in chosen]
             y = np.concatenate([pool[i][1] for i in chosen])
             if y.size == 0:
                 continue
             terms, grads = Terms(y.size), None
             for lo, hi in batch_tiles(y.size, tree.n_leaves, spec.seg == "dice_ce"):
-                tile_grads = _tile_gradients(params, loss_fn, x[:, lo:hi], y[lo:hi], terms)
+                tile_grads = _tile_gradients(params, loss_fn, _columns(xs, lo, hi), y[lo:hi], terms)
                 if grads is None:
                     grads = tile_grads
                 else:

@@ -973,3 +973,129 @@ def test_config_fuzz_through_run(tmp_path_factory, slot, value):
         except TrainingReached:
             return
     assert code == 1 and "error:" in err.getvalue(), (slot, value, code, err.getvalue())
+
+
+# -- corpus fuzz -----------------------------------------------------------------
+# One change to a saved corpus, run through ``treeseg run``: a corpus.json key
+# set to another value or dropped, an unknown key added, or its text cut; a
+# field file's header token replaced or dropped, its payload cut or
+# lengthened, or one payload value overwritten. Every run exits 0 or 1 and
+# raises nothing. A change that leaves the corpus malformed exits 1 naming the
+# file; a field value overwritten with a valid one exits 0.
+
+CORPUS_KEYS = tuple(f.name for f in dataclass_fields(SynthConfig) if f.name != "tree")
+NEVER_VALID = [None, "x", {"bogus": 1}, NAN, INF, True, [None]]  # the wrong kind for every corpus.json key
+SOMETIMES_VALID = [-1, 0, 1, 2, 3, 0.5, 1e308, [], [1], [1, 2], [2, 3], [0, 99]]
+CORPUS_JSON_CHANGES = st.one_of(
+    st.tuples(st.just("value"), st.sampled_from(CORPUS_KEYS), st.sampled_from(NEVER_VALID)),
+    st.tuples(st.just("maybe"), st.sampled_from(CORPUS_KEYS), st.sampled_from(SOMETIMES_VALID)),
+    st.tuples(st.just("drop"), st.sampled_from(CORPUS_KEYS)),
+    st.tuples(st.just("unknown"), st.sampled_from(["tree", "bogus", "n_classes"])),
+    st.tuples(st.just("cut"), st.integers(1, 1 << 12)),
+    st.tuples(st.just("text"), st.sampled_from(["", "[]", "null", "3", '"corpus"', "{", "\xff"])),
+)
+FIELD_NAMES = ("features", "labels", "mask")
+FIELD_CHANGES = st.one_of(
+    st.tuples(st.just("token"), st.integers(0, 2), st.sampled_from(BAD_TOKENS) | st.integers(1, 10**6).map(lambda n: b"%d" % n)),
+    st.tuples(st.just("drop"), st.integers(0, 2)),
+    st.tuples(st.just("cut"), st.integers(1, 1 << 12)),
+    st.tuples(st.just("grow"), st.integers(1, 64)),
+    st.tuples(st.just("bad"), st.integers(0, 1 << 12), st.integers(0, 3)),
+    st.tuples(st.just("good"), st.integers(0, 1 << 12), st.integers(0, 1 << 10)),
+)
+
+
+@pytest.fixture(scope="module")
+def corpus_fuzz_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("corpus_fuzz")
+    corpus = generate(SynthConfig(n_subjects=4, height=8, width=8, channels=3, n_regions=16, tree_depth=2, seed=3))
+    save_corpus(corpus, root / "base")
+    return root / "base", corpus.n_classes
+
+
+def run_fuzzed_corpus(tmp_path_factory, base, change) -> tuple[int, str, Path]:
+    """Copy the base corpus, apply ``change(copy)``, which returns the changed file, and run on
+    the copy: (exit code, stderr, changed file). An uncaught exception fails the test."""
+    root = tmp_path_factory.mktemp("fuzzed")
+    shutil.copytree(base, root / "corpus")
+    path = change(root / "corpus")
+    config = root / "cfg.json"
+    config.write_text(json.dumps({"corpus": str(root / "corpus"), "train": {"epochs": 1}, "n_subject_folds": 2, "seed": 1}))
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = main(["run", "--config", str(config), "--out", str(root / "out"), "--jobs", "1"])
+    shutil.rmtree(root)
+    assert code in (0, 1), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    return code, err.getvalue(), path
+
+
+@settings(max_examples=120, deadline=None)
+@given(change=CORPUS_JSON_CHANGES | st.none())
+def test_corpus_json_fuzz_through_run(tmp_path_factory, corpus_fuzz_inputs, change):
+    base, _ = corpus_fuzz_inputs
+
+    def apply(corpus: Path) -> Path:
+        path = corpus / "corpus.json"
+        if change is None:
+            return path
+        kind, *arg = change
+        text = path.read_text()
+        meta = json.loads(text)
+        if kind in ("value", "maybe"):
+            meta[arg[0]] = arg[1]
+        elif kind == "drop":
+            del meta[arg[0]]
+        elif kind == "unknown":
+            meta[arg[0]] = 1
+        path.write_text(text[: -(1 + arg[0] % len(text))] if kind == "cut" else arg[0] if kind == "text" else json.dumps(meta))
+        return path
+
+    code, err, path = run_fuzzed_corpus(tmp_path_factory, base, apply)
+    if change is None:
+        assert code == 0, err
+    elif change[0] in ("value", "unknown", "cut", "text"):
+        assert code == 1 and "error:" in err and str(path) in err, (change, err)
+    elif code == 1:
+        assert "error:" in err, (change, err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(subject=st.integers(0, 3), name=st.sampled_from(FIELD_NAMES), change=FIELD_CHANGES)
+def test_field_file_fuzz_through_run(tmp_path_factory, corpus_fuzz_inputs, subject, name, change):
+    base, n_classes = corpus_fuzz_inputs
+    features = name == "features"
+    # values no field may hold: non-finite features, codes outside 1..C (labels) or 0..C (mask)
+    bad = [np.nan, np.inf, -np.inf, np.nan] if features else [-1, 0 if name == "labels" else n_classes + 1, n_classes + 1, 2**62]
+
+    def apply(corpus: Path) -> Path:
+        path = corpus / f"s{subject:03d}" / f"{name}.bin"
+        data = path.read_bytes()
+        header, payload = data.split(b"\n", 1)
+        kind, at, *value = change
+        if kind == "cut":
+            data = data[: -(1 + at % len(data))]
+        elif kind == "grow":
+            data += bytes(at)
+        elif kind in ("bad", "good"):
+            at = 8 * (at % (len(payload) // 8))
+            if kind == "bad":
+                word = np.array(bad[value[0]], dtype="<f8" if features else "<i8")
+            else:  # a finite feature, or a code in the field's range
+                word = np.array(value[0] / 8.0 - 64.0 if features else (value[0] % n_classes) + (name == "labels"), dtype="<f8" if features else "<i8")
+            data = header + b"\n" + payload[:at] + word.tobytes() + payload[at + 8 :]
+        else:
+            tokens = header.split(b" ")
+            if kind == "token" and value[0].strip().isdigit() and int(value[0]) == int(tokens[at]):
+                data = data[:-1]  # the same integer drawn again: cut one byte instead
+            else:
+                tokens[at : at + 1] = [value[0]] if kind == "token" else []
+                data = b" ".join(tokens) + b"\n" + payload
+        path.write_bytes(data)
+        return path
+
+    code, err, path = run_fuzzed_corpus(tmp_path_factory, base, apply)
+    if change[0] == "good":
+        assert code == 0, (change, err)
+    else:
+        assert code == 1 and "error:" in err and str(path) in err, (change, err)

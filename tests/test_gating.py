@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from treeseg.errors import ConfigError, NormalizationError, RangeError
 from treeseg.evaluation import ovr_scores
 from treeseg.gating import LevelScorer, ThresholdPolicy, default_grid, first_max, gate, score_at_level, sweep_tau
-from treeseg.hierarchy import leaf_level_map, level_nodes, resolve_level
+from treeseg.hierarchy import leaf_level_map, level_nodes, random_tree, resolve_level
 from treeseg.losses import aggregate
 
 from conftest import make_random_tree, random_probs
@@ -63,6 +63,30 @@ class TestScoreAtLevel:
     def test_bad_level(self, three_leaf_tree):
         with pytest.raises(RangeError):
             score_at_level(three_leaf_tree, np.full((1, 3), 1 / 3), 99)
+
+    @pytest.mark.parametrize("level", [1, "topmost"])
+    def test_wide_image_above_the_leaves_gets_rows_for_inner_nodes_only(self, level):
+        """Scoring a (99, 16384) image allocates the planned inner nodes' rows and the
+        level's, plus a few (n,) vectors: the leaf rows are read from the probabilities."""
+        import tracemalloc
+
+        rng = np.random.default_rng(19)
+        tree = random_tree(rng, depth=3, branching=(4, 5))
+        while tree.n_leaves != 99:
+            tree = random_tree(rng, depth=3, branching=(4, 5))
+        scorer = LevelScorer(tree, resolve_level(tree, level))
+        assert tree.levels == 3  # level 1 is not the topmost
+        n = 16384
+        probs = np.ascontiguousarray(rng.dirichlet(np.ones(tree.n_leaves), size=n).T)
+        scorer.score(probs)  # once untraced first
+        tracemalloc.start()
+        try:
+            scorer.score(probs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = peak / (8 * n)
+        assert rows < len(scorer.plan) + len(scorer.node_ids) + 4, (rows, len(scorer.plan), len(scorer.node_ids))
 
 
 class TestGate:

@@ -8,7 +8,8 @@ chain and distance matrix now reads ``LabelTree.ancestor_table``; Dice,
 one-vs-rest scores and confusion counts all read one pixel count table;
 NSD scores every class in one pass over the tolerance ball, the sweep
 counts every threshold in one pass, and level scores sum only the level's
-subtrees. These tests hold them equal to the walks and loops, bit for bit.
+subtrees, into rows for those subtrees' inner nodes alone. These tests
+hold them equal to the walks and loops, bit for bit.
 The tree-weighted CE now reads each pixel's ancestor chain and sums in
 another order, so it is held to the dense kernel within a tolerance.
 Corpus generation now tabulates Voronoi distances a block of rows at a
@@ -16,7 +17,10 @@ time, takes every region's pixels from one sort and builds the features
 in place; it is held to the full-distance-array generator, byte for byte.
 The gate and the ungated leaf argmax now read four per-pixel vectors that
 scoring keeps in place of an image's probabilities; they are held to the
-gate that read the probabilities at gating time, bit for bit.
+gate that read the probabilities at gating time, bit for bit. Training
+now preprocesses only the annotated pixels it keeps and reads each loss
+tile's features from the batch's images; ``fit`` is held to the fit that
+preprocessed every image and concatenated every batch, bit for bit.
 """
 
 from __future__ import annotations
@@ -28,10 +32,11 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from treeseg import losses, synth
+from treeseg import losses, synth, training
 from treeseg.distances import distance_matrix
 from treeseg.errors import ConfigError, EmptyEvalError
 from treeseg.evaluation import confusion, dice_scores, evaluate_level, level_classes, nsd_scores, ovr_scores
+from treeseg.experiment import ExperimentConfig, fit, fit_standardizer
 from treeseg.gating import LevelScorer, ThresholdPolicy, default_grid, first_max, gate, score_at_level, sweep_tau
 from treeseg.hierarchy import (
     EdgeWeightScheme,
@@ -41,14 +46,16 @@ from treeseg.hierarchy import (
     edge_weight_vector,
     leaf_level_map,
     level_nodes,
+    parse_tree,
     random_tree,
     resolve_level,
 )
-from treeseg.losses import LOG_GUARD, aggregate, softmax, tree_weighted_ce
+from treeseg.losses import LOG_GUARD, LossSpec, Terms, aggregate, batch_tiles, make_loss, softmax, tree_weighted_ce
 from treeseg.seeding import substream
 from treeseg.synth import SynthConfig, class_means, generate
+from treeseg.training import TrainConfig, absorb_standardization, init_params
 
-from conftest import assert_twce_close, make_random_tree
+from conftest import assert_twce_close, make_random_tree, wide_tree_doc
 
 # -- frozen tree walks -------------------------------------------------------
 
@@ -745,3 +752,134 @@ def test_ancestor_table_is_read_only(three_leaf_tree):
         table[0, 0] = 1
     leaf_level_map(three_leaf_tree, 0)[0] = 99  # a copy, not a view of the cache
     assert np.array_equal(leaf_level_map(three_leaf_tree, 0), np.arange(three_leaf_tree.n_leaves))
+
+
+# -- one copy of the training features -----------------------------------------
+# ``fit`` hands its preprocessing to ``train``, which applies it to the
+# annotated pixels it keeps, and each loss tile reads its columns from the
+# batch's images, a view inside one image. The frozen pair below is the
+# earlier data path: a preprocessed copy of every training image, each
+# batch's features concatenated, and each tile a column slice of that.
+
+
+def ref_train(subjects, tree, spec, config):
+    """``train`` with each batch's features concatenated (Adam only)."""
+    loss_fn = make_loss(tree, spec)
+
+    def annotated(features, mask):
+        keep = mask.reshape(-1) > 0
+        return np.ascontiguousarray(features.reshape(-1, features.shape[-1])[keep].T), mask.reshape(-1)[keep]
+
+    static = [annotated(f, m) for f, m in subjects]
+    params = init_params(config.model, subjects[0][0].shape[-1], tree.n_leaves, config.hidden, substream(config.seed, "init"))
+    first, second = [np.zeros_like(a) for a in params.arrays], [np.zeros_like(a) for a in params.arrays]
+    step, trace = 0, []
+    for epoch in range(config.epochs):
+        rng = substream(config.seed, "epoch", epoch)
+        order = rng.permutation(len(subjects))
+        pool = static
+        if config.augment:
+            flips = rng.random((len(subjects), 2)) < 0.5
+            pool = [annotated(training._flip(f, fh, fv), training._flip(m, fh, fv)) for (f, m), (fh, fv) in zip(subjects, flips)]
+        lr = config.lr * config.gamma**epoch
+        batch_losses = []
+        for start in range(0, len(order), config.batch_size):
+            chosen = order[start : start + config.batch_size]
+            x = np.concatenate([pool[i][0] for i in chosen], axis=1)
+            y = np.concatenate([pool[i][1] for i in chosen])
+            if y.size == 0:
+                continue
+            terms, grads = Terms(y.size), None
+            for lo, hi in batch_tiles(y.size, tree.n_leaves, spec.seg == "dice_ce"):
+                tile_grads = training._tile_gradients(params, loss_fn, x[:, lo:hi], y[lo:hi], terms)
+                grads = tile_grads if grads is None else [g + t for g, t in zip(grads, tile_grads)]
+            step += 1
+            for a, g, m1, m2 in zip(params.arrays, grads, first, second):
+                m1 *= config.beta1
+                m1 += (1 - config.beta1) * g
+                m2 *= config.beta2
+                m2 += (1 - config.beta2) * g * g
+                mhat = m1 / (1 - config.beta1**step)
+                vhat = m2 / (1 - config.beta2**step)
+                a -= lr * mhat / (np.sqrt(vhat) + config.adam_eps)
+            batch_losses.append(terms.loss())
+        trace.append(float(np.mean(batch_losses)))
+    return params, trace
+
+
+def ref_fit(corpus, fold, config):
+    """``fit`` with a preprocessed copy of every training image."""
+    data = synth.train_view(corpus, fold)
+    if config.preproc == "standardize":
+        mu, sd = fit_standardizer([f for f, _ in data])
+        data = [((f - mu) / sd, m) for f, m in data]
+    elif config.preproc == "l1":
+        data = [(synth.l1_normalize(f), m) for f, m in data]
+    seed = int(substream(config.seed, "train", fold.index).integers(2**31))
+    params, trace = ref_train(data, corpus.tree, config.loss, replace(config.train, seed=seed))
+    if config.preproc == "standardize":
+        params = absorb_standardization(params, mu, sd)
+    params.preproc = "l1" if config.preproc == "l1" else "none"
+    return params, trace
+
+
+def counted_corpus(tree, counts, shape, channels, seed):
+    """A corpus whose i-th mask annotates exactly ``counts[i]`` pixels, on features of
+    unequal channel scales and offsets, and the fold that trains on all of it."""
+    rng = np.random.default_rng(seed)
+    subjects = []
+    for n in counts:
+        truth = rng.integers(1, tree.n_leaves + 1, size=shape)
+        mask = np.where(rng.permutation(truth.size).reshape(shape) < n, truth, 0)
+        features = rng.standard_normal((*shape, channels)) * rng.uniform(0.5, 3.0, channels) + rng.uniform(-2.0, 2.0, channels)
+        subjects.append(synth.Subject(features, truth, mask))
+    fold = synth.FoldSpec(index=1, train_subjects=tuple(range(len(counts))), val_subjects=(), held_out=())
+    return synth.Corpus(tree=tree, subjects=subjects, config=SynthConfig(tree=tree)), fold
+
+
+# (annotated pixels per subject, tile width, batch size): tiles of 4 that end on
+# subject boundaries or inside the 8-pixel subject; 13 columns whose lone last
+# column joins the last tile and whose tiles span subjects; batches of two with
+# one-pixel and empty batches. Every layout holds a subject with no annotated pixel.
+FIT_LAYOUTS = {
+    "on-boundaries": ((4, 8, 0, 4), 4, 4),
+    "spanning-leftover": ((5, 7, 0, 1), 4, 4),
+    "pairs": ((6, 0, 3, 5, 1), 3, 2),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(FIT_LAYOUTS))
+@pytest.mark.parametrize("augment", [False, True], ids=["plain", "augment"])
+@pytest.mark.parametrize("model", ["linear", "mlp"])
+@pytest.mark.parametrize("preproc", ["standardize", "l1", "none"])
+def test_fit_matches_the_preprocessed_image_copies(monkeypatch, layout, augment, model, preproc):
+    counts, width, batch_size = FIT_LAYOUTS[layout]
+    tree = make_random_tree(5)
+    corpus, fold = counted_corpus(tree, counts, (4, 5), 3, seed=len(counts) * 10 + width)
+    monkeypatch.setattr(losses, "TILE_BYTES", 8 * tree.n_leaves * width)
+    train = TrainConfig(model=model, hidden=6, lr=0.05, epochs=4, batch_size=batch_size, augment=augment)
+    spec = LossSpec("wass", EdgeWeightScheme("hier", kappa=2.0), seg="ce")
+    config = ExperimentConfig(loss=spec, train=train, corpus_path="unused", preproc=preproc, seed=3)
+    params, trace = fit(corpus, fold, config)
+    ref_params, ref_trace = ref_fit(corpus, fold, config)
+    assert trace == ref_trace
+    assert params.preproc == ref_params.preproc
+    for got, ref in zip(params.arrays, ref_params.arrays, strict=True):
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("model", ["linear", "mlp"])
+@pytest.mark.parametrize("preproc", ["standardize", "l1"])
+def test_fit_matches_the_preprocessed_image_copies_at_c99(monkeypatch, model, preproc):
+    """Dense 32x32 subjects of 16 channels at C = 99 in tiles of 700 columns, inside and across subjects."""
+    tree = parse_tree(wide_tree_doc())
+    corpus, fold = counted_corpus(tree, (1024, 0, 1024, 1024), (32, 32), 16, seed=8)
+    monkeypatch.setattr(losses, "TILE_BYTES", 8 * tree.n_leaves * 700)
+    train = TrainConfig(model=model, hidden=12, lr=0.05, epochs=2, batch_size=4)
+    config = ExperimentConfig(loss=LossSpec("wass", EdgeWeightScheme("hier", kappa=10.0)), train=train, corpus_path="unused", preproc=preproc, seed=4)
+    params, trace = fit(corpus, fold, config)
+    ref_params, ref_trace = ref_fit(corpus, fold, config)
+    assert trace == ref_trace
+    for got, ref in zip(params.arrays, ref_params.arrays, strict=True):
+        assert got.tobytes() == ref.tobytes()
+

@@ -3,10 +3,11 @@ import pytest
 
 from treeseg import losses, training
 from treeseg.errors import ConfigError, DivergenceError, ParseError, ShapeError
+from treeseg.experiment import ExperimentConfig, fit
 from treeseg.hierarchy import EdgeWeightScheme, parse_tree
 from treeseg.losses import LossSpec, make_loss
 from treeseg.seeding import substream
-from treeseg.synth import SynthConfig, generate, l1_normalize
+from treeseg.synth import SynthConfig, generate, l1_normalize, make_folds
 from treeseg.training import (
     ModelParams,
     TrainConfig,
@@ -284,3 +285,49 @@ def test_a_tiled_training_step_allocates_less_than_half_its_logits(monkeypatch):
         tracemalloc.stop()
     assert len(trace) == 1
     assert peak < logits_bytes / 2, peak / logits_bytes
+
+
+# --- one copy of the training features -----------------------------------------
+# ``train`` preprocesses the annotated pixels it keeps, and each tile reads its
+# columns from the batch's images, a view inside one image: no preprocessed
+# image list and no batch concatenation exist beside that one copy.
+
+
+def test_columns_are_a_view_inside_one_image_and_joined_across_images():
+    rng = np.random.default_rng(4)
+    parts = [rng.standard_normal((3, n)) for n in (5, 0, 4, 1)]
+    whole = np.concatenate(parts, axis=1)
+    for lo, hi, owner in ((0, 5, 0), (1, 4, 0), (5, 9, 2), (6, 8, 2), (9, 10, 3)):
+        got = training._columns(parts, lo, hi)
+        assert np.shares_memory(got, parts[owner])
+        assert np.array_equal(got, whole[:, lo:hi])
+    for lo, hi in ((0, 10), (4, 6), (3, 10), (8, 10)):
+        got = training._columns(parts, lo, hi)
+        assert not any(np.shares_memory(got, p) for p in parts)
+        assert np.array_equal(got, whole[:, lo:hi])
+
+
+@pytest.mark.parametrize("preproc", ["standardize", "l1", "none"])
+def test_fit_holds_one_copy_of_the_training_features(monkeypatch, preproc):
+    """fit at C = 99 on one dense batch of four 64x64 subjects of 16 channels, in tiles of
+    512 columns: its peak stays below 1.5x the fold's annotated feature bytes plus four
+    tiles. A preprocessed copy of every image and a concatenated batch beside the kept
+    annotated pixels would be three copies."""
+    import tracemalloc
+
+    tree = parse_tree(wide_tree_doc())
+    corpus = generate(SynthConfig(tree=tree, n_subjects=8, height=64, width=64, channels=16, n_regions=128, seed=2))
+    fold = make_folds(corpus, 2)[0]
+    spec = LossSpec("wass", EdgeWeightScheme("hier", kappa=10.0))
+    config = ExperimentConfig(loss=spec, train=TrainConfig(epochs=1), corpus_path="unused", preproc=preproc)
+    monkeypatch.setattr(losses, "TILE_BYTES", 8 * tree.n_leaves * 512)
+    feature_bytes = sum(8 * 16 * np.count_nonzero(corpus.subjects[i].mask) for i in fold.train_subjects)
+    assert feature_bytes == 8 * 16 * 4 * 64 * 64
+    fit(corpus, fold, config)  # once untraced first: the modules fit imports on first use are not its arrays
+    tracemalloc.start()
+    try:
+        fit(corpus, fold, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * feature_bytes + 4 * losses.TILE_BYTES, peak / feature_bytes

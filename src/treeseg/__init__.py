@@ -41,7 +41,7 @@ from .losses import (
     tree_weighted_ce,
     wasserstein_crisp,
 )
-from .synth import Corpus, FoldSpec, SynthConfig, generate, l1_normalize, load_corpus, make_folds, save_corpus
-from .training import ModelParams, TrainConfig, load_model, predict, save_model, train
+from .synth import Corpus, FoldSpec, SynthConfig, generate, load_corpus, make_folds, save_corpus
+from .training import ModelParams, TrainConfig, l1_normalize, load_model, predict, save_model, train
 
 __version__ = "0.1.0"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -30,7 +31,6 @@ from .synth import (
     FoldSpec,
     SynthConfig,
     generate,
-    l1_normalize,
     load_corpus,
     make_folds,
     save_folds,
@@ -38,23 +38,15 @@ from .synth import (
     val_view,
     write_field,
 )
-from .training import ModelParams, TrainConfig, absorb_standardization, class_probs, train
+from .training import ModelParams, TrainConfig, check_preproc, class_probs, train
 
 # fixed yardstick for the tree distance of misclassified pixels, independent
 # of the loss used for training
 ERROR_METRIC_SCHEME = EdgeWeightScheme("hier", kappa=10.0)
 
-PREPROC_KINDS = ("standardize", "l1", "none")
+LEVEL_MEANS = ("dice", "tpr", "bacc", "f1", "nsd")  # each level's fold-averaged means in report.json
 
 CONFIG_KEYS = ("hierarchy", "corpus", "loss", "train", "synth", "gate", "eval", "preproc", "n_subject_folds", "n_label_folds", "fold_subset", "seed")
-
-
-def fit_standardizer(train_feats: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel mean and std over all training pixels (std floored at tiny)."""
-    stacked = np.concatenate([f.reshape(-1, f.shape[-1]) for f in train_feats])
-    mu = stacked.mean(axis=0)
-    sd = stacked.std(axis=0)
-    return mu, np.where(sd > 0, sd, 1.0)
 
 
 @dataclass
@@ -82,8 +74,7 @@ class ExperimentConfig:
         if self.loss.alpha == 0 and (self.loss.seg == "none" or self.loss.beta == 0):
             other = "loss.seg is 'none'" if self.loss.seg == "none" else "loss.beta is 0"
             raise ConfigError(f"the loss has no term: loss.alpha is 0 and {other}")
-        if self.preproc not in PREPROC_KINDS:
-            raise ConfigError(f"preproc must be one of {PREPROC_KINDS}, got {self.preproc!r}")
+        check_preproc(self.preproc)
         if not self.seed >= 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         self.gate_level = parse_level(self.gate_level)
@@ -194,32 +185,9 @@ def config_levels(tree: LabelTree, config: ExperimentConfig) -> tuple[int, list[
 
 
 def fit(corpus: Corpus, fold: FoldSpec, config: ExperimentConfig) -> tuple[ModelParams, list[float]]:
-    """Train the fold's model; it predicts on raw features.
-
-    Standardization is fitted on the training pixels and absorbed into the
-    weights; l1 normalization is recorded in the model, which applies it
-    itself. Either is handed to ``train``, which applies it to the annotated
-    pixels it keeps, so no preprocessed image is made. Training is seeded
-    per fold from the experiment seed.
-    """
-    data = train_view(corpus, fold)
-    preprocess = None
-    if config.preproc == "standardize":
-        mu, sd = fit_standardizer([f for f, _ in data])
-
-        def preprocess(rows: np.ndarray) -> np.ndarray:
-            rows -= mu
-            rows /= sd
-            return rows
-
-    elif config.preproc == "l1":
-        preprocess = l1_normalize
+    """Train the fold's model, seeded per fold from the experiment seed; it predicts on raw features."""
     seed = int(substream(config.seed, "train", fold.index).integers(2**31))
-    params, trace = train(data, corpus.tree, config.loss, replace(config.train, seed=seed), preprocess)
-    if config.preproc == "standardize":
-        params = absorb_standardization(params, mu, sd)
-    params.preproc = "l1" if config.preproc == "l1" else "none"
-    return params, trace
+    return train(train_view(corpus, fold), corpus.tree, config.loss, replace(config.train, seed=seed), config.preproc)
 
 
 def loss_label(spec: LossSpec) -> str:
@@ -409,7 +377,7 @@ def run_experiment(config: ExperimentConfig, out: Path | str, jobs: int = 1) -> 
     for level in levels_present:
         reps = [r.reports[level] for r in results if level in r.reports]
         means["levels"][str(level)] = {
-            key: _mean_or_none([getattr(rep, f"mean_{key}") for rep in reps]) for key in ("dice", "tpr", "bacc", "f1", "nsd")
+            key: _mean_or_none([getattr(rep, f"mean_{key}") for rep in reps]) for key in LEVEL_MEANS
         }
     means["tau"] = _mean_or_none([r.tau for r in results])
     means["leaf_accuracy"] = _mean_or_none([r.leaf_accuracy for r in results])
@@ -435,77 +403,92 @@ def run_experiment(config: ExperimentConfig, out: Path | str, jobs: int = 1) -> 
 
 def render_report(report: dict) -> str:
     lines = [f"loss: {report['loss_label']}", f"corpus: {report['corpus']['n_subjects']} subjects, {report['corpus']['n_classes']} classes"]
-    header = f"{'level':>8} {'dice':>8} {'tpr':>8} {'bacc':>8} {'f1':>8} {'nsd':>8}"
-    lines.append(header)
+    lines.append(" ".join(f"{name:>8}" for name in ("level", *LEVEL_MEANS)))
 
     def cell(v):
         return f"{v:8.4f}" if v is not None else f"{'-':>8}"
 
     for level, m in sorted(report["means"]["levels"].items(), key=lambda kv: int(kv[0])):
-        lines.append(f"{level:>8} " + " ".join(cell(m[k]) for k in ("dice", "tpr", "bacc", "f1", "nsd")))
+        lines.append(f"{level:>8} " + " ".join(cell(m[k]) for k in LEVEL_MEANS))
     lines.append(f"mean tau: {report['means']['tau']}")
     lines.append(f"leaf accuracy (ungated): {report['means']['leaf_accuracy']}")
     lines.append(f"tree distance of errors: {report['means']['semantic_error_distance']}")
     return "\n".join(lines) + "\n"
 
 
-# what compare reads of every report, checked before any is read
+def _is_number(value) -> bool:
+    """A finite JSON number or null: what compare can print and subtract."""
+    return value is None or (isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max)
+
+
+# what compare reads of every report, and the kind of each value it prints, checked before any is read
 _COMPARED_KEYS = (
-    ("corpus", "fingerprint"),
-    ("fold_structure",),
-    ("loss_label",),
-    ("means", "levels"),
-    ("means", "leaf_accuracy"),
-    ("means", "semantic_error_distance"),
+    (("corpus", "fingerprint"), None),
+    (("fold_structure",), None),
+    (("loss_label",), ("a string", lambda v: isinstance(v, str))),
+    (("means", "levels"), ("an object", lambda v: isinstance(v, dict))),
+    (("means", "leaf_accuracy"), ("a finite number or null", _is_number)),
+    (("means", "semantic_error_distance"), ("a finite number or null", _is_number)),
 )
+
+
+def _read_report(path: Path) -> dict:
+    """The run report at ``path`` with every key compare reads, each of its kind: every level
+    entry an object under an integer key, whose means present are finite numbers or null.
+    Anything else is a ConfigError naming the file and the key."""
+    rep = read_json_object(path)
+    for keys, kind in _COMPARED_KEYS:
+        node = rep
+        for key in keys:
+            if not isinstance(node, dict) or key not in node:
+                raise ConfigError(f"{path}: report has no {'.'.join(keys)!r}")
+            node = node[key]
+        if kind is not None and not kind[1](node):
+            raise ConfigError(f"{path}: report's {'.'.join(keys)!r} must be {kind[0]}")
+    for level, entry in rep["means"]["levels"].items():
+        name = f"means.levels.{level}"
+        if not (level.isascii() and level.isdigit() and isinstance(entry, dict)):
+            raise ConfigError(f"{path}: report's {name!r} must be an object under a level index")
+        for key in LEVEL_MEANS:
+            if not _is_number(entry.get(key)):
+                raise ConfigError(f"{path}: report's '{name}.{key}' must be a finite number or null")
+    return rep
 
 
 def compare(report_paths: list[Path | str], out: Path | str | None = None) -> str:
     """Side-by-side comparison of runs over the same corpus and folds.
 
     Emits a CSV and an aligned text table (per-metric columns, deltas vs
-    the first report, tree distance of errors per method).
+    the first report, tree distance of errors per method). The columns are
+    the means of every level any report holds; a value a report lacks is
+    an empty cell and an empty delta.
     """
     if len(report_paths) < 2:
         raise ConfigError("compare needs at least 2 reports")
-    reports = []
-    for p in report_paths:
-        path = Path(p)
-        path = path / "report.json" if path.is_dir() else path
-        rep = read_json_object(path)
-        for keys in _COMPARED_KEYS:
-            node = rep
-            for key in keys:
-                if not isinstance(node, dict) or key not in node:
-                    raise ConfigError(f"{path}: report has no {'.'.join(keys)!r}")
-                node = node[key]
-        reports.append(rep)
+    paths = [Path(p) / "report.json" if Path(p).is_dir() else Path(p) for p in report_paths]
+    reports = [_read_report(path) for path in paths]
     base = reports[0]
-    for rep in reports[1:]:
+    for path, rep in zip(paths[1:], reports[1:]):
         if rep["corpus"]["fingerprint"] != base["corpus"]["fingerprint"]:
-            raise ConfigError("reports were produced on different corpora")
+            raise ConfigError(f"{path}: report was produced on another corpus than {paths[0]}")
         if rep["fold_structure"] != base["fold_structure"]:
-            raise ConfigError("reports were produced with different fold structures")
+            raise ConfigError(f"{path}: report was produced with other folds than {paths[0]}")
 
     metrics = []
-    for level in sorted(base["means"]["levels"], key=int):
-        for key in ("dice", "tpr", "bacc", "f1", "nsd"):
-            if any(r["means"]["levels"].get(level, {}).get(key) is not None for r in reports):
-                metrics.append((f"L{level}_{key}", lambda r, lv=level, k=key: r["means"]["levels"][lv][k]))
+    for level in sorted({level for rep in reports for level in rep["means"]["levels"]}, key=int):
+        for key in LEVEL_MEANS:
+            get = lambda r, lv=level, k=key: r["means"]["levels"].get(lv, {}).get(k)
+            if any(get(r) is not None for r in reports):
+                metrics.append((f"L{level}_{key}", get))
     metrics.append(("leaf_accuracy", lambda r: r["means"]["leaf_accuracy"]))
     metrics.append(("error_tree_distance", lambda r: r["means"]["semantic_error_distance"]))
 
     header = ["method"] + [name for name, _ in metrics]
-    rows = []
-    for rep in reports:
-        rows.append([rep["loss_label"]] + [get(rep) if get(rep) is not None else "" for _, get in metrics])
-    delta_rows = []
-    for rep in reports[1:]:
-        deltas = [rep["loss_label"] + " - " + base["loss_label"]]
-        for _, get in metrics:
-            a, b = get(rep), get(base)
-            deltas.append(a - b if a is not None and b is not None else "")
-        delta_rows.append(deltas)
+    rows = [[rep["loss_label"]] + ["" if get(rep) is None else get(rep) for _, get in metrics] for rep in reports]
+    delta_rows = [
+        [rep["loss_label"] + " - " + base["loss_label"]] + ["" if get(rep) is None or get(base) is None else get(rep) - get(base) for _, get in metrics]
+        for rep in reports[1:]
+    ]
     csv_text = _csv(rows + delta_rows, header)
 
     widths = [max(len(str(header[i])), *(len(_fmt_cell(r[i])) for r in rows + delta_rows)) for i in range(len(header))]

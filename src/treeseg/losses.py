@@ -133,19 +133,9 @@ def _tiles(n: int, width: int) -> list[tuple[int, int]]:
 
 
 def _pixel_major(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """A (C, n) array copied into a C-ordered (n, C) one, returned in ``shape``.
-
-    Copied in (32, 1024) blocks: a plain transposed copy of a (99, 16384)
-    softmax took 15-18 ms, the blocked one 6-9 ms (2 cores, numpy 2.4); at
-    21 classes both take ~0.5 ms. The other way round, a plain copy is the
-    faster one (``_columns_copy``).
-    """
-    c, n = x.shape
-    out = np.empty((n, c))
-    for i in range(0, n, 1024):
-        for k in range(0, c, 32):
-            out[i : i + 1024, k : k + 32] = x[k : k + 32, i : i + 1024].T
-    return out.reshape(shape)
+    """A (C, n) array the caller owns as a C-ordered (n, C) one, returned in ``shape``: a
+    transposed copy, or a view when C or n is 1 and the transpose is already C-ordered."""
+    return np.ascontiguousarray(x.T).reshape(shape)
 
 
 def _columns_copy(values: np.ndarray) -> np.ndarray:

@@ -174,16 +174,6 @@ def generate(config: SynthConfig) -> Corpus:
     return Corpus(tree=tree, subjects=subjects, config=config)
 
 
-def l1_normalize(image: np.ndarray) -> np.ndarray:
-    """Divide each spatial location's channel vector by its l1 norm.
-
-    Zero vectors are left untouched; the operation is idempotent.
-    """
-    image = np.asarray(image, dtype=float)
-    norm = np.abs(image).sum(axis=-1, keepdims=True)
-    return np.divide(image, norm, out=image.copy(), where=norm > 0)
-
-
 def make_folds(corpus: Corpus, n_subject_folds: int, n_label_folds: int = 1) -> list[FoldSpec]:
     """Cross product of subject folds and held-out label subsets.
 

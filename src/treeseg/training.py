@@ -7,20 +7,21 @@ images. Only annotated pixels ever enter the computation, which makes the
 positive-only contract (unannotated pixels cannot influence parameters)
 hold bitwise by construction.
 
-A batch is held class-major end to end, one column per pixel. Training
-keeps one copy of the features: each image's annotated pixels,
-preprocessed (``train``'s ``preprocess``) and channel-major (d, n_i). A
-batch's (d, n) features are the virtual concatenation of its images' and
-are never made whole: a tile's columns are a view of one image's array
-when the tile lies inside that image, else the concatenation of just the
-slices it spans. Logits, hidden units and their gradients exist one column
-tile at a time too: for each tile of ``losses.batch_tiles`` (at most
-``losses.TILE_BYTES`` of (C, T) float64, or the whole batch with a Dice
-term), the forward makes the tile's (h, T) hidden units and (C, T) logits,
-the loss turns the logits into their gradient of the batch mean in place,
-and the backward adds the tile's parameter gradients to the batch's. So a
-batch's (C, n) logits never exist whole. Every reduction over a short
-axis (the classes, the hidden units) is a pass over contiguous rows.
+Preprocessing is part of the model and lives here: ``train`` takes its
+kind, fits the standardizer on the images it is given and applies it (or
+``l1_normalize``) to the annotated pixels it keeps, the one copy of the
+features, channel-major (d, n_i). A batch's (d, n) features are the
+virtual concatenation of its images' and are never made whole: a tile's
+columns are a view of one image's array when the tile lies inside that
+image, else the concatenation of just the slices it spans. Logits, hidden
+units and their gradients exist one column tile at a time too: for each
+tile of ``losses.batch_tiles`` (at most ``losses.TILE_BYTES`` of (C, T)
+float64, or the whole batch with a Dice term), the forward makes the
+tile's (h, T) hidden units and (C, T) logits, the loss turns the logits
+into their gradient of the batch mean in place, and the backward adds the
+tile's parameter gradients to the batch's. So a batch's (C, n) logits
+never exist whole. Every reduction over a short axis (the classes, the
+hidden units) is a pass over contiguous rows.
 
 A batch of one tile (every batch at C = 21) runs the operations of a
 whole-batch step. In a wider one, the loss of each tile divides by the
@@ -31,28 +32,30 @@ it. The parameter gradients are summed tile by tile, and the BLAS product
 of a tile may round its logits otherwise than the whole batch's does, so a
 batch wider than one tile moves the parameters in the last bits.
 
-Prediction is held class-major too: ``class_probs`` turns the forward's (C, n)
-logits into probabilities in place, tile by tile, and validation scores
-them class-major (``gating.LevelScorer``). ``predict`` is that core plus one
-transpose into the pixel-major ``(..., C)`` layout of the public functions.
+A trained model predicts on raw features: standardization is absorbed
+into its first layer, and l1 is its ``preproc``, which ``class_probs``
+applies. Prediction is held class-major too: ``class_probs`` turns the
+forward's (C, n) logits into probabilities in place, tile by tile, and
+validation scores them class-major (``gating.LevelScorer``). ``predict``
+is that core plus one transpose into the pixel-major ``(..., C)`` layout.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, EmptyMaskError, ParseError, ShapeError
+from .errors import ConfigError, DivergenceError, EmptyMaskError, ParseError, ShapeError, ValidationError
 from .hierarchy import LabelTree
 from .losses import LossSpec, Terms, _pixel_major, batch_tiles, make_loss, softmax_columns
 from .seeding import substream
-from .synth import l1_normalize
 
 MODEL_KINDS = ("linear", "mlp")
+PREPROC_KINDS = ("standardize", "l1", "none")  # what train applies to the raw features it is given
 MODEL_PREPROC = ("none", "l1")  # what predict applies to raw features first
 
 
@@ -110,9 +113,6 @@ class ModelParams:
     def n_classes(self) -> int:
         return self.arrays[-1].shape[0]
 
-    def copy(self) -> "ModelParams":
-        return replace(self, arrays=[a.copy() for a in self.arrays])
-
 
 def init_params(kind: str, in_dim: int, n_classes: int, hidden: int, rng: np.random.Generator) -> ModelParams:
     if kind == "linear":
@@ -162,20 +162,42 @@ def _tile_gradients(params: ModelParams, loss_fn, x: np.ndarray, y: np.ndarray, 
     return _backward(params, x, hidden, grad_logits)
 
 
-def absorb_standardization(params: ModelParams, mu: np.ndarray, sd: np.ndarray) -> ModelParams:
-    """Fold an affine input transform x -> (x - mu) / sd into the first layer.
+def check_preproc(kind: str) -> None:
+    """Raise ConfigError unless ``kind`` is one of ``PREPROC_KINDS``."""
+    if kind not in PREPROC_KINDS:
+        raise ConfigError(f"preproc must be one of {PREPROC_KINDS}, got {kind!r}")
 
-    The returned model acts on raw features exactly as the original acted
-    on standardized ones, so per-channel standardization never needs to be
-    stored alongside the model file.
+
+def l1_normalize(image: np.ndarray) -> np.ndarray:
+    """Divide each spatial location's channel vector by its l1 norm.
+
+    Zero vectors are left untouched; the operation is idempotent.
     """
-    out = params.copy()
-    w = out.arrays[0]
-    b = out.arrays[1]
-    scaled = w / sd[:, None]
-    out.arrays[0] = scaled
-    out.arrays[1] = b - mu @ scaled
-    return out
+    image = np.asarray(image, dtype=float)
+    norm = np.abs(image).sum(axis=-1, keepdims=True)
+    return np.divide(image, norm, out=image.copy(), where=norm > 0)
+
+
+def fit_standardizer(features: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel mean and std over all pixels of the images (a zero std reads 1); a mean or std
+    that overflows float64 (features near its maximum) is a ValidationError naming the channel."""
+    stacked = np.concatenate([f.reshape(-1, f.shape[-1]) for f in features])
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = stacked.mean(axis=0)
+        sd = stacked.std(axis=0)
+    bad = np.flatnonzero(~(np.isfinite(mu) & np.isfinite(sd)))
+    if bad.size:
+        raise ValidationError(f"preproc standardize: the mean or std of feature channel {bad[0]} overflows float64")
+    return mu, np.where(sd > 0, sd, 1.0)
+
+
+def absorb_standardization(params: ModelParams, mu: np.ndarray, sd: np.ndarray) -> ModelParams:
+    """Fold x -> (x - mu) / sd into the first layer in place, so that the model acts on raw
+    features as it acted on standardized ones and its file stores no standardizer; returns it."""
+    w, b = params.arrays[0], params.arrays[1]
+    w /= sd[:, None]
+    b -= mu @ w
+    return params
 
 
 def class_probs(params: ModelParams, features: np.ndarray) -> np.ndarray:
@@ -219,29 +241,38 @@ def train(
     tree: LabelTree,
     spec: LossSpec,
     config: TrainConfig,
-    preprocess: Callable[[np.ndarray], np.ndarray] | None = None,
+    preproc: str = "none",
 ) -> tuple[ModelParams, list[float]]:
-    """Train on (features, mask) images; returns (params, per-epoch loss trace).
+    """Train on raw (features, mask) images; returns (params, per-epoch loss trace).
 
     The loss sees only annotated pixels. Deterministic given config.seed.
-    ``preprocess`` is the per-pixel preprocessing of raw features, if any:
-    it gets one image's annotated pixels as fresh (n_i, d) rows, which it
-    may change in place, and returns them preprocessed. Those rows,
-    channel-major, are the only preprocessed copy of the features; a batch
-    is never concatenated, each tile reads its columns from its images'.
+    ``preproc`` is one of ``PREPROC_KINDS``: ``standardize`` fits each
+    channel's mean and std on all pixels of the images, ``l1`` normalizes
+    each pixel, ``none`` leaves the features as they are. It is applied to
+    each image's annotated pixels, taken as fresh (n_i, d) rows; those rows,
+    channel-major, are the only preprocessed copy of the features, and a
+    batch is never concatenated: each tile reads its columns from its
+    images'. The returned model predicts on raw features: standardization is
+    absorbed into its first layer, l1 is its ``preproc``.
     """
+    check_preproc(preproc)
     if not subjects:
         raise EmptyMaskError("no training subjects")
     loss_fn = make_loss(tree, spec)
     if spec.seg == "dice_ce" and any(np.any(m == 0) for _, m in subjects):
         raise ConfigError("seg='dice_ce' requires dense masks")
+    if preproc == "standardize":
+        mu, sd = fit_standardizer([f for f, _ in subjects])
 
     def annotated(features: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The annotated pixels' features channel-major (d, n_i) and their codes."""
+        """The annotated pixels' preprocessed features channel-major (d, n_i) and their codes."""
         keep = mask.reshape(-1) > 0
         rows = features.reshape(-1, features.shape[-1])[keep]
-        if preprocess is not None:
-            rows = preprocess(rows)
+        if preproc == "standardize":
+            rows -= mu
+            rows /= sd
+        elif preproc == "l1":
+            rows = l1_normalize(rows)
         return np.ascontiguousarray(rows.T), mask.reshape(-1)[keep]
 
     static = [annotated(f, m) for f, m in subjects]
@@ -302,6 +333,9 @@ def train(
                     a -= lr * m1
             batch_losses.append(loss)
         trace.append(float(np.mean(batch_losses)))
+    if preproc == "standardize":
+        absorb_standardization(params, mu, sd)
+    params.preproc = "l1" if preproc == "l1" else "none"
     return params, trace
 
 

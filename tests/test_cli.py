@@ -460,6 +460,48 @@ def test_non_finite_feature_file_exits_one(exp_file, tmp_path, capsys):
     assert str(features) in err and "non-finite" in err
 
 
+def _run_on_features(corpus_dir, tmp_path, change, preproc="standardize", fp_errors="raise"):
+    """``treeseg run`` on the corpus after ``change(subject index, features)`` edits its feature
+    fields in place: (exit code, stderr). Numpy's overflow, invalid-value and divide-by-zero
+    warnings are ``fp_errors``: by default raised, so that a printed warning fails the test."""
+    for i in range(EXP_CONFIG["synth"]["n_subjects"]):
+        path = corpus_dir / f"s{i:03d}" / "features.bin"
+        features = read_field(path)
+        change(i, features)
+        write_field(path, features)
+    cfg = tmp_path / "disk.json"
+    cfg.write_text(json.dumps({k: v for k, v in EXP_CONFIG.items() if k != "synth"} | {"corpus": str(corpus_dir), "preproc": preproc}))
+    err = io.StringIO()
+    with redirect_stderr(err), np.errstate(over=fp_errors, invalid=fp_errors, divide=fp_errors):
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    return code, err.getvalue()
+
+
+def _every_value_1e308(i, features):
+    features.fill(1e308)
+
+
+def _one_pixel_1e300(i, features):
+    if i == 0:
+        features[2, 3, 1] = 1e300
+
+
+OVERFLOWS = {"every-value-1e308": _every_value_1e308, "one-pixel-1e300": _one_pixel_1e300}
+
+
+@pytest.mark.parametrize("overflow", sorted(OVERFLOWS))
+def test_features_that_overflow_standardization_exit_one(corpus_dir, tmp_path, overflow):
+    """Finite features whose channel sums overflow float64 are a corpus standardization cannot take."""
+    code, err = _run_on_features(corpus_dir, tmp_path, OVERFLOWS[overflow])
+    assert code == 1, err
+    assert "preproc standardize" in err and "overflows" in err
+
+
+def test_features_near_the_float64_maximum_diverge_unstandardized(corpus_dir, tmp_path):
+    code, err = _run_on_features(corpus_dir, tmp_path, OVERFLOWS["every-value-1e308"], preproc="none", fp_errors="ignore")
+    assert code == 2 and "non-finite loss" in err, err
+
+
 def test_truncated_model_file_exits_one(exp_file, tmp_path):
     corpus_dir, model = tmp_path / "corpus", tmp_path / "model.bin"
     assert main(["synth", "--config", str(exp_file), "--out", str(corpus_dir)]) == 0
@@ -615,6 +657,83 @@ class TestCompareInputs:
         assert main(["compare", str(a), str(b)]) == 1
         err = capsys.readouterr().err
         assert str(b / "report.json") in err and "'means.levels'" in err
+
+
+@pytest.fixture(scope="module")
+def level_runs(tmp_path_factory):
+    """Two runs of one corpus on the same folds: ``both`` evaluates the leaf and topmost levels,
+    ``leaf`` the leaf level alone; and the topmost level's key in report.json."""
+    root = tmp_path_factory.mktemp("level_runs")
+    runs = {}
+    for name, levels in (("both", ["leaf", "topmost"]), ("leaf", ["leaf"])):
+        path = _write_config(root, name, eval={"levels": levels})
+        with redirect_stdout(io.StringIO()):
+            assert main(["run", "--config", str(path), "--out", str(root / name)]) == 0
+        runs[name] = root / name
+    top = max(json.loads((runs["both"] / "report.json").read_text())["means"]["levels"], key=int)
+    assert top != "0"
+    return runs, top
+
+
+def _compare(*runs) -> tuple[int, list[dict], str]:
+    """``treeseg compare`` on the runs: (exit code, comparison.csv as dicts, stderr)."""
+    out = runs[0].parent / "cmp"
+    shutil.rmtree(out, ignore_errors=True)
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = main(["compare", *map(str, runs), "--out", str(out)])
+    rows = []
+    if code == 0:
+        header, *lines = (out / "comparison.csv").read_text().splitlines()
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    return code, rows, err.getvalue()
+
+
+class TestCompareLevels:
+    """Reports that evaluated different levels compare over the union of their levels."""
+
+    @pytest.mark.parametrize("order", [("both", "leaf"), ("leaf", "both")])
+    def test_a_level_one_report_lacks_is_an_empty_cell(self, level_runs, order):
+        runs, top = level_runs
+        code, rows, err = _compare(*(runs[name] for name in order))
+        assert code == 0, err
+        first, second, delta = rows
+        by_name = dict(zip(order, (first, second)))
+        for key in ("dice", "tpr", "f1"):
+            column = f"L{top}_{key}"
+            assert by_name["leaf"][column] == "" and delta[column] == ""
+            assert float(by_name["both"][column]) >= 0
+            assert float(delta[f"L0_{key}"]) == 0.0  # the same leaf level in both runs
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("leaf_accuracy", "x", "'means.leaf_accuracy'"),
+            ("semantic_error_distance", [1.0], "'means.semantic_error_distance'"),
+            ("levels", {"0": [0.5]}, "'means.levels.0'"),
+            ("levels", {"0": {"f1": "x"}}, "'means.levels.0.f1'"),
+            ("levels", {"top": {}}, "'means.levels.top'"),
+            ("levels", [], "'means.levels'"),
+        ],
+    )
+    def test_a_value_of_the_wrong_kind_exits_one(self, level_runs, tmp_path, key, value, named):
+        runs, _ = level_runs
+        report = json.loads((runs["both"] / "report.json").read_text())
+        report["means"][key] = value
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "report.json").write_text(json.dumps(report))
+        for order in ((runs["leaf"], bad), (bad, runs["leaf"])):
+            code, _, err = _compare(*order)
+            assert code == 1 and str(bad / "report.json") in err and named in err, err
+
+    def test_a_non_string_loss_label_exits_one(self, level_runs, tmp_path):
+        runs, _ = level_runs
+        report = json.loads((runs["leaf"] / "report.json").read_text())
+        report["loss_label"] = 3
+        (tmp_path / "report.json").write_text(json.dumps(report))
+        code, _, err = _compare(runs["both"], tmp_path / "report.json")
+        assert code == 1 and str(tmp_path / "report.json") in err and "'loss_label'" in err
 
 
 @pytest.fixture
@@ -1099,3 +1218,61 @@ def test_field_file_fuzz_through_run(tmp_path_factory, corpus_fuzz_inputs, subje
         assert code == 0, (change, err)
     else:
         assert code == 1 and "error:" in err and str(path) in err, (change, err)
+
+
+# -- report fuzz -----------------------------------------------------------------
+# One change to a run's report.json, compared with an unchanged run of the same
+# corpus and folds, in either order: a key compare reads dropped or set to a
+# value of another JSON kind, a level entry replaced, or the text cut. Every
+# compare exits 0 or 1 and raises nothing; a change that leaves the report
+# malformed exits 1 naming the file.
+
+REPORT_KEYS = [("corpus", "fingerprint"), ("fold_structure",), ("loss_label",), ("means", "levels"), ("means", "leaf_accuracy"), ("means", "semantic_error_distance")]
+REPORT_VALUES = [None, "x", 0, -2.5, 1e308, INF, NAN, True, [], [0.5], {}, {"f1": 0.5}, {"f1": "x"}]
+REPORT_CHANGES = st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(REPORT_KEYS)),
+    st.tuples(st.just("value"), st.sampled_from(REPORT_KEYS + [("means", "levels", "0", key) for key in ("dice", "f1", "nsd")]), st.sampled_from(REPORT_VALUES)),
+    st.tuples(st.just("entry"), st.sampled_from(["0", "top", "-1", "x"]), st.sampled_from(REPORT_VALUES)),
+    st.tuples(st.just("cut"), st.integers(1, 1 << 16)),
+)
+
+
+def report_value_fits(keys, value, original) -> bool:
+    """Whether compare takes ``value`` at ``keys`` of a report whose value there was ``original``."""
+    if keys[0] in ("corpus", "fold_structure"):
+        return value == original
+    if keys == ("loss_label",):
+        return isinstance(value, str)
+    if keys == ("means", "levels"):
+        return isinstance(value, dict) and all(k.isdigit() and isinstance(v, dict) and report_value_fits(("means", "levels", k, "f1"), v.get("f1"), None) for k, v in value.items())
+    return value is None or (isinstance(value, (int, float)) and not isinstance(value, bool) and np.isfinite(value))
+
+
+@settings(max_examples=100, deadline=None)
+@given(change=REPORT_CHANGES, first=st.booleans())
+def test_report_fuzz_through_compare(level_runs, tmp_path_factory, change, first):
+    runs, top = level_runs
+    text = (runs["both"] / "report.json").read_text()
+    report = json.loads(text)
+    kind, *arg = change
+    if kind == "cut":
+        text, fits = text[: -(1 + arg[0] % len(text))], False
+    elif kind == "entry":
+        level = top if arg[0] == "top" else arg[0]
+        report["means"]["levels"][level] = arg[1]
+        fits = report_value_fits(("means", "levels"), {level: arg[1]}, None)
+    else:
+        *parents, key = arg[0]
+        node = report
+        for name in parents:
+            node = node[name]
+        original = node.pop(key)
+        if kind == "value":
+            node[key] = arg[1]
+        fits = kind == "value" and report_value_fits(arg[0], arg[1], original)
+    fuzzed = tmp_path_factory.mktemp("report_fuzz") / "report.json"
+    fuzzed.write_text(text if kind == "cut" else json.dumps(report))
+    code, _, err = _compare(*((fuzzed, runs["leaf"]) if first else (runs["leaf"], fuzzed)))
+    assert code == (0 if fits else 1), (change, err)
+    if code:
+        assert "error:" in err and str(fuzzed) in err, (change, err)

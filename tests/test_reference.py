@@ -36,7 +36,7 @@ from treeseg import losses, synth, training
 from treeseg.distances import distance_matrix
 from treeseg.errors import ConfigError, EmptyEvalError
 from treeseg.evaluation import confusion, dice_scores, evaluate_level, level_classes, nsd_scores, ovr_scores
-from treeseg.experiment import ExperimentConfig, fit, fit_standardizer
+from treeseg.experiment import ExperimentConfig, fit
 from treeseg.gating import LevelScorer, ThresholdPolicy, default_grid, first_max, gate, score_at_level, sweep_tau
 from treeseg.hierarchy import (
     EdgeWeightScheme,
@@ -53,7 +53,7 @@ from treeseg.hierarchy import (
 from treeseg.losses import LOG_GUARD, LossSpec, Terms, aggregate, batch_tiles, make_loss, softmax, tree_weighted_ce
 from treeseg.seeding import substream
 from treeseg.synth import SynthConfig, class_means, generate
-from treeseg.training import TrainConfig, absorb_standardization, init_params
+from treeseg.training import TrainConfig, absorb_standardization, fit_standardizer, init_params
 
 from conftest import assert_twce_close, make_random_tree, wide_tree_doc
 
@@ -814,7 +814,7 @@ def ref_fit(corpus, fold, config):
         mu, sd = fit_standardizer([f for f, _ in data])
         data = [((f - mu) / sd, m) for f, m in data]
     elif config.preproc == "l1":
-        data = [(synth.l1_normalize(f), m) for f, m in data]
+        data = [(training.l1_normalize(f), m) for f, m in data]
     seed = int(substream(config.seed, "train", fold.index).integers(2**31))
     params, trace = ref_train(data, corpus.tree, config.loss, replace(config.train, seed=seed))
     if config.preproc == "standardize":

@@ -8,7 +8,6 @@ from treeseg.synth import (
     SynthConfig,
     class_means,
     generate,
-    l1_normalize,
     load_corpus,
     make_folds,
     read_field,
@@ -17,6 +16,7 @@ from treeseg.synth import (
     val_view,
     write_field,
 )
+from treeseg.training import l1_normalize
 
 from conftest import make_random_tree
 

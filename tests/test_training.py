@@ -7,11 +7,12 @@ from treeseg.experiment import ExperimentConfig, fit
 from treeseg.hierarchy import EdgeWeightScheme, parse_tree
 from treeseg.losses import LossSpec, make_loss
 from treeseg.seeding import substream
-from treeseg.synth import SynthConfig, generate, l1_normalize, make_folds
+from treeseg.synth import SynthConfig, generate, make_folds
 from treeseg.training import (
     ModelParams,
     TrainConfig,
     init_params,
+    l1_normalize,
     load_model,
     predict,
     save_model,
@@ -153,6 +154,13 @@ def test_dice_spec_with_sparse_mask_rejected_up_front():
     with pytest.raises(ConfigError):
         train(data, tree, spec, TrainConfig())
 
+
+
+@pytest.mark.parametrize("preproc", ["zscore", "L1", None])
+def test_unknown_preproc_rejected_up_front(preproc):
+    data = [(np.ones((2, 2, 3)), np.ones((2, 2), dtype=int))]
+    with pytest.raises(ConfigError, match="preproc must be one of"):
+        train(data, make_random_tree(10), CE_SPEC, TrainConfig(epochs=1), preproc)
 
 class TestPredict:
     def test_zero_weights_give_uniform(self):

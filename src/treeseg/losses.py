@@ -64,9 +64,25 @@ logits, which become the probabilities validation scores; ``softmax``,
 ``log_softmax`` and ``training.predict`` hand it a class-major buffer of
 their own and transpose the result once into their pixel-major layout.
 
+Each semantic kernel works one (rows, T) table in a ``Scratch`` that its
+caller hands it: a flat buffer for any tile up to the scratch's width,
+allocated by the first kernel that asks, at its rows times that width,
+of which a tile uses a C-ordered view of its start. ``training.train``
+makes one per call, with its other buffers, so no step after the first
+allocates a table; a whole-batch call, and so every public ``(..., C)``
+function, makes one for its own widest tile. A scratch is passed as an
+argument, never kept by the callable, so one callable may serve threads
+that each hold their own. The Wasserstein's table is the (C, T) distance
+to each true leaf, taken into the buffer with ``mode="clip"``: a take
+into ``out`` with the default ``mode="raise"`` buffers its result, and
+``_Batch`` has already checked every code, so clipping changes no value.
+The tree-weighted CE's is an (N, T) node table.
+
 ``make_loss`` compiles the tree into the kernels' arrays once, if
 ``alpha > 0``. The tree-weighted CE kernel reads only each pixel's
-ancestor chain (K nodes), not every node.
+ancestor chain (K nodes), not every node, for its loss; it then pushes
+the chain's gradient terms down the tree in its node table, one pass
+over the inner nodes, so it gathers no (C, T) gradient (``_TreeCE``).
 """
 
 from __future__ import annotations
@@ -130,6 +146,28 @@ def _tiles(n: int, width: int) -> list[tuple[int, int]]:
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     return list(zip(starts, starts[1:] + [n]))
+
+
+def _block(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The first ``rows * cols`` entries of the flat buffer ``buf`` as a C-ordered (rows, cols) view."""
+    return buf[: rows * cols].reshape(rows, cols)
+
+
+class Scratch:
+    """The semantic kernel's table buffer for the tiles of one caller, up to ``width`` columns.
+
+    The first kernel that asks allocates it, at its rows times ``width``;
+    every later tile takes a C-ordered view of its start. A kernel's rows
+    are fixed, so the buffer never grows. Hold one per thread of work.
+    """
+
+    def __init__(self, width: int):
+        self.width, self.buf = width, None
+
+    def block(self, rows: int, cols: int) -> np.ndarray:
+        if self.buf is None:
+            self.buf = np.empty(rows * self.width)
+        return _block(self.buf, rows, cols)
 
 
 def _pixel_major(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -317,14 +355,19 @@ def _chain_softmax(p: np.ndarray, dldp: np.ndarray) -> np.ndarray:
 
 
 class _Wasserstein:
-    """Closed-form label-space Wasserstein term over a fixed ground metric, alpha folded in."""
+    """Closed-form label-space Wasserstein term over a fixed ground metric, alpha folded in.
+
+    Its scratch is the (C, T) table of every leaf's distance to the true leaf.
+    """
 
     def __init__(self, m: np.ndarray, alpha: float = 1.0):
         self.m = np.ascontiguousarray(m, dtype=float) * alpha
-        self.n_classes = self.m.shape[0]
+        self.n_classes = self.rows = self.m.shape[0]
 
-    def __call__(self, b: _Tile, beta: float) -> np.ndarray:
-        cols = np.take(self.m, b.leaf, axis=1)  # (C, T): alpha * the distance of every leaf to the true leaf
+    def __call__(self, b: _Tile, beta: float, scratch: Scratch) -> np.ndarray:
+        # (C, T): alpha * the distance of every leaf to the true leaf; "clip", because a
+        # "raise" take into ``out`` buffers its result, and _Batch has checked the codes
+        cols = np.take(self.m, b.leaf, axis=1, out=scratch.block(self.rows, b.width), mode="clip")
         cols *= b.p
         per = np.add.reduce(cols, axis=0)  # the per-pixel loss is also the softmax chain's inner product
         b.p *= beta - per
@@ -337,50 +380,67 @@ class _Wasserstein:
 class _TreeCE:
     """Tree-weighted CE term over a weighted tree compiled into its leaves' ancestor chains.
 
-    A pixel's loss and gradient read only the chain of non-root ancestors
-    of its true leaf g (g included, at most K nodes), with subtree masses
-    P_v. With ``q_v = w_v / P_v`` on that chain, ``dL/dp_l = -sum q_v`` over
-    the ancestors g shares with leaf l: a root-first prefix sum of the
-    chain, cut at their LCA depth. ``alpha`` is folded into the weights.
+    A pixel's loss reads only the chain of non-root ancestors of its true
+    leaf g (g included, at most K nodes), with subtree masses P_v. With
+    ``q_v = w_v / P_v`` on that chain, ``dL/dp_l = -sum q_v`` over the chain
+    nodes that are ancestors of leaf l (l included). ``alpha`` is folded
+    into the weights.
+
+    The kernel's scratch is an (N, T) node-major buffer. It first holds the
+    subtree masses, from which the (K, T) chain masses are read; then each
+    ``-q_v`` is written on its chain node's row and every non-root inner
+    node's row is added into its children's, root side first, so each leaf
+    row ends up holding ``dL/dp_l``. A leaf's row sums the same chain terms,
+    in the same order, as a root-first prefix sum cut at its LCA depth with
+    g. The signs of zero follow that prefix sum too: the rows start at -0.0,
+    the exact additive identity, except the depth-1 rows, which start at
+    +0.0 (the sum of no chain node); and the chain is written deepest first,
+    so a short chain's own entry overwrites its zero-weight padding.
     """
 
     def __init__(self, tree: LabelTree, alpha: float = 1.0):
         c = self.n_classes = tree.n_leaves
-        self.n_nodes = tree.n_nodes
+        self.rows = tree.n_nodes
         self.plan = _aggregation_plan(tree)
+        # the push-down: (node, children) of every non-root inner node, parents first
+        self.push = tuple((v, kids) for v, kids in reversed(self.plan) if v != tree.root)
+        self.top = np.array(tree.nodes[tree.root].children)
         # chain[k, g]: g's ancestor at depth k + 1, root side first; g itself past its own depth
         self.chain = np.ascontiguousarray(tree.ancestor_table[:c, 1:].T)
         own = np.arange(1, tree.levels + 1)[:, None] <= np.array([tree.depth[g] for g in range(c)])
         self.weight = alpha * np.where(own, edge_weight_vector(tree)[self.chain], 0.0)  # (K, C), zero on the padding
-        # lca[l, g]: how many non-root ancestors leaves l and g share, the depth of their LCA
-        self.lca = ((self.chain[:, :, None] == self.chain[:, None]) & own[:, None]).sum(axis=0)
 
-    def __call__(self, b: _Tile, beta: float) -> np.ndarray:
-        k, rows = self.chain.shape[0], np.arange(b.width)
-        mass = np.empty((self.n_nodes, b.width))  # node-major: contiguous rows to sum
-        mass[: self.n_classes] = b.p
-        _sum_up(b.p, self.plan, mass[self.n_classes :])
+    def __call__(self, b: _Tile, beta: float, scratch: Scratch) -> np.ndarray:
+        node = scratch.block(self.rows, b.width)  # node-major: contiguous rows to sum
+        node[: self.n_classes] = b.p
+        _sum_up(b.p, self.plan, node[self.n_classes :])
         at = np.take(self.chain, b.leaf, axis=1)
         at *= b.width
-        at += rows
-        mass = np.take(mass, at)  # (K, T): the masses on each column's true-leaf chain
+        at += np.arange(b.width)
+        mass = np.take(node, at)  # (K, T): the masses on each column's true-leaf chain
         w = np.take(self.weight, b.leaf, axis=1)
         live = mass > LOG_GUARD
-        per = np.add.reduce(w * np.log(np.maximum(mass, LOG_GUARD)), axis=0)
+        term = np.maximum(mass, LOG_GUARD, out=node[: len(at)])  # the chain masses are gathered: reuse the node rows
+        np.log(term, out=term)
+        term *= w
+        per = np.add.reduce(term, axis=0)
         np.negative(per, out=per)
-        q = np.divide(w, mass, out=np.zeros_like(mass), where=live)
+        q = np.divide(w, mass, out=w, where=live)
+        q[~live] = 0.0
         np.negative(q, out=q)
-        # cum[i, d]: the sum of -q over the first d chain nodes; pixel-major, so the
-        # gather below reads each pixel's K + 1 prefix sums from adjacent memory
-        cum = np.zeros((b.width, k + 1))
-        np.cumsum(q, axis=0, out=cum.T[1:])
+        # dL/dp: -q on the chain nodes, pushed down the tree into the leaf rows
+        node.fill(-0.0)
+        node[self.top] = 0.0  # the sum of no chain node
+        flat = node.reshape(-1)
+        for d in reversed(range(len(q))):  # deepest first: a padded chain's own entry lands last
+            flat[at[d]] = q[d]
+        for v, kids in self.push:
+            for u in kids:
+                node[u] += node[v]
         # the softmax chain's inner product sum_l p_l dL/dp_l, summed per chain node
         inner = np.add.reduce(np.multiply(q, mass, out=q), axis=0)
         inner -= beta
-        del mass, w, live, q  # the (K, T) tables go before the (C, T) gather: cum and inner hold the rest
-        at = np.take(self.lca, b.leaf, axis=1)
-        at += (k + 1) * rows
-        grad = np.take(cum, at)  # (C, T): dL/dp
+        grad = node[: self.n_classes]
         grad -= inner
         b.p *= grad
         b.flat[b.true] -= beta  # through the batch buffer, so into the softmax
@@ -471,27 +531,32 @@ class _Loss:
         self.semantic, self.n_classes, self.dice = semantic, n_classes, seg == "dice_ce"
         self.beta = 0.0 if seg == "none" else beta
 
-    def tile(self, t: _Tile, terms: Terms) -> None:
-        """One tile's per-pixel terms into ``terms``, and its gradient of the batch mean over its softmax."""
+    def tile(self, t: _Tile, terms: Terms, scratch: Scratch) -> None:
+        """One tile's per-pixel terms into ``terms``, and its gradient of the batch mean over its
+        softmax; the semantic kernel works its table in ``scratch``."""
         if self.dice:
             terms.dice, dc_grad = _dice(t)  # before the softmax turns into the gradient
         if self.semantic is None:
             _plain_ce(t, self.beta)
         else:
-            terms.sem.append(self.semantic(t, self.beta))
+            terms.sem.append(self.semantic(t, self.beta, scratch))
         terms.ce.append(_ce(t))  # from z_true and s, after the kernel: one (T,) buffer fewer at its peak
         if self.dice:
             dc_grad *= self.beta
             t.p += dc_grad
 
-    def __call__(self, logits: np.ndarray, target: np.ndarray, terms: Terms | None = None) -> tuple[float | None, np.ndarray]:
+    def __call__(
+        self, logits: np.ndarray, target: np.ndarray, terms: Terms | None = None, scratch: Scratch | None = None
+    ) -> tuple[float | None, np.ndarray]:
         """``(loss, grad)`` of a whole batch of class-major (C, n) logits, worked in column tiles.
 
         Given the ``terms`` of a batch, ``logits`` are instead one tile of
         that batch's ``batch_tiles`` (the whole batch, with a Dice term),
         worked as one tile: its terms join ``terms``, the gradient is that
         of the batch mean, and ``loss`` is None until ``terms.loss()`` reads
-        it once every tile is in.
+        it once every tile is in. ``scratch``, a ``Scratch`` at least as
+        wide as any tile, holds the kernel's table; without one the call
+        makes one for its own widest tile.
         """
         whole = terms is None
         b = _Batch(logits, target, self.n_classes, None if whole else terms.n)
@@ -499,8 +564,11 @@ class _Loss:
             _require_dense(b)
         terms = Terms(b.n) if whole else terms
         terms.beta = self.beta
-        for start, stop in batch_tiles(b.n, self.n_classes, self.dice) if whole else [(0, b.n)]:
-            self.tile(b.tile(start, stop), terms)
+        tiles = batch_tiles(b.n, self.n_classes, self.dice) if whole else [(0, b.n)]
+        if scratch is None:
+            scratch = Scratch(max(stop - start for start, stop in tiles))
+        for start, stop in tiles:
+            self.tile(b.tile(start, stop), terms, scratch)
         return terms.loss() if whole else None, b.gradient()
 
 
@@ -582,17 +650,19 @@ def make_loss(tree: LabelTree, spec: LossSpec) -> _Loss:
     ``(C, n)`` and per-pixel codes (n values, any shape) and returns
     ``(loss, grad)`` with a ``(C, n)`` gradient. It walks no tree: the Wasserstein
     term reads a precomputed distance matrix; the tree-weighted CE reads
-    the aggregation order and three leaf tables, each leaf's (K,) ancestor
-    chain, its edge weights and the (C,) LCA depths it shares with every leaf.
-    With ``alpha == 0`` nothing is compiled and the callable is beta * seg.
+    the aggregation order, the inner nodes root side first for its
+    push-down, and two leaf tables, each leaf's (K,) ancestor chain and its
+    edge weights. With ``alpha == 0`` nothing is compiled and the callable
+    is beta * seg.
 
     The batch is worked in column tiles of at most ``TILE_BYTES`` of (C, T)
     float64 (one tile with a Dice term), each in place in its own columns.
     The callable owns ``logits`` and returns the gradient in the buffer it
     worked in: ``logits`` themselves when they are C-ordered float64, else
-    a C-ordered float64 copy of them. ``loss_fn(logits, target, terms)``
-    works one tile of a batch whose logits are made a tile at a time
-    (``training.train``); see ``_Loss``.
+    a C-ordered float64 copy of them. ``loss_fn(logits, target, terms,
+    scratch)`` works one tile of a batch whose logits are made a tile at a
+    time (``training.train``), its kernel's table in the caller's
+    ``Scratch``; see ``_Loss``.
     """
     semantic = None
     if spec.alpha:

@@ -10,18 +10,37 @@ hold bitwise by construction.
 Preprocessing is part of the model and lives here: ``train`` takes its
 kind, fits the standardizer on the images it is given and applies it (or
 ``l1_normalize``) to the annotated pixels it keeps, the one copy of the
-features, channel-major (d, n_i). A batch's (d, n) features are the
-virtual concatenation of its images' and are never made whole: a tile's
-columns are a view of one image's array when the tile lies inside that
-image, else the concatenation of just the slices it spans. Logits, hidden
-units and their gradients exist one column tile at a time too: for each
-tile of ``losses.batch_tiles`` (at most ``losses.TILE_BYTES`` of (C, T)
-float64, or the whole batch with a Dice term), the forward makes the
-tile's (h, T) hidden units and (C, T) logits, the loss turns the logits
-into their gradient of the batch mean in place, and the backward adds the
-tile's parameter gradients to the batch's. So a batch's (C, n) logits
-never exist whole. Every reduction over a short axis (the classes, the
-hidden units) is a pass over contiguous rows.
+features, channel-major (d, n_i). The standardizer streams the images
+through one image-sized buffer and never concatenates them. A batch's
+(d, n) features are the virtual concatenation of its images' and are
+never made whole: a tile's columns are a view of one image's array when
+the tile lies inside that image, else the slices it spans, copied into a
+buffer. Logits, hidden units and their gradients exist one column tile at
+a time too: for each tile of ``losses.batch_tiles`` (at most
+``losses.TILE_BYTES`` of (C, T) float64, or the whole batch with a Dice
+term), the forward writes the tile's (h, T) hidden units and (C, T)
+logits, the loss turns the logits into their gradient of the batch mean
+in place, and the backward adds the tile's parameter gradients to the
+batch's. So a batch's (C, n) logits never exist whole. Every reduction
+over a short axis (the classes, the hidden units) is a pass over
+contiguous rows.
+
+``train`` allocates the tile buffers once per call (``_Buffers``): the
+(d, T) features, the (h, T) hidden units, the (C, T) logits and the loss
+kernel's table (a ``losses.Scratch``). They are sized to the fold's
+widest tile: the sum of the ``batch_size`` largest annotated counts, or
+``_tile_width(C) + 1`` columns if that is fewer (the last tile may absorb
+a lone column); with a Dice term the batch is one tile, so the sum. Each tile writes into the
+start of each flat buffer, a C-ordered view, so no step after the first
+allocates a (C, T) or (d, T) array on the linear path. The buffers belong
+to the call, not to the module, because two folds train at once on two
+threads. Holding them also keeps a step off fresh pages: glibc serves an
+allocation above its mmap threshold with new pages, and that threshold
+rises only when a large mapped block is freed. The concatenating
+standardizer once freed such a block early in each fold, so its per-tile
+arrays came from the heap; streamed, without the buffers, an op of a
+``twce`` run with two fold threads took ~185k minor page faults instead of
+~2.9k and ran ~26% longer.
 
 A batch of one tile (every batch at C = 21) runs the operations of a
 whole-batch step. In a wider one, the loss of each tile divides by the
@@ -51,7 +70,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, EmptyMaskError, ParseError, ShapeError, ValidationError
 from .hierarchy import LabelTree
-from .losses import LossSpec, Terms, _pixel_major, batch_tiles, make_loss, softmax_columns
+from .losses import LossSpec, Scratch, Terms, _block, _pixel_major, _tile_width, batch_tiles, make_loss, softmax_columns
 from .seeding import substream
 
 MODEL_KINDS = ("linear", "mlp")
@@ -127,22 +146,37 @@ def init_params(kind: str, in_dim: int, n_classes: int, hidden: int, rng: np.ran
     return ModelParams(kind, arrays)
 
 
-def _affine(w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``w.T @ x + b[:, None]``, the bias added in the product's buffer."""
-    out = w.T @ x
+class _Buffers:
+    """One ``train`` call's flat buffers, allocated once and sized to its widest tile of
+    ``width`` columns: the tile's (d, T) features when it spans images, its (h, T) hidden
+    units (mlp), its (C, T) logits, and the ``Scratch`` of the loss kernel's table, which
+    the first tile allocates."""
+
+    def __init__(self, params: ModelParams, width: int):
+        self.features = np.empty(params.in_dim * width)
+        self.hidden = np.empty(params.arrays[0].shape[1] * width) if params.kind == "mlp" else None
+        self.logits = np.empty(params.n_classes * width)
+        self.scratch = Scratch(width)
+
+
+def _affine(w: np.ndarray, b: np.ndarray, x: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
+    """``w.T @ x + b[:, None]``, the bias added in the product's buffer: the start of the
+    flat ``buf`` when one is given, else a new array."""
+    out = np.matmul(w.T, x, out=None if buf is None else _block(buf, w.shape[1], x.shape[1]))
     out += b[:, None]
     return out
 
 
-def _forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Channel-major features (d, n) -> class-major logits (C, n) and the (h, n) hidden units."""
+def _forward(params: ModelParams, x: np.ndarray, bufs: _Buffers | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Channel-major features (d, n) -> class-major logits (C, n) and the (h, n) hidden units,
+    written into ``bufs`` when given."""
     if params.kind == "linear":
         w, b = params.arrays
-        return _affine(w, b, x), None
+        return _affine(w, b, x, bufs and bufs.logits), None
     w1, b1, w2, b2 = params.arrays
-    hidden = _affine(w1, b1, x)
+    hidden = _affine(w1, b1, x, bufs and bufs.hidden)
     np.tanh(hidden, out=hidden)
-    return _affine(w2, b2, hidden), hidden
+    return _affine(w2, b2, hidden, bufs and bufs.logits), hidden
 
 
 def _backward(params: ModelParams, x: np.ndarray, hidden: np.ndarray | None, grad_logits: np.ndarray) -> list[np.ndarray]:
@@ -154,11 +188,12 @@ def _backward(params: ModelParams, x: np.ndarray, hidden: np.ndarray | None, gra
     return [x @ grad_hidden.T, np.add.reduce(grad_hidden, axis=1), hidden @ grad_logits.T, np.add.reduce(grad_logits, axis=1)]
 
 
-def _tile_gradients(params: ModelParams, loss_fn, x: np.ndarray, y: np.ndarray, terms: Terms) -> list[np.ndarray]:
+def _tile_gradients(params: ModelParams, loss_fn, x: np.ndarray, y: np.ndarray, terms: Terms, bufs: _Buffers | None = None) -> list[np.ndarray]:
     """Forward, loss and backward of one column tile of a batch, whose loss terms gather in
-    ``terms``: the tile's parameter gradients. Its logits die on return, before the next tile's."""
-    logits, hidden = _forward(params, x)
-    _, grad_logits = loss_fn(logits, y, terms)
+    ``terms``: the tile's parameter gradients. Its logits live in ``bufs`` when given, else
+    they die on return; either way before the next tile's exist."""
+    logits, hidden = _forward(params, x, bufs)
+    _, grad_logits = loss_fn(logits, y, terms, bufs and bufs.scratch)
     return _backward(params, x, hidden, grad_logits)
 
 
@@ -180,11 +215,33 @@ def l1_normalize(image: np.ndarray) -> np.ndarray:
 
 def fit_standardizer(features: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel mean and std over all pixels of the images (a zero std reads 1); a mean or std
-    that overflows float64 (features near its maximum) is a ValidationError naming the channel."""
-    stacked = np.concatenate([f.reshape(-1, f.shape[-1]) for f in features])
+    that overflows float64 (features near its maximum) is a ValidationError naming the channel.
+
+    The images are streamed, never concatenated: one buffer holds an image's (n_i, d) rows
+    below the running sum, and each pass (the sums, then the squared deviations from the
+    mean) reduces it to the next running sum. numpy sums down a C-ordered (n, d >= 2) block
+    row by row, so this gives the bits of ``mean`` and ``std`` over the concatenation; a
+    one-channel block is summed pairwise, so at d = 1 they may move in the last bits.
+    """
+    rows = [f.reshape(-1, f.shape[-1]) for f in features]
+    buf = np.empty((1 + max(len(r) for r in rows), rows[0].shape[1]))
+    count = sum(len(r) for r in rows)
+
+    def total(write) -> np.ndarray:
+        """The column sums of every image's rows as ``write(rows, out)`` puts them below the running sum."""
+        acc = None
+        for r in rows:
+            write(r, buf[1 : len(r) + 1])
+            if acc is None:
+                acc = np.add.reduce(buf[1 : len(r) + 1], axis=0)
+            else:
+                buf[0] = acc
+                acc = np.add.reduce(buf[: len(r) + 1], axis=0)
+        return acc
+
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = stacked.mean(axis=0)
-        sd = stacked.std(axis=0)
+        mu = total(lambda r, out: np.copyto(out, r)) / count
+        sd = np.sqrt(total(lambda r, out: np.square(np.subtract(r, mu, out=out), out=out)) / count)
     bad = np.flatnonzero(~(np.isfinite(mu) & np.isfinite(sd)))
     if bad.size:
         raise ValidationError(f"preproc standardize: the mean or std of feature channel {bad[0]} overflows float64")
@@ -224,16 +281,19 @@ def _flip(arr: np.ndarray, flip_h: bool, flip_v: bool) -> np.ndarray:
     return arr
 
 
-def _columns(parts: list[np.ndarray], lo: int, hi: int) -> np.ndarray:
-    """Columns ``[lo, hi)`` of the (d, n) concatenation of the (d, n_i) ``parts``: a view
-    of one part when they lie inside it, else the concatenation of the slices they span."""
+def _columns(parts: list[np.ndarray], lo: int, hi: int, buf: np.ndarray | None = None) -> np.ndarray:
+    """Columns ``[lo, hi)`` of the (d, n) concatenation of the (d, n_i) ``parts``: a view of
+    one part when they lie inside it, else the concatenation of the slices they span, written
+    at the start of the flat ``buf`` when one is given."""
     spans, start = [], 0
     for x in parts:
         stop = start + x.shape[1]
         if lo < stop and start < hi:
             spans.append(x[:, max(lo - start, 0) : hi - start])
         start = stop
-    return spans[0] if len(spans) == 1 else np.concatenate(spans, axis=1)
+    if len(spans) == 1:
+        return spans[0]
+    return np.concatenate(spans, axis=1, out=None if buf is None else _block(buf, spans[0].shape[0], hi - lo))
 
 
 def train(
@@ -252,21 +312,28 @@ def train(
     each image's annotated pixels, taken as fresh (n_i, d) rows; those rows,
     channel-major, are the only preprocessed copy of the features, and a
     batch is never concatenated: each tile reads its columns from its
-    images'. The returned model predicts on raw features: standardization is
-    absorbed into its first layer, l1 is its ``preproc``.
+    images'. Under ``augment`` each epoch gathers the annotated rows of the
+    unflipped image in the flipped image's raster order, so no flipped image
+    is copied. The tiles' features, logits and loss tables live in buffers
+    allocated once per call (see the module notes). The returned model
+    predicts on raw features: standardization is absorbed into its first
+    layer, l1 is its ``preproc``.
     """
     check_preproc(preproc)
     if not subjects:
         raise EmptyMaskError("no training subjects")
     loss_fn = make_loss(tree, spec)
-    if spec.seg == "dice_ce" and any(np.any(m == 0) for _, m in subjects):
+    dice = spec.seg == "dice_ce"
+    if dice and any(np.any(m == 0) for _, m in subjects):
         raise ConfigError("seg='dice_ce' requires dense masks")
     if preproc == "standardize":
         mu, sd = fit_standardizer([f for f, _ in subjects])
 
-    def annotated(features: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The annotated pixels' preprocessed features channel-major (d, n_i) and their codes."""
-        keep = mask.reshape(-1) > 0
+    def annotated(features: np.ndarray, mask: np.ndarray, flip_h: bool = False, flip_v: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """The annotated pixels' preprocessed features channel-major (d, n_i) and their codes, in
+        the raster order of the flipped image, gathered from the unflipped one."""
+        order = _flip(np.arange(mask.size).reshape(mask.shape), flip_h, flip_v).reshape(-1)
+        keep = order[mask.reshape(-1)[order] > 0]
         rows = features.reshape(-1, features.shape[-1])[keep]
         if preproc == "standardize":
             rows -= mu
@@ -281,6 +348,9 @@ def train(
 
     in_dim = subjects[0][0].shape[-1]
     params = init_params(config.model, in_dim, tree.n_leaves, config.hidden, substream(config.seed, "init"))
+    # the widest tile: a batch of the largest images, or a tile and a lone column it absorbed
+    widest = sum(sorted((y.size for _, y in static), reverse=True)[: config.batch_size])
+    bufs = _Buffers(params, widest if dice else min(widest, _tile_width(tree.n_leaves) + 1))
     slots = [np.zeros_like(a) for a in params.arrays]  # adam m / sgd velocity
     second = [np.zeros_like(a) for a in params.arrays]  # adam v
     step = 0
@@ -291,11 +361,7 @@ def train(
         order = rng.permutation(len(subjects))
         if config.augment:
             flips = rng.random((len(subjects), 2)) < 0.5
-            pool = []
-            for i in range(len(subjects)):
-                f, m = subjects[i]
-                fh, fv = flips[i]
-                pool.append(annotated(_flip(f, fh, fv), _flip(m, fh, fv)))
+            pool = [annotated(f, m, fh, fv) for (f, m), (fh, fv) in zip(subjects, flips)]
         else:
             pool = static
         lr = config.lr * config.gamma**epoch
@@ -307,8 +373,8 @@ def train(
             if y.size == 0:
                 continue
             terms, grads = Terms(y.size), None
-            for lo, hi in batch_tiles(y.size, tree.n_leaves, spec.seg == "dice_ce"):
-                tile_grads = _tile_gradients(params, loss_fn, _columns(xs, lo, hi), y[lo:hi], terms)
+            for lo, hi in batch_tiles(y.size, tree.n_leaves, dice):
+                tile_grads = _tile_gradients(params, loss_fn, _columns(xs, lo, hi, bufs.features), y[lo:hi], terms, bufs)
                 if grads is None:
                     grads = tile_grads
                 else:

@@ -21,6 +21,11 @@ gate that read the probabilities at gating time, bit for bit. Training
 now preprocesses only the annotated pixels it keeps and reads each loss
 tile's features from the batch's images; ``fit`` is held to the fit that
 preprocessed every image and concatenated every batch, bit for bit.
+The tree-weighted CE now pushes its gradient down the tree in its node
+table; it is held to the chain kernel that gathered it from prefix sums,
+bit for bit and sign of zero for sign of zero. The standardizer now
+streams the images; it is held to the one that concatenated them, bit for
+bit for two or more channels.
 """
 
 from __future__ import annotations
@@ -640,6 +645,97 @@ def test_twce_matches_the_dense_kernel(scale, sparse):
     assert (dead > 0) == (scale == 80.0)  # x80 logits put true leaves below the log guard
 
 
+# -- the tree-weighted CE push-down -----------------------------------------
+# ``_TreeCE`` writes each chain term on its node and pushes the rows down the
+# tree in its scratch. The frozen kernel below is the one the push-down
+# replaced: a table of LCA depths, each pixel's prefix sums of its chain, and a
+# (C, T) gather of dL/dp from them. They must agree to the bit, signs of zero
+# included: without its zero rules the push-down differed in the sign of zero.
+
+
+class ChainGatherTreeCE(losses._TreeCE):
+    def __init__(self, tree, alpha=1.0):
+        super().__init__(tree, alpha)
+        self.n_nodes = tree.n_nodes
+        own = np.arange(1, tree.levels + 1)[:, None] <= np.array([tree.depth[g] for g in range(self.n_classes)])
+        # lca[l, g]: how many non-root ancestors leaves l and g share, the depth of their LCA
+        self.lca = ((self.chain[:, :, None] == self.chain[:, None]) & own[:, None]).sum(axis=0)
+
+    def __call__(self, b, beta, scratch=None):
+        k, rows = self.chain.shape[0], np.arange(b.width)
+        mass = np.empty((self.n_nodes, b.width))
+        mass[: self.n_classes] = b.p
+        losses._sum_up(b.p, self.plan, mass[self.n_classes :])
+        at = np.take(self.chain, b.leaf, axis=1)
+        at *= b.width
+        at += rows
+        mass = np.take(mass, at)
+        w = np.take(self.weight, b.leaf, axis=1)
+        live = mass > LOG_GUARD
+        per = np.add.reduce(w * np.log(np.maximum(mass, LOG_GUARD)), axis=0)
+        np.negative(per, out=per)
+        q = np.divide(w, mass, out=np.zeros_like(mass), where=live)
+        np.negative(q, out=q)
+        cum = np.zeros((b.width, k + 1))
+        np.cumsum(q, axis=0, out=cum.T[1:])
+        inner = np.add.reduce(np.multiply(q, mass, out=q), axis=0)
+        inner -= beta
+        at = np.take(self.lca, b.leaf, axis=1)
+        at += (k + 1) * rows
+        grad = np.take(cum, at)
+        grad -= inner
+        b.p *= grad
+        b.flat[b.true] -= beta
+        b.p /= b.n
+        return per
+
+
+def push_down_cases(seed, count):
+    """(weighted tree, logits (C, n), codes, alpha, beta, seg): ragged trees of depth 1-4 under
+    the hier scheme or random weights with zeros, sparse and dense codes, logits up to x80."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        tree = random_tree(rng, depth=int(rng.integers(1, 5)), branching=(2, 4), ragged=True)
+        if i % 2:
+            raw = rng.random(tree.n_nodes) * 10.0
+            raw[rng.random(tree.n_nodes) < 0.2] = 0.0
+            tree = replace(tree, edge_weight={v: float(raw[v]) for v in tree.edge_weight})
+        else:
+            tree = assign_weights(tree, EdgeWeightScheme("hier", kappa=float(rng.choice([2.0, 10.0]))))
+        n = int(rng.integers(1, 120))
+        codes = rng.integers(1, tree.n_leaves + 1, size=n)
+        if rng.random() < 0.5:
+            codes[rng.random(n) < 0.4] = 0
+            codes[0] = 1
+        logits = float(rng.choice([1.0, 3.0, 80.0])) * rng.normal(size=(tree.n_leaves, n))
+        yield tree, logits, codes, float(rng.choice([0.5, 1.0])), float(rng.choice([0.0, 0.5])), str(rng.choice(["ce", "none"]))
+
+
+def assert_push_down_matches_the_gather(monkeypatch, cases, width=None):
+    for tree, logits, codes, alpha, beta, seg in cases:
+        if width is not None:
+            monkeypatch.setattr(losses, "TILE_BYTES", 8 * tree.n_leaves * width)
+        got_loss, got = losses._Loss(losses._TreeCE(tree, alpha), seg, beta, tree.n_leaves)(logits.copy(), codes)
+        ref_loss, ref = losses._Loss(ChainGatherTreeCE(tree, alpha), seg, beta, tree.n_leaves)(logits.copy(), codes)
+        assert got_loss == ref_loss
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def test_twce_push_down_matches_the_chain_gather(monkeypatch):
+    cases = list(push_down_cases(41, 300))
+    assert {tree.levels for tree, *_ in cases} == {1, 2, 3, 4}
+    assert_push_down_matches_the_gather(monkeypatch, cases)
+
+
+def test_twce_push_down_matches_the_chain_gather_in_tiles(monkeypatch):
+    """Tiles of 7 columns: one scratch serves tiles of 7 columns and a last one of 8 when a
+    lone column joins it."""
+    cases = [case for case in push_down_cases(42, 120) if (case[2] > 0).sum() > 8]
+    assert any((codes > 0).sum() % 7 == 1 for _, _, codes, *_ in cases)
+    assert_push_down_matches_the_gather(monkeypatch, cases, width=7)
+
+
 # -- synthetic corpora -------------------------------------------------------
 
 
@@ -883,3 +979,65 @@ def test_fit_matches_the_preprocessed_image_copies_at_c99(monkeypatch, model, pr
     for got, ref in zip(params.arrays, ref_params.arrays, strict=True):
         assert got.tobytes() == ref.tobytes()
 
+
+
+# -- the streamed standardizer ---------------------------------------------------
+# ``fit_standardizer`` streams the images through one buffer, the running sum
+# first, and never concatenates them. The frozen reference is the one that did.
+
+
+def ref_fit_standardizer(features):
+    stacked = np.concatenate([f.reshape(-1, f.shape[-1]) for f in features])
+    mu, sd = stacked.mean(axis=0), stacked.std(axis=0)
+    return mu, np.where(sd > 0, sd, 1.0)
+
+
+def unequal_images(rng, channels, scale):
+    """Images of unequal sizes whose channels have spreads and offsets around ``scale``; the
+    last channel is a power of two everywhere, so its sums are exact and its std reads 1."""
+    images = []
+    for shape in ((1, 1), (3, 4), (17, 5), (64, 64), (2, 33)):
+        spread = scale * rng.uniform(0.1, 10.0, channels)
+        offset = scale * rng.uniform(-100.0, 100.0, channels)
+        image = rng.standard_normal((*shape, channels)) * spread + offset
+        image[..., channels - 1] = np.exp2(np.round(np.log2(scale)))
+        images.append(image)
+    return images
+
+
+@pytest.mark.parametrize("channels", [2, 5, 16])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6])
+def test_streamed_standardizer_matches_the_concatenation(channels, scale):
+    rng = np.random.default_rng(channels + int(np.log10(scale)) + 50)
+    for _ in range(4):
+        images = unequal_images(rng, channels, scale)
+        rng.shuffle(images)
+        mu, sd = fit_standardizer(images)
+        ref_mu, ref_sd = ref_fit_standardizer(images)
+        assert mu.tobytes() == ref_mu.tobytes()
+        assert sd.tobytes() == ref_sd.tobytes()
+        assert sd[-1] == 1.0
+
+
+def test_streamed_standardizer_of_one_channel_sums_each_image_after_the_running_sum():
+    """At d = 1 numpy sums a column pairwise, not row by row, so the streamed sums are each
+    image's column after the running sum, and may differ from the concatenation's in the last bits."""
+    rng = np.random.default_rng(57)
+    for scale in (1e-3, 1.0, 1e6):
+        images = [s * rng.standard_normal((*shape, 1)) + scale for shape, s in (((64, 64), scale), ((3, 5), 2 * scale), ((40, 1), scale))]
+
+        def streamed(columns):
+            acc = np.add.reduce(columns[0])
+            for col in columns[1:]:
+                acc = np.add.reduce(np.concatenate([[acc], col]))
+            return acc
+
+        columns = [f.reshape(-1) for f in images]
+        mu = streamed(columns) / sum(c.size for c in columns)
+        sd = np.sqrt(streamed([np.square(c - mu) for c in columns]) / sum(c.size for c in columns))
+        got_mu, got_sd = fit_standardizer(images)
+        assert got_mu.tobytes() == np.array([mu]).tobytes()
+        assert got_sd.tobytes() == np.array([sd]).tobytes()
+        ref_mu, ref_sd = ref_fit_standardizer(images)
+        np.testing.assert_allclose(got_mu, ref_mu, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(got_sd, ref_sd, rtol=1e-12, atol=0)

@@ -339,3 +339,100 @@ def test_fit_holds_one_copy_of_the_training_features(monkeypatch, preproc):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * feature_bytes + 4 * losses.TILE_BYTES, peak / feature_bytes
+
+
+# --- training buffers, allocated once per call ------------------------------------
+# ``train`` sizes its tile buffers (features, logits, the loss kernel's scratch)
+# to the fold's widest tile once, and every step writes into them; the
+# standardizer streams the images through one image-sized buffer.
+
+
+def counted_subjects(rng, count, side, channels, annotated, n_classes):
+    """Subjects with ``annotated`` annotated pixels each, so every batch is equally wide."""
+    subjects = []
+    for _ in range(count):
+        mask = np.zeros(side * side, dtype=np.int64)
+        mask[rng.permutation(side * side)[:annotated]] = rng.integers(1, n_classes + 1, size=annotated)
+        subjects.append((rng.standard_normal((side, side, channels)), mask.reshape(side, side)))
+    return subjects
+
+
+@pytest.mark.parametrize("semantic", ["wass", "twce"])
+def test_training_steps_after_the_first_allocate_no_tile_sized_array(monkeypatch, semantic):
+    """C = 21, linear, 32 channels, batches of five 600-pixel images (one tile that spans
+    five images): from the second step on, the peak above the step's start stays below a
+    (C, T) array, the smaller of the tile's logits and features. It reads 0.29 (wass) and
+    0.74 (twce) of one; a step that allocated its features, logits and kernel table read
+    3.8 and 5.1."""
+    import tracemalloc
+
+    tree = make_random_tree(7)
+    rng = np.random.default_rng(9)
+    channels, width = 32, 5 * 600
+    subjects = counted_subjects(rng, 10, 32, channels, 600, tree.n_leaves)
+    spec = LossSpec(semantic, EdgeWeightScheme("hier", kappa=2.0), seg="ce")
+    steps = []
+
+    class MarkedTerms(losses.Terms):
+        """A batch's terms, made as its step begins: the second marks where the peak is read from."""
+
+        def __init__(self, n):
+            assert n == width
+            steps.append(tracemalloc.get_traced_memory()[0])
+            if len(steps) == 2:
+                tracemalloc.reset_peak()
+            super().__init__(n)
+
+    monkeypatch.setattr(training, "Terms", MarkedTerms)
+    tracemalloc.start()
+    try:
+        train(subjects, tree, spec, TrainConfig(epochs=3, batch_size=5, seed=2), preproc="standardize")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(steps) == 6 and tree.n_leaves == 21 < channels
+    assert peak - steps[1] < 8 * tree.n_leaves * width, (peak - steps[1]) / (8 * tree.n_leaves * width)
+
+
+def test_standardizer_peaks_below_two_images():
+    """Eight 64x64 images of 16 channels: the streamed fit holds one image-sized buffer and
+    peaks 1.13 images above its entry; the concatenation held two copies of all eight (16.1)."""
+    import tracemalloc
+
+    rng = np.random.default_rng(12)
+    images = [rng.standard_normal((64, 64, 16)) for _ in range(8)]
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        training.fit_standardizer(images)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry < 2 * images[0].nbytes, (peak - entry) / images[0].nbytes
+
+
+def test_threads_train_the_bits_of_one_after_the_other():
+    """Each call owns its buffers: three folds trained at once on three threads, switching
+    every 10 us, give the parameters trained in turn."""
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    tree = make_random_tree(7)
+    rng = np.random.default_rng(13)
+    subjects = counted_subjects(rng, 8, 24, 8, 300, tree.n_leaves)
+    spec = LossSpec("twce", EdgeWeightScheme("hier", kappa=2.0))
+    runs = [(subjects[:5], 2, 1), (subjects[3:], 3, 2), (subjects[1:7], 4, 3)]
+    configs = [(data, TrainConfig(epochs=30, batch_size=batch, seed=seed)) for data, batch, seed in runs]
+    in_turn = [train(data, tree, spec, config, preproc="standardize") for data, config in configs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            futures = [pool.submit(train, data, tree, spec, config, "standardize") for data, config in configs]
+            at_once = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for (params, trace), (ref_params, ref_trace) in zip(at_once, in_turn, strict=True):
+        assert trace == ref_trace
+        for got, ref in zip(params.arrays, ref_params.arrays, strict=True):
+            assert got.tobytes() == ref.tobytes()

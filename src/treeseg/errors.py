@@ -66,6 +66,10 @@ class DivergenceError(TreesegError):
         self.epoch = epoch
         super().__init__(message or f"non-finite loss at epoch {epoch}")
 
+    def __reduce__(self):
+        # pickled (a fold worker process sends it back): rebuilt from the epoch and its text
+        return type(self), (self.epoch, str(self))
+
 
 def check_keys(block, allowed, name: str) -> None:
     """Raise ConfigError unless ``block`` is a dict whose keys are all in ``allowed``."""

@@ -13,14 +13,13 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .distances import distance_matrix
-from .errors import ConfigError, RangeError, check_keys, key_prefix, number, read_block, read_json_object
+from .errors import ConfigError, RangeError, TreesegError, check_keys, key_prefix, number, read_block, read_json_object
 from .evaluation import EvalReport, confusion, evaluate_level, level_classes, map_to_level, pool_nsd
 from .gating import LevelScorer, ThresholdPolicy, check_grid_step, default_grid
 from .hierarchy import EdgeWeightScheme, LabelTree, assign_weights, parse_level, read_tree, resolve_level
@@ -317,6 +316,49 @@ def run_fold(corpus: Corpus, fold: FoldSpec, config: ExperimentConfig) -> FoldRe
     )
 
 
+# the run a fold worker process serves: set by _init_worker in each worker, never in the caller
+_worker_run: tuple | None = None
+
+
+def _init_worker(corpus: Corpus, folds: list[FoldSpec], config: ExperimentConfig) -> None:
+    global _worker_run
+    _worker_run = (corpus, folds, config)
+
+
+def _run_fold_at(i: int) -> FoldResult:
+    corpus, folds, config = _worker_run
+    return run_fold(corpus, folds[i], config)
+
+
+def _fork_context(jobs: int):
+    """The ``fork`` start method that fold workers start from; a platform without it is a ConfigError."""
+    import multiprocessing
+
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:
+        raise ConfigError(f"jobs = {jobs} runs folds in forked processes, and this platform has no 'fork' start method; use 1 job") from None
+
+
+def _run_folds_in_workers(corpus: Corpus, folds: list[FoldSpec], config: ExperimentConfig, jobs: int, context) -> list[FoldResult]:
+    """``run_fold`` of every fold in ``min(jobs, len(folds))`` forked worker processes, in fold order.
+
+    A forked worker starts as a copy of the caller, so the corpus, folds and config reach
+    it through the pool's initializer unpickled: only a fold index goes in, and its
+    FoldResult comes back. Each worker holds its own fold's training copy and buffers.
+    An exception a fold raises is raised here; a worker that dies is a TreesegError.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    workers = min(jobs, len(folds))
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context, initializer=_init_worker, initargs=(corpus, folds, config)) as pool:
+        try:
+            return list(pool.map(_run_fold_at, range(len(folds))))
+        except BrokenProcessPool as e:
+            raise TreesegError(f"a fold worker process died before it returned its fold: {e}") from None
+
+
 def _fold_dict(res: FoldResult) -> dict:
     return {
         "index": res.fold.index,
@@ -350,13 +392,13 @@ def run_experiment(config: ExperimentConfig, out: Path | str, jobs: int = 1) -> 
     corpus = build_corpus(config)
     folds = config_folds(corpus, config)
     config_levels(corpus.tree, config)  # the last config errors, raised before anything is written
+    context = _fork_context(jobs) if jobs > 1 else None
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     save_folds(folds, out / "folds.json")
 
     if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda f: run_fold(corpus, f, config), folds))
+        results = _run_folds_in_workers(corpus, folds, config, jobs, context)
     else:
         results = [run_fold(corpus, f, config) for f in folds]
 

@@ -33,14 +33,15 @@ widest tile: the sum of the ``batch_size`` largest annotated counts, or
 a lone column); with a Dice term the batch is one tile, so the sum. Each tile writes into the
 start of each flat buffer, a C-ordered view, so no step after the first
 allocates a (C, T) or (d, T) array on the linear path. The buffers belong
-to the call, not to the module, because two folds train at once on two
+to the call, not to the module: ``run_experiment`` trains folds at once in
+worker processes, but a library caller may train folds at once on
 threads. Holding them also keeps a step off fresh pages: glibc serves an
 allocation above its mmap threshold with new pages, and that threshold
 rises only when a large mapped block is freed. The concatenating
 standardizer once freed such a block early in each fold, so its per-tile
 arrays came from the heap; streamed, without the buffers, an op of a
-``twce`` run with two fold threads took ~185k minor page faults instead of
-~2.9k and ran ~26% longer.
+``twce`` run that trained its folds on two threads took ~185k minor page
+faults instead of ~2.9k and ran ~26% longer.
 
 A batch of one tile (every batch at C = 21) runs the operations of a
 whole-batch step. In a wider one, the loss of each tile divides by the

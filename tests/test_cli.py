@@ -1,5 +1,7 @@
+import concurrent.futures
 import io
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -154,21 +156,31 @@ class TestRunAndCompare:
         main(["run", "--config", str(exp_file), "--out", str(b)])
         assert (a / "manifest.json").read_text() == (b / "manifest.json").read_text()
 
-    def test_run_loads_no_scipy(self, exp_file, tmp_path):
-        """Only the LP oracle needs scipy: importing treeseg and a whole run load none of it."""
+    @staticmethod
+    def _modules_after_a_run(exp_file, out, roots) -> list:
+        """[exit code, loaded modules under ``roots``] after ``import treeseg, treeseg.cli`` and a
+        whole one-job ``cli.main(["run", ...])`` in a fresh interpreter."""
         script = (
             "import io, json, sys\n"
             "from contextlib import redirect_stdout\n"
             "import treeseg, treeseg.cli\n"
             "with redirect_stdout(io.StringIO()):\n"
-            "    code = treeseg.cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
-            "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+            "    code = treeseg.cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2], '--jobs', '1'])\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] in sys.argv[3:])]))\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-        cmd = [sys.executable, "-c", script, str(exp_file), str(tmp_path / "run")]
+        cmd = [sys.executable, "-c", script, str(exp_file), str(out), *roots]
         done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60, check=True)
-        assert json.loads(done.stdout.splitlines()[-1]) == [0, []]
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def test_run_loads_no_scipy(self, exp_file, tmp_path):
+        """Only the LP oracle needs scipy: importing treeseg and a whole run load none of it."""
+        assert self._modules_after_a_run(exp_file, tmp_path / "run", ["scipy"]) == [0, []]
+
+    def test_serial_run_loads_no_process_pool(self, exp_file, tmp_path):
+        """Only --jobs above 1 needs a pool: importing treeseg and a one-job run load neither module."""
+        assert self._modules_after_a_run(exp_file, tmp_path / "run", ["concurrent", "multiprocessing"]) == [0, []]
 
     def test_fixed_tau_zero_equals_ungated_argmax_eval(self, tmp_path):
         cfg = dict(EXP_CONFIG)
@@ -460,9 +472,9 @@ def test_non_finite_feature_file_exits_one(exp_file, tmp_path, capsys):
     assert str(features) in err and "non-finite" in err
 
 
-def _run_on_features(corpus_dir, tmp_path, change, preproc="standardize", fp_errors="raise"):
-    """``treeseg run`` on the corpus after ``change(subject index, features)`` edits its feature
-    fields in place: (exit code, stderr). Numpy's overflow, invalid-value and divide-by-zero
+def _run_on_features(corpus_dir, tmp_path, change, preproc="standardize", fp_errors="raise", jobs="1"):
+    """``treeseg run --jobs jobs`` on the corpus after ``change(subject index, features)`` edits its
+    feature fields in place: (exit code, stderr). Numpy's overflow, invalid-value and divide-by-zero
     warnings are ``fp_errors``: by default raised, so that a printed warning fails the test."""
     for i in range(EXP_CONFIG["synth"]["n_subjects"]):
         path = corpus_dir / f"s{i:03d}" / "features.bin"
@@ -473,7 +485,7 @@ def _run_on_features(corpus_dir, tmp_path, change, preproc="standardize", fp_err
     cfg.write_text(json.dumps({k: v for k, v in EXP_CONFIG.items() if k != "synth"} | {"corpus": str(corpus_dir), "preproc": preproc}))
     err = io.StringIO()
     with redirect_stderr(err), np.errstate(over=fp_errors, invalid=fp_errors, divide=fp_errors):
-        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / f"out{jobs}"), "--jobs", jobs])
     return code, err.getvalue()
 
 
@@ -500,6 +512,8 @@ def test_features_that_overflow_standardization_exit_one(corpus_dir, tmp_path, o
 def test_features_near_the_float64_maximum_diverge_unstandardized(corpus_dir, tmp_path):
     code, err = _run_on_features(corpus_dir, tmp_path, OVERFLOWS["every-value-1e308"], preproc="none", fp_errors="ignore")
     assert code == 2 and "non-finite loss" in err, err
+    # in a fold worker process the divergence crosses a pickle round trip and reads the same
+    assert _run_on_features(corpus_dir, tmp_path, OVERFLOWS["every-value-1e308"], preproc="none", fp_errors="ignore", jobs="2") == (code, err)
 
 
 def test_truncated_model_file_exits_one(exp_file, tmp_path):
@@ -901,6 +915,90 @@ def test_run_jobs_below_one_exits_one(exp_file, tmp_path, capsys, jobs):
     assert main(["run", "--config", str(exp_file), "--out", str(out), "--jobs", jobs]) == 1
     assert "--jobs" in capsys.readouterr().err
     assert not out.exists()
+
+
+class TestFoldWorkers:
+    """With --jobs above 1, folds run in forked worker processes: the outputs, exit codes and
+    messages are those of --jobs 1, and no process outlives the run."""
+
+    @pytest.fixture
+    def label_folds(self, tmp_path):
+        path = tmp_path / "label_folds.json"
+        path.write_text(json.dumps(EXP_CONFIG | {"n_label_folds": 2}))
+        return path
+
+    def _run(self, config, out, jobs):
+        with redirect_stdout(io.StringIO()):
+            return main(["run", "--config", str(config), "--out", str(out), "--jobs", str(jobs)])
+
+    def test_folds_run_in_worker_processes(self, label_folds, tmp_path, monkeypatch):
+        import treeseg.experiment
+
+        assert self._run(label_folds, tmp_path / "serial", 1) == 0
+        real = treeseg.experiment.run_fold
+
+        def run_fold(corpus, fold, config):
+            (tmp_path / f"fold{fold.index}.pid").write_text(str(os.getpid()))
+            return real(corpus, fold, config)
+
+        monkeypatch.setattr(treeseg.experiment, "run_fold", run_fold)
+        assert self._run(label_folds, tmp_path / "workers", 2) == 0
+        pids = {int(p.read_text()) for p in tmp_path.glob("fold*.pid")}
+        assert len(list(tmp_path.glob("fold*.pid"))) == 4 and os.getpid() not in pids and len(pids) <= 2
+        assert (tmp_path / "workers" / "manifest.json").read_text() == (tmp_path / "serial" / "manifest.json").read_text()
+        assert multiprocessing.active_children() == []
+
+    def test_validation_error_in_a_worker_exits_one_as_in_one_job(self, exp_file, tmp_path, monkeypatch):
+        import treeseg.experiment
+
+        real = treeseg.experiment.class_probs
+
+        def nan_probs(params, features):
+            p = real(params, features)
+            p[0] = np.nan
+            return p
+
+        monkeypatch.setattr(treeseg.experiment, "class_probs", nan_probs)
+        runs = []
+        for jobs in (1, 2):
+            err = io.StringIO()
+            with redirect_stderr(err):
+                runs.append((self._run(exp_file, tmp_path / f"out{jobs}", jobs), err.getvalue()))
+        assert runs[0][0] == 1 and "rows must be probability vectors" in runs[0][1]
+        assert runs[1] == runs[0]
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_dies_is_a_runtime_error(self, exp_file, tmp_path, monkeypatch, capfd):
+        import treeseg.experiment
+
+        monkeypatch.setattr(treeseg.experiment, "run_fold", lambda corpus, fold, config: os._exit(3))
+        assert self._run(exp_file, tmp_path / "out", 2) == 2
+        err = capfd.readouterr().err
+        assert "runtime error: a fold worker process died" in err and "Traceback" not in err
+        assert multiprocessing.active_children() == []
+
+    def test_the_pool_starts_no_more_workers_than_folds(self, exp_file, tmp_path, monkeypatch):
+        started = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        assert self._run(exp_file, tmp_path / "out", 64) == 0
+        assert started == [EXP_CONFIG["n_subject_folds"]]
+        assert multiprocessing.active_children() == []
+
+    def test_a_platform_without_fork_exits_one(self, exp_file, tmp_path, monkeypatch, capsys):
+        def get_context(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(multiprocessing, "get_context", get_context)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(exp_file), "--out", str(out), "--jobs", "2"]) == 1
+        assert "'fork' start method" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestModelInputs:

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,9 @@ def test_divergence_raises_with_epoch():
         with pytest.raises(DivergenceError) as err:
             train(data, tree, CE_SPEC, config)
     assert err.value.epoch >= 0
+    # a fold worker process sends it back pickled: the round trip keeps its epoch and text
+    back = pickle.loads(pickle.dumps(err.value))
+    assert (type(back), back.epoch, str(back)) == (DivergenceError, err.value.epoch, str(err.value))
 
 
 def test_dice_spec_with_sparse_mask_rejected_up_front():

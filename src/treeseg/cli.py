@@ -19,7 +19,7 @@ from . import experiment as exp
 from . import training
 from .distances import distance_matrix
 from .errors import ConfigError, ShapeError, TreesegError, ValidationError, read_block, read_json_object
-from .evaluation import evaluate_level, pool_nsd
+from .evaluation import evaluate_level, level_counts, pool_nsd
 from .gating import LevelScorer, ThresholdPolicy, default_grid
 from .hierarchy import WEIGHT_SCHEMES, EdgeWeightScheme, assign_weights, parse_level, read_tree, resolve_level
 from .synth import SynthConfig, generate, load_corpus, make_folds, read_field, save_corpus, save_folds, write_field
@@ -132,13 +132,14 @@ def cmd_eval(args) -> int:
     masks = [s.mask for s in corpus.subjects]
     preds = _load_preds(Path(args.pred), masks)
     level = resolve_level(corpus.tree, args.level)
-    rep = evaluate_level(corpus.tree, exp.pool_pixels(preds), exp.pool_pixels(masks), level)
+    pred, truth = exp.pool_pixels(preds), exp.pool_pixels(masks)
+    rep = evaluate_level(corpus.tree, pred, truth, level)
     if args.tolerance is not None:
         pool_nsd(rep, corpus.tree, preds, masks, args.tolerance)
     out = Path(args.out) if args.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(json.dumps(rep.to_dict(), indent=2, sort_keys=True))
-    exp.write_confusion_csv(corpus.tree, level, [preds], [masks], out / "confusion.csv")
+    exp.write_confusion_csv(corpus.tree, level, [level_counts(corpus.tree, pred, truth, level)], out / "confusion.csv")
     print(json.dumps(rep.to_dict()["means"], indent=2, sort_keys=True))
     return 0
 
@@ -146,10 +147,11 @@ def cmd_eval(args) -> int:
 def cmd_confusion(args) -> int:
     corpus = load_corpus(args.corpus)
     masks = [s.mask for s in corpus.subjects]
-    fold_preds = [_load_preds(Path(d), masks) for d in args.pred]
+    fold_preds = [exp.pool_pixels(_load_preds(Path(d), masks)) for d in args.pred]
     out = Path(args.out) if args.out else Path("confusion.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
-    exp.write_confusion_csv(corpus.tree, resolve_level(corpus.tree, args.level), fold_preds, [masks] * len(fold_preds), out)
+    level, truth = resolve_level(corpus.tree, args.level), exp.pool_pixels(masks)
+    exp.write_confusion_csv(corpus.tree, level, [level_counts(corpus.tree, pred, truth, level) for pred in fold_preds], out)
     print(f"confusion written to {out}")
     return 0
 

@@ -280,6 +280,13 @@ def pool_nsd(rep: EvalReport, tree: LabelTree, preds: list[np.ndarray], truths: 
     rep.nsd_tolerance = tolerance
 
 
+def level_counts(tree: LabelTree, pred: np.ndarray, truth: np.ndarray, level: int, domain: np.ndarray | None = None) -> np.ndarray:
+    """One fold's level confusion: the (m+1, m+1) pixel counts of leaf-coded ``pred``
+    against ``truth`` on the domain (annotated truth if None), rows true and columns
+    predicted, the level's classes ascending and background last."""
+    return _count_table(map_to_level(tree, pred, level), map_to_level(tree, truth, level), level_classes(tree, level), domain)
+
+
 @dataclass
 class ConfusionTensor:
     """Per-fold raw-count confusion matrices plus the row-normalized average.

@@ -1,11 +1,13 @@
 """End-to-end experiment runner: corpus -> folds -> train -> gate -> eval.
 
 One config drives the whole pipeline. Per fold: train with the configured
-loss, sweep (or fix) the background threshold on validation, gate, then
-evaluate at the requested tree levels; finally fold-average metrics and
-the top-level confusion matrix. Every emitted file lands in the output
-directory and is listed with a content hash in manifest.json, so reruns
-with the same seed are byte-identical.
+loss, sweep (or fix) the background threshold on validation, gate, write
+the gated predictions, then evaluate at the requested tree levels and
+count the top-level confusion; finally fold-average metrics and the
+per-fold confusion counts. A fold hands back counts and scores, never
+pixels. Every emitted file lands in the output directory and is listed
+with a content hash in manifest.json, so reruns with the same seed are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .distances import distance_matrix
 from .errors import ConfigError, RangeError, TreesegError, check_keys, key_prefix, number, read_block, read_json_object
-from .evaluation import EvalReport, confusion, evaluate_level, level_classes, map_to_level, pool_nsd
+from .evaluation import ConfusionTensor, EvalReport, evaluate_level, level_classes, level_counts, pool_nsd
 from .gating import LevelScorer, ThresholdPolicy, check_grid_step, default_grid
 from .hierarchy import EdgeWeightScheme, LabelTree, assign_weights, parse_level, read_tree, resolve_level
 from .losses import LossSpec
@@ -198,9 +200,9 @@ def corpus_fingerprint(corpus: Corpus) -> str:
     h = hashlib.sha256()
     h.update(json.dumps(corpus.tree.to_dict(), sort_keys=True).encode())
     for sub in corpus.subjects:
-        h.update(np.ascontiguousarray(sub.features, dtype="<f8").tobytes())
-        h.update(np.ascontiguousarray(sub.truth, dtype="<i8").tobytes())
-        h.update(np.ascontiguousarray(sub.mask, dtype="<i8").tobytes())
+        # the buffers themselves, not copies: an array already C-ordered in its dtype is not copied
+        for arr, dtype in ((sub.features, "<f8"), (sub.truth, "<i8"), (sub.mask, "<i8")):
+            h.update(memoryview(np.ascontiguousarray(arr, dtype=dtype)).cast("B"))
     return h.hexdigest()
 
 
@@ -234,18 +236,17 @@ def write_tau_curve(curve: np.ndarray, path: Path) -> None:
     path.write_text(_csv([list(row) for row in curve], ["tau", "tpr", "bacc", "f1"]))
 
 
-def write_confusion_csv(tree: LabelTree, level: int, fold_preds: list, fold_truths: list, path: Path, fold_domains: list | None = None) -> None:
+def fold_dir(out: Path | str, index: int) -> Path:
+    """The directory of fold ``index``'s predictions and tau curve in a run's output."""
+    return Path(out) / f"fold_{index:03d}"
+
+
+def write_confusion_csv(tree: LabelTree, level: int, fold_counts: list[np.ndarray], path: Path) -> None:
     """Write the fold-averaged level confusion, background last, as CSV.
 
-    Each fold entry is a list of per-subject leaf-code fields.
+    Each fold entry is that fold's ``level_counts`` table at ``level``.
     """
-    conf = confusion(
-        [map_to_level(tree, pool_pixels(p), level) for p in fold_preds],
-        [map_to_level(tree, pool_pixels(t), level) for t in fold_truths],
-        level_classes(tree, level),
-        domains=None if fold_domains is None else [pool_pixels(d) for d in fold_domains],
-        include_background=True,
-    )
+    conf = ConfusionTensor(classes=level_classes(tree, level) + [0], per_fold=np.stack(fold_counts))
     names = [tree.name_of(c - 1) if c else "background" for c in conf.classes]
     rows = [[names[i]] + [x if not np.isnan(x) else "" for x in row] for i, row in enumerate(conf.averaged)]
     path.write_text(_csv(rows, ["true\\pred"] + names))
@@ -261,12 +262,12 @@ class FoldResult:
     leaf_accuracy: float
     error_distance: float | None
     reports: dict[int, EvalReport]
-    pred_codes: list[np.ndarray]  # gated, per val subject
-    truths: list[np.ndarray]
-    domains: list[np.ndarray]
+    confusion: np.ndarray  # topmost-level level_counts on the fold's domain
 
 
-def run_fold(corpus: Corpus, fold: FoldSpec, config: ExperimentConfig) -> FoldResult:
+def run_fold(corpus: Corpus, fold: FoldSpec, config: ExperimentConfig, out: Path | str) -> FoldResult:
+    """Train, gate and evaluate one fold; its gated predictions are written to its
+    ``fold_dir`` under ``out``, and the result holds counts and scores, no pixels."""
     tree = corpus.tree
     k, eval_levels = config_levels(tree, config)
     params, trace = fit(corpus, fold, config)
@@ -285,8 +286,14 @@ def run_fold(corpus: Corpus, fold: FoldSpec, config: ExperimentConfig) -> FoldRe
     else:
         tau, curve, swept = float(config.tau), None, False
     preds = [scorer.gate(image, tau)[0].reshape(t.shape) for image, t in zip(images, truths)]
+    pred_dir = fold_dir(out, fold.index)
+    pred_dir.mkdir(parents=True, exist_ok=True)
+    for subject, pred in zip(fold.val_subjects, preds):
+        write_field(pred_dir / f"pred_s{subject:03d}.bin", pred)
 
     pooled_pred, pooled_truth, pooled_domain = pool_pixels(preds), pool_pixels(truths), pool_pixels(domains)
+    # counted before the level reports: after them, its temporaries raised a fold worker's peak RSS
+    counts = level_counts(tree, pooled_pred, pooled_truth, tree.levels - 1, domain=pooled_domain)
     reports = {}
     for level in eval_levels:
         rep = evaluate_level(tree, pooled_pred, pooled_truth, level, domain=pooled_domain)
@@ -310,9 +317,7 @@ def run_fold(corpus: Corpus, fold: FoldSpec, config: ExperimentConfig) -> FoldRe
         leaf_accuracy=leaf_acc,
         error_distance=err_dist,
         reports=reports,
-        pred_codes=preds,
-        truths=truths,
-        domains=domains,
+        confusion=counts,
     )
 
 
@@ -320,14 +325,14 @@ def run_fold(corpus: Corpus, fold: FoldSpec, config: ExperimentConfig) -> FoldRe
 _worker_run: tuple | None = None
 
 
-def _init_worker(corpus: Corpus, folds: list[FoldSpec], config: ExperimentConfig) -> None:
+def _init_worker(corpus: Corpus, folds: list[FoldSpec], config: ExperimentConfig, out: Path) -> None:
     global _worker_run
-    _worker_run = (corpus, folds, config)
+    _worker_run = (corpus, folds, config, out)
 
 
 def _run_fold_at(i: int) -> FoldResult:
-    corpus, folds, config = _worker_run
-    return run_fold(corpus, folds[i], config)
+    corpus, folds, config, out = _worker_run
+    return run_fold(corpus, folds[i], config, out)
 
 
 def _fork_context(jobs: int):
@@ -340,19 +345,20 @@ def _fork_context(jobs: int):
         raise ConfigError(f"jobs = {jobs} runs folds in forked processes, and this platform has no 'fork' start method; use 1 job") from None
 
 
-def _run_folds_in_workers(corpus: Corpus, folds: list[FoldSpec], config: ExperimentConfig, jobs: int, context) -> list[FoldResult]:
+def _run_folds_in_workers(corpus: Corpus, folds: list[FoldSpec], config: ExperimentConfig, out: Path, jobs: int, context) -> list[FoldResult]:
     """``run_fold`` of every fold in ``min(jobs, len(folds))`` forked worker processes, in fold order.
 
-    A forked worker starts as a copy of the caller, so the corpus, folds and config reach
-    it through the pool's initializer unpickled: only a fold index goes in, and its
-    FoldResult comes back. Each worker holds its own fold's training copy and buffers.
+    A forked worker starts as a copy of the caller, so the corpus, folds, config and output
+    directory reach it through the pool's initializer unpickled: only a fold index goes in,
+    the worker writes the fold's predictions, and its FoldResult, counts and scores, comes
+    back. Each worker holds its own fold's training copy and buffers.
     An exception a fold raises is raised here; a worker that dies is a TreesegError.
     """
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     workers = min(jobs, len(folds))
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context, initializer=_init_worker, initargs=(corpus, folds, config)) as pool:
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context, initializer=_init_worker, initargs=(corpus, folds, config, out)) as pool:
         try:
             return list(pool.map(_run_fold_at, range(len(folds))))
         except BrokenProcessPool as e:
@@ -398,21 +404,15 @@ def run_experiment(config: ExperimentConfig, out: Path | str, jobs: int = 1) -> 
     save_folds(folds, out / "folds.json")
 
     if jobs > 1:
-        results = _run_folds_in_workers(corpus, folds, config, jobs, context)
+        results = _run_folds_in_workers(corpus, folds, config, out, jobs, context)
     else:
-        results = [run_fold(corpus, f, config) for f in folds]
+        results = [run_fold(corpus, f, config, out) for f in folds]
 
     tree = corpus.tree
     for res in results:
-        fold_dir = out / f"fold_{res.fold.index:03d}"
-        fold_dir.mkdir(exist_ok=True)
         if res.curve is not None:
-            write_tau_curve(res.curve, fold_dir / "tau_curve.csv")
-        for subject, pred in zip(res.fold.val_subjects, res.pred_codes):
-            write_field(fold_dir / f"pred_s{subject:03d}.bin", pred.astype(np.int64))
-
-    fold_preds, fold_truths, fold_domains = zip(*[(r.pred_codes, r.truths, r.domains) for r in results])
-    write_confusion_csv(tree, tree.levels - 1, fold_preds, fold_truths, out / "confusion.csv", fold_domains)
+            write_tau_curve(res.curve, fold_dir(out, res.fold.index) / "tau_curve.csv")
+    write_confusion_csv(tree, tree.levels - 1, [r.confusion for r in results], out / "confusion.csv")
 
     levels_present = sorted({level for r in results for level in r.reports})
     means: dict = {"levels": {}}

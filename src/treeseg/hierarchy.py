@@ -75,8 +75,9 @@ class LabelTree:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    @property
+    @cached_property
     def n_leaves(self) -> int:
+        """Leaf count, counted once per tree."""
         return sum(1 for n in self.nodes if n.is_leaf)
 
     def children(self, v: int) -> list[int]:

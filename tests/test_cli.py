@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import io
 import json
 import multiprocessing
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 
 from treeseg.cli import main
 from treeseg.distances import distance_matrix
-from treeseg.experiment import CONFIG_KEYS, write_tau_curve
+from treeseg.errors import ConfigError, TreesegError
+from treeseg.experiment import CONFIG_KEYS, corpus_fingerprint, write_tau_curve
 from treeseg.gating import ThresholdPolicy, default_grid, gate, sweep_tau
 from treeseg.hierarchy import EdgeWeightScheme, assign_weights, parse_level, parse_tree, resolve_level
 from treeseg.synth import SynthConfig, generate, load_corpus, read_field, save_corpus, write_field
@@ -263,6 +265,26 @@ class TestRunAndCompare:
         ra = json.loads((a / "report.json").read_text())
         rb = json.loads((b / "report.json").read_text())
         assert ra["corpus"]["fingerprint"] != rb["corpus"]["fingerprint"]
+
+
+def test_corpus_fingerprint_is_the_digest_of_the_arrays_bytes():
+    """The fingerprint hashes each array's C-ordered little-endian buffer: the digest of
+    the arrays' ``tobytes()``, for C-ordered subjects and for converted ones alike."""
+    corpus = generate(SynthConfig(n_subjects=3, height=6, width=5, channels=3, n_regions=40, sparsity=0.5, seed=4))
+
+    def tobytes_digest(corpus) -> str:
+        h = hashlib.sha256(json.dumps(corpus.tree.to_dict(), sort_keys=True).encode())
+        for sub in corpus.subjects:
+            h.update(np.ascontiguousarray(sub.features, dtype="<f8").tobytes())
+            h.update(np.ascontiguousarray(sub.truth, dtype="<i8").tobytes())
+            h.update(np.ascontiguousarray(sub.mask, dtype="<i8").tobytes())
+        return h.hexdigest()
+
+    digest = corpus_fingerprint(corpus)
+    assert digest == tobytes_digest(corpus)
+    first = corpus.subjects[0]
+    corpus.subjects[0] = replace(first, features=np.asfortranarray(first.features), truth=first.truth.astype(np.int32), mask=np.asfortranarray(first.mask))
+    assert corpus_fingerprint(corpus) == digest == tobytes_digest(corpus)
 
 
 def _write_config(tmp_path, name, **changes):
@@ -937,9 +959,9 @@ class TestFoldWorkers:
         assert self._run(label_folds, tmp_path / "serial", 1) == 0
         real = treeseg.experiment.run_fold
 
-        def run_fold(corpus, fold, config):
+        def run_fold(corpus, fold, config, out):
             (tmp_path / f"fold{fold.index}.pid").write_text(str(os.getpid()))
-            return real(corpus, fold, config)
+            return real(corpus, fold, config, out)
 
         monkeypatch.setattr(treeseg.experiment, "run_fold", run_fold)
         assert self._run(label_folds, tmp_path / "workers", 2) == 0
@@ -971,10 +993,33 @@ class TestFoldWorkers:
     def test_a_worker_that_dies_is_a_runtime_error(self, exp_file, tmp_path, monkeypatch, capfd):
         import treeseg.experiment
 
-        monkeypatch.setattr(treeseg.experiment, "run_fold", lambda corpus, fold, config: os._exit(3))
+        monkeypatch.setattr(treeseg.experiment, "run_fold", lambda corpus, fold, config, out: os._exit(3))
         assert self._run(exp_file, tmp_path / "out", 2) == 2
         err = capfd.readouterr().err
         assert "runtime error: a fold worker process died" in err and "Traceback" not in err
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("error, code", [(ConfigError, 1), (TreesegError, 2)])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_failing_second_fold_writes_no_report(self, exp_file, tmp_path, monkeypatch, capsys, jobs, error, code):
+        """A fold that raises ends the run as it ends with one job: the exit code and message
+        of its error, and no report or manifest; only fold directories written before it remain."""
+        import treeseg.experiment
+
+        real = treeseg.experiment.run_fold
+
+        def run_fold(corpus, fold, config, out):
+            if fold.index == 1:
+                raise error("fold 1 cannot be scored")
+            return real(corpus, fold, config, out)
+
+        monkeypatch.setattr(treeseg.experiment, "run_fold", run_fold)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(exp_file), "--out", str(out), "--jobs", str(jobs)]) == code
+        assert "fold 1 cannot be scored" in capsys.readouterr().err
+        left = {p.name for p in out.iterdir()}
+        assert "folds.json" in left and left <= {"folds.json", "fold_000"}
+        assert not (out / "report.json").exists() and not (out / "manifest.json").exists()
         assert multiprocessing.active_children() == []
 
     def test_the_pool_starts_no_more_workers_than_folds(self, exp_file, tmp_path, monkeypatch):

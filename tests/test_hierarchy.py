@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from treeseg.hierarchy import (
     EdgeWeightScheme,
     adjacency,
     assign_weights,
+    build_tree,
     level_nodes,
     parse_level,
     parse_tree,
@@ -30,6 +32,17 @@ class TestParse:
         assert t.leaf_names() == ["a1", "a2", "b1"]
         # leaves occupy ids 0..C-1 in declaration order
         assert [t.name_of(i) for i in range(3)] == ["a1", "a2", "b1"]
+
+    def test_leaf_count_is_counted_once_per_tree(self, three_leaf_tree):
+        """A parsed tree, a built tree and a dataclasses.replace copy each count their own
+        leaves once; a copy does not carry the count of the tree it was made from."""
+        assert three_leaf_tree.n_leaves == 3
+        built = build_tree("r", {"r": ["A", "b"], "A": ["a1", "a2", "a3"]})
+        heavier = assign_weights(three_leaf_tree, EdgeWeightScheme("hier"))  # a replace copy
+        swapped = replace(three_leaf_tree, **{f.name: getattr(built, f.name) for f in fields(built)})
+        for tree, count in ((three_leaf_tree, 3), (built, 4), (heavier, 3), (swapped, 4)):
+            assert tree.n_leaves == count
+            assert vars(tree)["n_leaves"] == count  # cached on the tree by the first access
 
     def test_duplicate_name_is_parse_error(self):
         doc = json.dumps({"name": "r", "children": [{"name": "x"}, {"name": "x"}]})

@@ -17,8 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, EmptyEvalError, LabelError
+from .errors import ConfigError, EmptyEvalError, LabelError, ShapeError
 from .hierarchy import LabelTree, leaf_level_map
+
+LEVEL_MEANS = ("dice", "tpr", "bacc", "f1", "nsd")  # each level's per-class scores and means in report.json
 
 
 def level_classes(tree: LabelTree, k: int) -> list[int]:
@@ -61,6 +63,8 @@ def _count_table(pred: np.ndarray, truth: np.ndarray, classes: list[int], domain
     pred = np.asarray(pred).reshape(-1)
     truth = np.asarray(truth).reshape(-1)
     dom = truth > 0 if domain is None else np.asarray(domain, dtype=bool).reshape(-1)
+    if not pred.size == truth.size == dom.size:
+        raise ShapeError(f"prediction, truth and domain differ in size: {pred.size}, {truth.size} and {dom.size} pixels")
     if not dom.any():
         raise EmptyEvalError("empty annotation domain")
     m = len(classes)
@@ -106,8 +110,8 @@ def nsd_scores(
     Euclidean distance transform measures it, lands on a boundary pixel of
     the same class on the other side.
     """
-    if tolerance < 0:
-        raise ConfigError("tolerance must be >= 0")
+    if not tolerance >= 0:
+        raise ConfigError(f"tolerance must be >= 0, got {tolerance!r}")
     pred = np.asarray(pred)
     truth = np.asarray(truth)
     if pred.shape != truth.shape or pred.ndim < 2:
@@ -174,6 +178,13 @@ def ovr_from_counts(tp: np.ndarray, fp: np.ndarray, n_pos: np.ndarray, n_neg: np
     return {"tpr": tpr, "tnr": tnr, "bacc": (tpr + tnr) / 2.0, "f1": f1}
 
 
+def _mean(scores: np.ndarray | None) -> float | None:
+    """The nanmean of per-class scores; None when there are none or every one is NaN."""
+    if scores is None or np.all(np.isnan(scores)):
+        return None
+    return float(np.nanmean(scores))
+
+
 @dataclass
 class EvalReport:
     """Per-class and mean metrics at one tree level."""
@@ -188,32 +199,10 @@ class EvalReport:
     nsd: np.ndarray | None = None
     nsd_tolerance: float | None = None
 
-    def _mean(self, arr: np.ndarray | None) -> float | None:
-        if arr is None:
-            return None
-        if np.all(np.isnan(arr)):
-            return None
-        return float(np.nanmean(arr))
-
     @property
-    def mean_dice(self):
-        return self._mean(self.dice)
-
-    @property
-    def mean_nsd(self):
-        return self._mean(self.nsd)
-
-    @property
-    def mean_tpr(self):
-        return self._mean(self.tpr)
-
-    @property
-    def mean_bacc(self):
-        return self._mean(self.bacc)
-
-    @property
-    def mean_f1(self):
-        return self._mean(self.f1)
+    def means(self) -> dict[str, float | None]:
+        """Each ``LEVEL_MEANS`` score averaged over the classes it is defined for; None if none."""
+        return {key: _mean(getattr(self, key)) for key in LEVEL_MEANS}
 
     def to_dict(self) -> dict:
         def listify(a):
@@ -223,20 +212,8 @@ class EvalReport:
             "level": self.level,
             "classes": list(self.classes),
             "names": list(self.names),
-            "per_class": {
-                "dice": listify(self.dice),
-                "tpr": listify(self.tpr),
-                "bacc": listify(self.bacc),
-                "f1": listify(self.f1),
-                "nsd": listify(self.nsd),
-            },
-            "means": {
-                "dice": self.mean_dice,
-                "tpr": self.mean_tpr,
-                "bacc": self.mean_bacc,
-                "f1": self.mean_f1,
-                "nsd": self.mean_nsd,
-            },
+            "per_class": {key: listify(getattr(self, key)) for key in LEVEL_MEANS},
+            "means": self.means,
             "nsd_tolerance": self.nsd_tolerance,
         }
 
@@ -253,8 +230,6 @@ def evaluate_level(
 
     The report carries no NSD; ``pool_nsd`` adds the per-subject surface Dice.
     """
-    pred = np.asarray(pred)
-    truth = np.asarray(truth)
     classes = level_classes(tree, level)
     names = [tree.name_of(c - 1) for c in classes]
     pred_l = map_to_level(tree, pred, level)

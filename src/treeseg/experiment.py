@@ -22,7 +22,7 @@ import numpy as np
 
 from .distances import distance_matrix
 from .errors import ConfigError, RangeError, TreesegError, check_keys, key_prefix, number, read_block, read_json_object
-from .evaluation import ConfusionTensor, EvalReport, evaluate_level, level_classes, level_counts, pool_nsd
+from .evaluation import LEVEL_MEANS, ConfusionTensor, EvalReport, evaluate_level, level_classes, level_counts, pool_nsd
 from .gating import LevelScorer, ThresholdPolicy, check_grid_step, default_grid
 from .hierarchy import EdgeWeightScheme, LabelTree, assign_weights, parse_level, read_tree, resolve_level
 from .losses import LossSpec
@@ -44,8 +44,6 @@ from .training import ModelParams, TrainConfig, check_preproc, class_probs, trai
 # fixed yardstick for the tree distance of misclassified pixels, independent
 # of the loss used for training
 ERROR_METRIC_SCHEME = EdgeWeightScheme("hier", kappa=10.0)
-
-LEVEL_MEANS = ("dice", "tpr", "bacc", "f1", "nsd")  # each level's fold-averaged means in report.json
 
 CONFIG_KEYS = ("hierarchy", "corpus", "loss", "train", "synth", "gate", "eval", "preproc", "n_subject_folds", "n_label_folds", "fold_subset", "seed")
 
@@ -256,10 +254,9 @@ def write_confusion_csv(tree: LabelTree, level: int, fold_counts: list[np.ndarra
 class FoldResult:
     fold: FoldSpec
     tau: float
-    swept: bool
-    curve: np.ndarray | None
+    curve: np.ndarray | None  # None when tau is fixed, not swept
     trace: list[float]
-    leaf_accuracy: float
+    leaf_accuracy: float | None  # None when the fold's domain holds no foreground truth
     error_distance: float | None
     reports: dict[int, EvalReport]
     confusion: np.ndarray  # topmost-level level_counts on the fold's domain
@@ -282,10 +279,9 @@ def run_fold(corpus: Corpus, fold: FoldSpec, config: ExperimentConfig, out: Path
 
     if config.tau is None:
         tau, curve = scorer.sweep(images, truths, default_grid(config.grid_step))
-        swept = True
     else:
-        tau, curve, swept = float(config.tau), None, False
-    preds = [scorer.gate(image, tau)[0].reshape(t.shape) for image, t in zip(images, truths)]
+        tau, curve = float(config.tau), None
+    preds = [scorer.gate(image, tau).reshape(t.shape) for image, t in zip(images, truths)]
     pred_dir = fold_dir(out, fold.index)
     pred_dir.mkdir(parents=True, exist_ok=True)
     for subject, pred in zip(fold.val_subjects, preds):
@@ -304,14 +300,13 @@ def run_fold(corpus: Corpus, fold: FoldSpec, config: ExperimentConfig, out: Path
     # ungated leaf argmax, for accuracy and the semantic distance of errors
     pooled_raw = pool_pixels([image.leaf + 1 for image in images])
     fg = pooled_domain & (pooled_truth > 0)
-    leaf_acc = float(np.mean(pooled_raw[fg] == pooled_truth[fg])) if fg.any() else float("nan")
-    m_err = distance_matrix(assign_weights(tree, ERROR_METRIC_SCHEME))
-    err_dist = semantic_error_distance(m_err, np.where(fg, pooled_raw, 0), np.where(fg, pooled_truth, 0))
+    raw, truth = pooled_raw[fg], pooled_truth[fg]
+    leaf_acc = float(np.mean(raw == truth)) if truth.size else None
+    err_dist = semantic_error_distance(distance_matrix(assign_weights(tree, ERROR_METRIC_SCHEME)), raw, truth)
 
     return FoldResult(
         fold=fold,
         tau=tau,
-        swept=swept,
         curve=curve,
         trace=trace,
         leaf_accuracy=leaf_acc,
@@ -372,7 +367,7 @@ def _fold_dict(res: FoldResult) -> dict:
         "val_subjects": list(res.fold.val_subjects),
         "held_out": list(res.fold.held_out),
         "tau": res.tau,
-        "swept": res.swept,
+        "swept": res.curve is not None,
         "train_trace": [float(x) for x in res.trace],
         "leaf_accuracy": res.leaf_accuracy,
         "semantic_error_distance": res.error_distance,
@@ -397,7 +392,7 @@ def run_experiment(config: ExperimentConfig, out: Path | str, jobs: int = 1) -> 
     """Run the full pipeline and write reports; returns the output directory."""
     corpus = build_corpus(config)
     folds = config_folds(corpus, config)
-    config_levels(corpus.tree, config)  # the last config errors, raised before anything is written
+    _, eval_levels = config_levels(corpus.tree, config)  # the last config errors, raised before anything is written
     context = _fork_context(jobs) if jobs > 1 else None
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
@@ -414,13 +409,10 @@ def run_experiment(config: ExperimentConfig, out: Path | str, jobs: int = 1) -> 
             write_tau_curve(res.curve, fold_dir(out, res.fold.index) / "tau_curve.csv")
     write_confusion_csv(tree, tree.levels - 1, [r.confusion for r in results], out / "confusion.csv")
 
-    levels_present = sorted({level for r in results for level in r.reports})
     means: dict = {"levels": {}}
-    for level in levels_present:
-        reps = [r.reports[level] for r in results if level in r.reports]
-        means["levels"][str(level)] = {
-            key: _mean_or_none([getattr(rep, f"mean_{key}") for rep in reps]) for key in LEVEL_MEANS
-        }
+    for level in eval_levels:
+        fold_means = [r.reports[level].means for r in results]
+        means["levels"][str(level)] = {key: _mean_or_none([m[key] for m in fold_means]) for key in LEVEL_MEANS}
     means["tau"] = _mean_or_none([r.tau for r in results])
     means["leaf_accuracy"] = _mean_or_none([r.leaf_accuracy for r in results])
     means["semantic_error_distance"] = _mean_or_none([r.error_distance for r in results])

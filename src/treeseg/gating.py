@@ -113,8 +113,6 @@ class LevelScorer:
         self.plan = tuple((renumber[v], tuple(renumber.get(u, u) for u in kids)) for v, kids in plan)
         self.rows = [renumber.get(v, v) for v in self.node_ids.tolist()]
         self.under = [np.flatnonzero(level_of_leaf == node) for node in self.node_ids]
-        # a slot whose subtree is one leaf labels its pixels with that leaf, no argmax needed
-        self.lone = np.array([leaves[0] + 1 if leaves.size == 1 else 0 for leaves in self.under], dtype=np.int64)
         self.code_of_leaf = level_of_leaf + 1  # leaf index -> level-k node code
 
     def scores(self, probs: np.ndarray) -> np.ndarray:
@@ -134,19 +132,16 @@ class LevelScorer:
         best, top = first_max(self.scores(probs))
         if self.k == 0:  # every slot is one leaf
             return ScoredImage(best, top, best, best)
-        inside = self.lone[best] - 1
+        inside = np.empty_like(best)  # every column's best is some slot
         for slot, leaves in enumerate(self.under):
-            if leaves.size == 1:
-                continue
             cols = np.flatnonzero(best == slot)
             if cols.size:
                 inside[cols] = leaves[first_max(probs[np.ix_(leaves, cols)])[0]]
         return ScoredImage(best, top, inside, first_max(probs)[0])
 
-    def gate(self, image: ScoredImage, tau: float) -> tuple[np.ndarray, np.ndarray]:
-        """Flat ``(labels, level_class)``: leaf codes, 0 where the top score is not above
-        tau, and every column's level-k argmax node id, gated or not."""
-        return np.where(image.top > tau, image.inside + 1, 0), self.node_ids[image.best]
+    def gate(self, image: ScoredImage, tau: float) -> np.ndarray:
+        """Flat leaf codes: 0 where the top score is not above tau."""
+        return np.where(image.top > tau, image.inside + 1, 0)
 
     def sweep(self, images: list[ScoredImage], masks: list[np.ndarray], grid: np.ndarray) -> tuple[float, np.ndarray]:
         """``(tau_m, curve)`` over the annotated (code > 0) columns of the scored images; see ``sweep_tau``."""
@@ -208,11 +203,10 @@ def score_at_level(tree: LabelTree, probs: np.ndarray, k: int) -> tuple[np.ndarr
 def gate(tree: LabelTree, probs: np.ndarray, policy: ThresholdPolicy) -> PredictionField:
     """Apply the background threshold and pick leaf labels inside the
     winning level-k subtree."""
-    k = policy.resolve_level(tree)
-    scorer = LevelScorer(tree, k)
-    labels, level_class = scorer.gate(scorer.score(_columns_copy(probs)), policy.tau)
+    scorer = LevelScorer(tree, policy.resolve_level(tree))
+    image = scorer.score(_columns_copy(probs))
     lead = np.shape(probs)[:-1]
-    return PredictionField(labels=labels.reshape(lead), level_class=level_class.reshape(lead), level=k)
+    return PredictionField(labels=scorer.gate(image, policy.tau).reshape(lead), level_class=scorer.node_ids[image.best].reshape(lead), level=scorer.k)
 
 
 def check_grid_step(step: float) -> None:

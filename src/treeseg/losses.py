@@ -273,17 +273,15 @@ class _Tile:
     normalised in place into the softmax ``p``. The terms read ``p``, its
     column sums ``s`` and the true leaf's shifted logit, and one kernel then
     writes the tile's whole gradient of the batch mean (a mean over ``n``,
-    the batch's annotated pixels) over ``p``. ``true``
-    holds each column's true-leaf entry as a flat index into ``flat``, the
-    buffer's 1-D view in memory order: ``leaf * N + column`` for the
-    C-ordered (C, N) logits of a dense batch.
+    the batch's annotated pixels) over ``p``. ``true`` holds each column's
+    true-leaf entry as ``leaf * N + column``, a flat index into ``flat``, the
+    C-ordered (C, N) buffer's 1-D view.
     """
 
     def __init__(self, work: np.ndarray, start: int, stop: int, leaf: np.ndarray, n: int):
         self.leaf, self.n, self.width = leaf, n, stop - start
-        self.flat = work.ravel(order="K")  # a view: the batch buffer is contiguous
-        row, col = (step // work.itemsize for step in work.strides)
-        self.true = leaf * row + np.arange(start, stop) * col
+        self.flat = work.reshape(-1)  # a view: the batch buffer is C-ordered
+        self.true = leaf * work.shape[1] + np.arange(start, stop)
         z = work[:, start:stop]
         z -= np.maximum.reduce(z, axis=0)
         self.z_true = self.flat[self.true]

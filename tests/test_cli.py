@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from treeseg.cli import main
 from treeseg.distances import distance_matrix
 from treeseg.errors import ConfigError, TreesegError
-from treeseg.experiment import CONFIG_KEYS, corpus_fingerprint, write_tau_curve
+from treeseg.experiment import CONFIG_KEYS, compare, config_from_dict, corpus_fingerprint, write_tau_curve
 from treeseg.gating import ThresholdPolicy, default_grid, gate, sweep_tau
 from treeseg.hierarchy import EdgeWeightScheme, assign_weights, parse_level, parse_tree, resolve_level
 from treeseg.synth import SynthConfig, generate, load_corpus, read_field, save_corpus, write_field
@@ -661,7 +661,26 @@ def test_hierarchy_that_is_not_a_tree_names_the_file(tmp_path, capsys, doc, prob
     assert f"{path}: {problem}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({}, "config needs either a synth block or a corpus path"),
+        ({"hierarchy": "hier.json"}, "a hierarchy file requires a synth block to generate data for it"),
+        ({"corpus": "no_corpus"}, "corpus path .*no_corpus does not exist"),
+    ],
+)
+def test_config_without_its_data_is_config_error(tmp_path, data, message):
+    """Checked before any file is read: a config names a synth block or an existing corpus."""
+    data = {key: str(tmp_path / value) for key, value in data.items()}
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(data)
+
+
 class TestCompareInputs:
+    def test_one_report_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="compare needs at least 2 reports"):
+            compare([tmp_path / "a"])
+
     def test_missing_run_directory_exits_one(self, tmp_path, capsys):
         missing = tmp_path / "no_run"
         assert main(["compare", str(missing), str(tmp_path / "other")]) == 1

@@ -115,6 +115,10 @@ class TestTransportLP:
         with pytest.raises(NormalizationError):
             solve_transport_lp(m, np.array([1.5, -0.5]), np.array([0.5, 0.5]))
 
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(NormalizationError, match=r"shape mismatch: M \(2, 2\), p 2, q 3"):
+            solve_transport_lp(np.zeros((2, 2)), np.array([0.5, 0.5]), np.array([0.2, 0.3, 0.5]))
+
     def test_nan_marginal_raises(self):
         m = np.zeros((2, 2))
         for bad in (np.array([np.nan, 1.0]), np.array([np.nan, np.nan])):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from treeseg.errors import EmptyEvalError
+from treeseg.errors import ConfigError, EmptyEvalError, LabelError, ShapeError
 from treeseg.evaluation import (
     confusion,
     dice_scores,
@@ -60,6 +60,14 @@ class TestDice:
 
 
 class TestNSD:
+    @pytest.mark.parametrize(
+        "pred_shape, tolerance, message",
+        [((4, 4), float("nan"), "tolerance must be >= 0, got nan"), ((4, 4), -1.0, "tolerance must be >= 0, got -1.0"), ((4, 5), 1.0, "same spatial shape")],
+    )
+    def test_bad_tolerance_or_shapes_are_config_errors(self, pred_shape, tolerance, message):
+        with pytest.raises(ConfigError, match=message):
+            nsd_scores(np.ones(pred_shape, dtype=int), np.ones((4, 4), dtype=int), [1], tolerance)
+
     def test_identical_masks_score_one(self):
         img = np.zeros((12, 12), dtype=int)
         img[3:8, 2:9] = 1
@@ -139,6 +147,25 @@ class TestOvr:
         f = ovr_scores(pred, truth, classes)["f1"]
         assert np.abs(d - f).max() <= 1e-12
 
+    def test_dice_is_f1_to_the_bit_where_the_class_has_positives(self):
+        """Elsewhere F1 is NaN and Dice is 0 if the class is predicted on the domain, else NaN."""
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n, m = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+            pred, truth = rng.integers(0, m + 2, n), rng.integers(0, m + 2, n)
+            domain = rng.random(n) < 0.8
+            if not domain.any():
+                continue
+            classes = sorted(rng.choice(np.arange(1, m + 2), size=m, replace=False).tolist())
+            d = dice_scores(pred, truth, classes, domain)
+            f = ovr_scores(pred, truth, classes, domain)["f1"]
+            for i, c in enumerate(classes):
+                if np.any(domain & (truth == c)):
+                    assert d[i] == f[i]
+                else:
+                    assert np.isnan(f[i])
+                    assert d[i] == 0.0 if np.any(domain & (pred == c)) else np.isnan(d[i])
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
         pred = rng.integers(0, 4, 100)
@@ -191,6 +218,10 @@ class TestConfusion:
         supported = ~np.all(np.isnan(tensor.averaged), axis=1)
         assert np.abs(sums[supported] - 1.0).max() <= 1e-12
 
+    def test_one_truth_per_prediction_fold(self):
+        with pytest.raises(ConfigError, match="need one truth field per prediction fold"):
+            confusion([np.array([1])], [np.array([1]), np.array([1])], [1])
+
     def test_background_row_and_column(self):
         pred = np.array([0, 1, 2])
         truth = np.array([1, 1, 0])
@@ -201,15 +232,36 @@ class TestConfusion:
         assert tensor.per_fold[0][2, 1] == 1  # pseudo-background predicted class 2
 
 
+@pytest.mark.parametrize(
+    "score, sizes",
+    [
+        (lambda t: dice_scores(np.array([1, 2]), np.array([1]), [1, 2]), "2, 1 and 1"),
+        (lambda t: ovr_scores(np.array([1]), np.array([1, 2]), [1, 2]), "1, 2 and 2"),
+        (lambda t: evaluate_level(t, np.array([1, 2]), np.array([1, 2]), 0, domain=np.ones(3, dtype=bool)), "2, 2 and 3"),
+        (lambda t: confusion([np.array([1, 2])], [np.array([1])], [1, 2]), "2, 1 and 1"),
+    ],
+    ids=["dice_scores", "ovr_scores", "evaluate_level", "confusion"],
+)
+def test_pixel_counts_that_differ_are_shape_errors(score, sizes):
+    with pytest.raises(ShapeError, match=f"prediction, truth and domain differ in size: {sizes} pixels"):
+        score(make_random_tree(9))
+
+
 class TestEvaluateLevel:
+    def test_leaf_codes_outside_the_tree_are_label_errors(self):
+        t = make_random_tree(9)
+        for bad in (-1, t.n_leaves + 1):
+            with pytest.raises(LabelError, match=f"leaf codes must lie in 0..{t.n_leaves}"):
+                map_to_level(t, np.array([1, bad]), 0)
+
     def test_level_mapping_and_report(self):
         t = make_random_tree(9)
         rng = np.random.default_rng(9)
         truth = rng.integers(1, t.n_leaves + 1, (10, 10))
         rep_leaf = evaluate_level(t, truth, truth, 0)
-        assert rep_leaf.mean_dice == 1.0
+        assert rep_leaf.means["dice"] == 1.0
         rep_top = evaluate_level(t, truth, truth, t.levels - 1)
-        assert rep_top.mean_f1 == 1.0
+        assert rep_top.means["f1"] == 1.0
         assert all(c - 1 in t.children(t.root) for c in rep_top.classes)
 
     def test_wrong_leaf_right_subtree_scores_at_top(self):
@@ -223,7 +275,7 @@ class TestEvaluateLevel:
                 break
         truth = np.full(20, a + 1)
         pred = np.full(20, b + 1)
-        assert evaluate_level(t, pred, truth, 0).mean_dice == 0.0
+        assert evaluate_level(t, pred, truth, 0).means["dice"] == 0.0
         rep_top = evaluate_level(t, pred, truth, top)
         idx = rep_top.classes.index(int(map_to_level(t, np.array([a + 1]), top)[0]))
         assert rep_top.dice[idx] == 1.0

@@ -249,6 +249,22 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep_tau(t, probs, [np.zeros(20, dtype=int)], t.levels - 1, np.array([0.0]))
 
+    def test_one_mask_per_field(self):
+        t, probs, masks = self._perfect_single_class_setup()
+        with pytest.raises(ConfigError, match="need one mask per probability field"):
+            sweep_tau(t, probs, masks * 2, t.levels - 1, np.array([0.0]))
+
+    def test_an_image_without_annotated_pixels_changes_nothing(self, rng):
+        t = make_random_tree(33)
+        scorer = LevelScorer(t, t.levels - 1)
+        images = [scorer.score(np.ascontiguousarray(random_probs(rng, n, t.n_leaves).T)) for n in (30, 40)]
+        masks = [np.zeros(30, dtype=int), rng.integers(0, t.n_leaves + 1, size=40)]
+        grid = default_grid(0.05)
+        tau, curve = scorer.sweep(images, masks, grid)
+        alone_tau, alone_curve = scorer.sweep(images[1:], masks[1:], grid)
+        assert tau == alone_tau
+        assert np.array_equal(curve, alone_curve)
+
     def test_matches_exhaustive_gate_and_score_oracle(self, rng):
         t = make_random_tree(33)
         k = t.levels - 1

@@ -102,6 +102,23 @@ class TestParse:
         with pytest.raises(error):
             parse_tree(json.dumps({"name": "r", "children": children}))
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (3, "hierarchy document must be a JSON object"),
+            ({"name": 5, "children": [{"name": "a"}, {"name": "b"}]}, "node name must be a string, got 5"),
+            ({"name": "r", "children": [{"name": "a", "weight": "2"}, {"name": "b"}]}, "weight of 'a' must be a number"),
+            ({"name": "r", "children": {"name": "a"}}, "children of 'r' must be a list"),
+        ],
+    )
+    def test_malformed_document_is_parse_error(self, doc, message):
+        with pytest.raises(ParseError, match=message):
+            parse_tree(json.dumps(doc))
+
+    def test_id_of_an_unknown_name_is_key_error(self, three_leaf_tree):
+        with pytest.raises(KeyError, match="ghost"):
+            three_leaf_tree.id_of("ghost")
+
     def test_file_weights_are_kept(self):
         doc = json.dumps({"name": "r", "children": [{"name": "a", "weight": 2.5}, {"name": "b"}]})
         t = parse_tree(doc)

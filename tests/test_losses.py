@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import treeseg.losses as losses
 from treeseg.distances import distance_matrix, solve_transport_lp
-from treeseg.errors import ConfigError, EmptyMaskError, LabelError
+from treeseg.errors import ConfigError, EmptyMaskError, LabelError, NormalizationError
 from treeseg.hierarchy import EdgeWeightScheme, LabelTree, adjacency, assign_weights, parse_tree
 from treeseg.losses import (
     LossSpec,
@@ -78,6 +78,13 @@ class TestWassersteinCrisp:
         with pytest.raises(EmptyMaskError):
             wasserstein_crisp(TWO_LEAF_M, np.zeros((1, 2)), np.array([0]))
 
+    def test_loss_callable_checks_logits_against_its_tree_and_target(self, three_leaf_tree):
+        fn = make_loss(three_leaf_tree, LossSpec("wass", EdgeWeightScheme("equal")))
+        with pytest.raises(LabelError, match=r"expected class-major logits with 3 rows, got shape \(2, 4\)"):
+            fn(np.zeros((2, 4)), np.array([1, 2, 3, 1]))
+        with pytest.raises(LabelError, match="target has 3 pixels, logits have 4"):
+            fn(np.zeros((3, 4)), np.array([1, 2, 3]))
+
     def test_argmin_at_true_class(self):
         t = assign_weights(make_random_tree(6), EdgeWeightScheme("hier", kappa=3.0))
         m = distance_matrix(t)
@@ -120,6 +127,10 @@ class TestSegLosses:
 
 
 class TestAggregate:
+    def test_wrong_leaf_count_is_normalization_error(self, three_leaf_tree):
+        with pytest.raises(NormalizationError, match="expected 3 leaf columns, got 2"):
+            losses.check_columns(np.full((2, 4), 0.5), three_leaf_tree.n_leaves)
+
     def test_uniform_distribution(self, three_leaf_tree):
         t = three_leaf_tree
         out = aggregate(t, np.full((1, 3), 1.0 / 3.0))[0]
@@ -290,6 +301,13 @@ class TestCompound:
         logits = np.zeros((3, t.n_leaves))
         with pytest.raises(ConfigError):
             compound_wass(spec, t, logits, np.array([1, 0, 2]))
+
+    def test_each_compound_rejects_the_other_semantic(self, three_leaf_tree):
+        logits, target = np.zeros((2, 3)), np.array([1, 2])
+        with pytest.raises(ConfigError, match="compound_wass needs semantic='wass', got 'twce'"):
+            compound_wass(LossSpec("twce", EdgeWeightScheme("equal")), three_leaf_tree, logits, target)
+        with pytest.raises(ConfigError, match="compound_twce needs semantic='twce', got 'wass'"):
+            compound_twce(LossSpec("wass", EdgeWeightScheme("equal")), three_leaf_tree, logits, target)
 
     def test_seg_none_outside_twce_rejected(self):
         with pytest.raises(ConfigError):

@@ -561,7 +561,8 @@ def ref_gate_from_probs(scorer, probs, tau):
     the leaf inside the winning slot looked up in the probabilities once tau is known."""
     best, top = first_max(scorer.scores(probs))
     keep = top > tau
-    labels = np.where(keep, scorer.lone[best], 0)
+    lone = np.array([leaves[0] + 1 if leaves.size == 1 else 0 for leaves in scorer.under], dtype=np.int64)
+    labels = np.where(keep, lone[best], 0)
     for slot, leaves in enumerate(scorer.under):
         if leaves.size == 1:
             continue
@@ -590,7 +591,7 @@ def test_gate_from_the_scored_vectors_matches_the_gate_from_probabilities():
                 image = scorer.score(probs.copy())
                 for tau in (0.0, 0.5, 0.99):
                     labels, level_class, leaf = ref_gate_from_probs(scorer, probs, tau)
-                    got_labels, got_class = scorer.gate(image, tau)
+                    got_labels, got_class = scorer.gate(image, tau), scorer.node_ids[image.best]
                     for got, ref in ((got_labels, labels), (got_class, level_class), (image.leaf, leaf)):
                         assert got.dtype == ref.dtype
                         assert np.array_equal(got, ref)

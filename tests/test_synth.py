@@ -168,6 +168,10 @@ class TestFolds:
         with pytest.raises(ConfigError):
             make_folds(corpus, 4, 1)
 
+    def test_one_subject_is_rejected(self):
+        with pytest.raises(ConfigError, match="need at least 2 subjects to fold"):
+            make_folds(self._corpus(1), 2, 1)
+
 
 class TestDiskFormat:
     def test_field_round_trip(self, tmp_path, rng):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from treeseg import losses, training
-from treeseg.errors import ConfigError, DivergenceError, ParseError, ShapeError
+from treeseg.errors import ConfigError, DivergenceError, EmptyMaskError, ParseError, ShapeError
 from treeseg.experiment import ExperimentConfig, fit
 from treeseg.hierarchy import EdgeWeightScheme, parse_tree
 from treeseg.losses import LossSpec, make_loss
@@ -44,6 +44,15 @@ def test_separable_toy_reaches_low_ce():
     config = TrainConfig(model="linear", lr=0.05, epochs=200, seed=0)
     _, trace = train(subjects, tree, CE_SPEC, config)
     assert trace[-1] < 0.05
+
+
+def test_nothing_to_train_on_is_empty_mask_error():
+    tree = make_random_tree(0, depth=1, branching=(2, 2))
+    config = TrainConfig(model="linear", epochs=1, seed=0)
+    with pytest.raises(EmptyMaskError, match="no training subjects"):
+        train([], tree, CE_SPEC, config)
+    with pytest.raises(EmptyMaskError, match="training fold has no annotated pixels"):
+        train([(np.ones((4, 4, 2)), np.zeros((4, 4), dtype=int))], tree, CE_SPEC, config)
 
 
 def test_same_seed_is_bit_identical():

@@ -3,6 +3,7 @@ and must give what the public (..., C) functions give one after another."""
 
 from __future__ import annotations
 
+import json
 import pickle
 from dataclasses import replace
 
@@ -16,7 +17,7 @@ from treeseg.evaluation import confusion, level_classes, map_to_level
 from treeseg.gating import ThresholdPolicy, default_grid, gate, sweep_tau
 from treeseg.hierarchy import EdgeWeightScheme, assign_weights, resolve_level
 from treeseg.losses import LossSpec
-from treeseg.synth import SynthConfig, read_field, val_view
+from treeseg.synth import FoldSpec, Subject, SynthConfig, read_field, val_view
 from treeseg.training import TrainConfig, predict
 
 
@@ -116,3 +117,22 @@ def test_a_fold_result_holds_no_pixels(tmp_path):
         assert res.confusion.shape == (len(expected.classes),) * 2
         assert np.array_equal(res.confusion, expected.per_fold[0])
     assert sizes[0] == sizes[1]
+
+
+def test_a_fold_without_foreground_truth_reports_null_leaf_accuracy(tmp_path):
+    """With a fixed tau, a fold whose every annotated validation pixel is held out has no
+    foreground truth: its leaf accuracy and error distance are null, and its entry is valid JSON."""
+    config = replace(two_label_fold_config("topmost"), tau=0.5, n_label_folds=1)
+    corpus = exp.build_corpus(replace(config, synth=replace(config.synth, n_subjects=2)))
+    val = corpus.subjects[1]
+    corpus.subjects[1] = Subject(val.features, val.truth, np.where(val.mask > 0, 1, 0))
+    res = exp.run_fold(corpus, FoldSpec(0, (0,), (1,), (1,)), config, tmp_path)
+    assert res.leaf_accuracy is None and res.error_distance is None
+    entry = json.loads(json.dumps(exp._fold_dict(res), allow_nan=False))
+    assert entry["leaf_accuracy"] is None and entry["swept"] is False
+
+
+def test_semantic_error_distance_without_errors_is_none():
+    """Background predictions and unannotated truth are not errors."""
+    m = np.array([[0.0, 2.0], [2.0, 0.0]])
+    assert exp.semantic_error_distance(m, np.array([1, 2, 0, 1]), np.array([1, 2, 2, 0])) is None

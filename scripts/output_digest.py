@@ -6,10 +6,14 @@ For each workload and seed it writes the workload's inputs with
 temporary directory, then hashes every file there. It prints one line per
 workload (the file count and a sha256 over each file's sorted relative
 path and bytes) and a total line. Two checkouts write the same bytes when
-they print the same lines. Run from the repository root:
+they print the same lines. ``--jobs N`` runs every op with N jobs instead
+of its workload's own, so the lines of ``--jobs 1`` and ``--jobs 2`` show
+that folds write the same bytes in worker processes as in the caller. Run
+from the repository root:
 
     python3 scripts/output_digest.py                       # all workloads, seeds 0-2
     python3 scripts/output_digest.py --workload wass-default --seeds 0 1
+    python3 scripts/output_digest.py --jobs 2              # every op with two jobs
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import hashlib
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 # BLAS/OpenMP thread pools are sized when numpy loads: pin them first, as perfbench/run.py does
@@ -47,14 +52,16 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--workload", nargs="+", choices=sorted(WORKLOADS), default=list(WORKLOADS))
     ap.add_argument("--seeds", nargs="+", type=int, default=[0, 1, 2])
+    ap.add_argument("--jobs", type=int, default=None, help="jobs of every op (default: the workload's own)")
     args = ap.parse_args(argv)
     total, total_files = hashlib.sha256(), 0
     for name in args.workload:
+        w = WORKLOADS[name] if args.jobs is None else replace(WORKLOADS[name], jobs=args.jobs)
         h = hashlib.sha256()
         with tempfile.TemporaryDirectory() as tmp:
             for seed in args.seeds:
                 root = Path(tmp) / f"seed{seed}"
-                run_op(make_inputs(WORKLOADS[name], seed, root / "inputs"), root / "out")
+                run_op(make_inputs(w, seed, root / "inputs"), root / "out")
             n = digest(Path(tmp), h)
         total.update(h.digest())
         total_files += n

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pickle
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -316,20 +317,6 @@ def run_fold(corpus: Corpus, fold: FoldSpec, config: ExperimentConfig, out: Path
     )
 
 
-# the run a fold worker process serves: set by _init_worker in each worker, never in the caller
-_worker_run: tuple | None = None
-
-
-def _init_worker(corpus: Corpus, folds: list[FoldSpec], config: ExperimentConfig, out: Path) -> None:
-    global _worker_run
-    _worker_run = (corpus, folds, config, out)
-
-
-def _run_fold_at(i: int) -> FoldResult:
-    corpus, folds, config, out = _worker_run
-    return run_fold(corpus, folds[i], config, out)
-
-
 def _fork_context(jobs: int):
     """The ``fork`` start method that fold workers start from; a platform without it is a ConfigError."""
     import multiprocessing
@@ -340,24 +327,88 @@ def _fork_context(jobs: int):
         raise ConfigError(f"jobs = {jobs} runs folds in forked processes, and this platform has no 'fork' start method; use 1 job") from None
 
 
+def _sendable(e: BaseException) -> BaseException:
+    """``e`` if it comes back whole through pickle, else a TreesegError with its text."""
+    try:
+        pickle.loads(pickle.dumps(e))
+    except Exception:
+        return TreesegError(str(e))
+    return e
+
+
+def _serve_folds(conn, corpus: Corpus, folds: list[FoldSpec], config: ExperimentConfig, out: Path) -> None:
+    """A fold worker: ``run_fold`` of each of its folds in turn, each FoldResult sent on ``conn``.
+    The first exception ends it and is sent in place of its fold's result, for the caller to
+    raise."""
+    try:
+        for fold in folds:
+            conn.send(run_fold(corpus, fold, config, out))
+    except BaseException as e:
+        conn.send(_sendable(e))
+    finally:
+        conn.close()
+
+
+def _died(worker) -> TreesegError:
+    worker.join()
+    return TreesegError(f"a fold worker process died before it returned its fold (exit code {worker.exitcode})")
+
+
+def _receive(conn, worker, running: dict) -> FoldResult:
+    """The next fold ``worker`` sends on ``conn``; the exception it sends instead is raised.
+    ``running`` maps the sentinel of each worker not yet seen to end to that worker: one that
+    ends with a nonzero exit code, this one or another, is a TreesegError as soon as it ends."""
+    from multiprocessing.connection import wait
+
+    while conn not in (ready := wait([conn, *running])):
+        for sentinel in ready:
+            ended = running.pop(sentinel)
+            ended.join()
+            if ended.exitcode:
+                raise _died(ended)
+    try:
+        res = conn.recv()
+    except (EOFError, OSError):
+        raise _died(worker) from None
+    if isinstance(res, BaseException):
+        raise res
+    return res
+
+
 def _run_folds_in_workers(corpus: Corpus, folds: list[FoldSpec], config: ExperimentConfig, out: Path, jobs: int, context) -> list[FoldResult]:
     """``run_fold`` of every fold in ``min(jobs, len(folds))`` forked worker processes, in fold order.
 
-    A forked worker starts as a copy of the caller, so the corpus, folds, config and output
-    directory reach it through the pool's initializer unpickled: only a fold index goes in,
-    the worker writes the fold's predictions, and its FoldResult, counts and scores, comes
-    back. Each worker holds its own fold's training copy and buffers.
-    An exception a fold raises is raised here; a worker that dies is a TreesegError.
+    Worker w runs folds w, w + workers, and so on, and sends each FoldResult, counts and
+    scores, back on a one-way pipe of its own; a forked worker starts as a copy of the
+    caller, so the corpus, folds, config and output directory reach it unpickled. The
+    caller reads the pipes in fold order in its own thread and starts no other. An
+    exception a fold raises is raised here and the other workers are stopped; a worker
+    that dies is a TreesegError as soon as it dies. Every worker is joined before this
+    returns or raises.
     """
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    workers = min(jobs, len(folds))
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context, initializer=_init_worker, initargs=(corpus, folds, config, out)) as pool:
-        try:
-            return list(pool.map(_run_fold_at, range(len(folds))))
-        except BrokenProcessPool as e:
-            raise TreesegError(f"a fold worker process died before it returned its fold: {e}") from None
+    n = min(jobs, len(folds))
+    workers, conns = [], []
+    try:
+        for share in range(n):
+            recv, send = context.Pipe(duplex=False)
+            conns.append(recv)
+            worker = context.Process(target=_serve_folds, args=(send, corpus, folds[share::n], config, out))
+            try:
+                worker.start()
+            finally:
+                send.close()  # the worker holds the only write end, so its exit is the reader's EOF
+            workers.append(worker)
+        running = {worker.sentinel: worker for worker in workers}
+        return [_receive(conns[i % n], workers[i % n], running) for i in range(len(folds))]
+    except BaseException:
+        for worker in workers:
+            worker.terminate()
+        raise
+    finally:
+        for worker in workers:
+            worker.join()
+        for conn in conns:
+            conn.close()
 
 
 def _fold_dict(res: FoldResult) -> dict:

@@ -86,12 +86,6 @@ class LabelTree:
     def name_of(self, v: int) -> str:
         return self.nodes[v].name
 
-    def id_of(self, name: str) -> int:
-        for n in self.nodes:
-            if n.name == name:
-                return n.id
-        raise KeyError(name)
-
     def leaf_names(self) -> list[str]:
         return [self.nodes[i].name for i in range(self.n_leaves)]
 

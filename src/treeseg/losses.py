@@ -67,12 +67,14 @@ their own and transpose the result once into their pixel-major layout.
 Each semantic kernel works one (rows, T) table in a ``Scratch`` that its
 caller hands it: a flat buffer for any tile up to the scratch's width,
 allocated by the first kernel that asks, at its rows times that width,
-of which a tile uses a C-ordered view of its start. ``training.train``
-makes one per call, with its other buffers, so no step after the first
-allocates a table; a whole-batch call, and so every public ``(..., C)``
-function, makes one for its own widest tile. A scratch is passed as an
-argument, never kept by the callable, so one callable may serve threads
-that each hold their own. The Wasserstein's table is the (C, T) distance
+of which a tile uses a C-ordered view of its start. A Dice term works its
+one-hot target, its products and its gradient in two (C, T) tables of the
+same scratch. ``training.train`` makes one per call, with its other
+buffers, so no step after the first allocates a table; a whole-batch
+call, and so every public ``(..., C)`` function, makes one for its own
+widest tile. A scratch is passed as an argument, never kept by the
+callable, so one callable may serve threads that each hold their own.
+The Wasserstein's table is the (C, T) distance
 to each true leaf, taken into the buffer with ``mode="clip"``: a take
 into ``out`` with the default ``mode="raise"`` buffers its result, and
 ``_Batch`` has already checked every code, so clipping changes no value.
@@ -154,20 +156,28 @@ def _block(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 class Scratch:
-    """The semantic kernel's table buffer for the tiles of one caller, up to ``width`` columns.
+    """The loss kernels' table buffers for the tiles of one caller, up to ``width`` columns.
 
-    The first kernel that asks allocates it, at its rows times ``width``;
-    every later tile takes a C-ordered view of its start. A kernel's rows
-    are fixed, so the buffer never grows. Hold one per thread of work.
+    The first semantic kernel that asks allocates its table, at its rows
+    times ``width``, and a Dice term its two (C, width) tables the first
+    time it runs; every later tile takes C-ordered views of their starts.
+    A kernel's rows are fixed, so no buffer grows. Hold one per thread of work.
     """
 
     def __init__(self, width: int):
-        self.width, self.buf = width, None
+        self.width, self.buf, self.dice_buf = width, None, None
 
     def block(self, rows: int, cols: int) -> np.ndarray:
         if self.buf is None:
             self.buf = np.empty(rows * self.width)
         return _block(self.buf, rows, cols)
+
+    def dice_blocks(self, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+        """The Dice term's two (rows, cols) tables: the one-hot target that becomes its
+        gradient, and its products."""
+        if self.dice_buf is None:
+            self.dice_buf = np.empty((2, rows * self.width))
+        return _block(self.dice_buf[0], rows, cols), _block(self.dice_buf[1], rows, cols)
 
 
 def _pixel_major(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -340,9 +350,10 @@ def aggregate(tree: LabelTree, probs: np.ndarray) -> np.ndarray:
     return out.reshape(*lead, tree.n_nodes)
 
 
-def _chain_softmax(p: np.ndarray, dldp: np.ndarray) -> np.ndarray:
-    """Push a gradient w.r.t. probabilities through the softmax Jacobian, in dldp's buffer."""
-    inner = np.add.reduce(p * dldp, axis=0)
+def _chain_softmax(p: np.ndarray, dldp: np.ndarray, prod: np.ndarray | None = None) -> np.ndarray:
+    """Push a gradient w.r.t. probabilities through the softmax Jacobian, in dldp's buffer; the
+    products of the two are taken into ``prod`` when given."""
+    inner = np.add.reduce(np.multiply(p, dldp, out=prod), axis=0)
     dldp -= inner
     dldp *= p
     return dldp
@@ -459,17 +470,25 @@ def _plain_ce(b: _Tile, beta: float) -> None:
     b.p *= beta
 
 
-def _dice(b: _Tile) -> tuple[float, np.ndarray]:
-    """The soft Dice term of a whole batch, which must be one tile."""
+def _dice(b: _Tile, scratch: Scratch) -> tuple[float, np.ndarray]:
+    """The soft Dice term of a whole batch, which must be one tile. Its one-hot target, its
+    products and its gradient, returned in the one-hot's buffer, are worked in ``scratch``'s
+    Dice tables."""
     p = b.p
-    onehot = np.zeros_like(p)
+    onehot, prod = scratch.dice_blocks(*p.shape)
+    onehot.fill(0.0)
     onehot.reshape(-1)[b.true] = 1.0  # one tile of the whole batch: the flat index is onehot's too
-    num = 2.0 * np.add.reduce(p * onehot, axis=1, keepdims=True) + DICE_SMOOTH
+    num = 2.0 * np.add.reduce(np.multiply(p, onehot, out=prod), axis=1, keepdims=True) + DICE_SMOOTH
     den = np.add.reduce(p, axis=1, keepdims=True) + np.add.reduce(onehot, axis=1, keepdims=True) + DICE_SMOOTH
     loss = float(np.mean(1.0 - num / den))
     # d(1 - num_c/den_c)/dp_ci = -(2 g_ci den_c - num_c) / den_c^2, averaged over classes
-    dldp = -(2.0 * onehot * den - num) / (den * den) / p.shape[0]
-    return loss, _chain_softmax(p, dldp)
+    dldp = np.multiply(2.0, onehot, out=onehot)
+    dldp *= den
+    dldp -= num
+    np.negative(dldp, out=dldp)
+    dldp /= den * den
+    dldp /= p.shape[0]
+    return loss, _chain_softmax(p, dldp, prod)
 
 
 def _require_dense(b: _Batch) -> _Batch:
@@ -533,7 +552,7 @@ class _Loss:
         """One tile's per-pixel terms into ``terms``, and its gradient of the batch mean over its
         softmax; the semantic kernel works its table in ``scratch``."""
         if self.dice:
-            terms.dice, dc_grad = _dice(t)  # before the softmax turns into the gradient
+            terms.dice, dc_grad = _dice(t, scratch)  # before the softmax turns into the gradient
         if self.semantic is None:
             _plain_ce(t, self.beta)
         else:
@@ -611,7 +630,7 @@ def seg_loss_dice(logits: np.ndarray, target: np.ndarray) -> tuple[float, np.nda
 
     def dice(x: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
         b = _require_dense(_Batch(x, t, x.shape[0]))
-        return _dice(b.tile(0, b.n))
+        return _dice(b.tile(0, b.n), Scratch(b.n))
 
     return _pixel_major_call(dice, logits, target)
 

@@ -27,7 +27,7 @@ contiguous rows.
 
 ``train`` allocates the tile buffers once per call (``_Buffers``): the
 (d, T) features, the (h, T) hidden units, the (C, T) logits and the loss
-kernel's table (a ``losses.Scratch``). They are sized to the fold's
+kernels' tables (a ``losses.Scratch``). They are sized to the fold's
 widest tile: the sum of the ``batch_size`` largest annotated counts, or
 ``_tile_width(C) + 1`` columns if that is fewer (the last tile may absorb
 a lone column); with a Dice term the batch is one tile, so the sum. Each tile writes into the
@@ -150,7 +150,7 @@ def init_params(kind: str, in_dim: int, n_classes: int, hidden: int, rng: np.ran
 class _Buffers:
     """One ``train`` call's flat buffers, allocated once and sized to its widest tile of
     ``width`` columns: the tile's (d, T) features when it spans images, its (h, T) hidden
-    units (mlp), its (C, T) logits, and the ``Scratch`` of the loss kernel's table, which
+    units (mlp), its (C, T) logits, and the ``Scratch`` of the loss kernels' tables, which
     the first tile allocates."""
 
     def __init__(self, params: ModelParams, width: int):

@@ -37,6 +37,11 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def node_id(tree, name: str) -> int:
+    """The id of the node of ``tree`` called ``name``."""
+    return next(n.id for n in tree.nodes if n.name == name)
+
+
 def make_random_tree(seed: int, depth: int = 3, branching=(2, 3), ragged: bool = False):
     return random_tree(np.random.default_rng(seed), depth=depth, branching=branching, ragged=ragged)
 

@@ -1,4 +1,3 @@
-import concurrent.futures
 import hashlib
 import io
 import json
@@ -159,20 +158,20 @@ class TestRunAndCompare:
         assert (a / "manifest.json").read_text() == (b / "manifest.json").read_text()
 
     @staticmethod
-    def _modules_after_a_run(exp_file, out, roots) -> list:
+    def _modules_after_a_run(exp_file, out, roots, jobs=1) -> list:
         """[exit code, loaded modules under ``roots``] after ``import treeseg, treeseg.cli`` and a
-        whole one-job ``cli.main(["run", ...])`` in a fresh interpreter."""
+        whole ``cli.main(["run", ..., "--jobs", jobs])`` in a fresh interpreter."""
         script = (
             "import io, json, sys\n"
             "from contextlib import redirect_stdout\n"
             "import treeseg, treeseg.cli\n"
             "with redirect_stdout(io.StringIO()):\n"
-            "    code = treeseg.cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2], '--jobs', '1'])\n"
-            "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] in sys.argv[3:])]))\n"
+            "    code = treeseg.cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2], '--jobs', sys.argv[3]])\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] in sys.argv[4:])]))\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-        cmd = [sys.executable, "-c", script, str(exp_file), str(out), *roots]
+        cmd = [sys.executable, "-c", script, str(exp_file), str(out), str(jobs), *roots]
         done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60, check=True)
         return json.loads(done.stdout.splitlines()[-1])
 
@@ -183,6 +182,10 @@ class TestRunAndCompare:
     def test_serial_run_loads_no_process_pool(self, exp_file, tmp_path):
         """Only --jobs above 1 needs a pool: importing treeseg and a one-job run load neither module."""
         assert self._modules_after_a_run(exp_file, tmp_path / "run", ["concurrent", "multiprocessing"]) == [0, []]
+
+    def test_run_in_workers_loads_no_executor(self, exp_file, tmp_path):
+        """--jobs 2 forks its workers directly: the run loads no concurrent.futures module."""
+        assert self._modules_after_a_run(exp_file, tmp_path / "run", ["concurrent"], jobs=2) == [0, []]
 
     def test_fixed_tau_zero_equals_ungated_argmax_eval(self, tmp_path):
         cfg = dict(EXP_CONFIG)
@@ -972,6 +975,13 @@ class TestFoldWorkers:
         with redirect_stdout(io.StringIO()):
             return main(["run", "--config", str(config), "--out", str(out), "--jobs", str(jobs)])
 
+    @staticmethod
+    def _assert_no_children():
+        """No worker is left running, and none is left unreaped."""
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_folds_run_in_worker_processes(self, label_folds, tmp_path, monkeypatch):
         import treeseg.experiment
 
@@ -987,7 +997,7 @@ class TestFoldWorkers:
         pids = {int(p.read_text()) for p in tmp_path.glob("fold*.pid")}
         assert len(list(tmp_path.glob("fold*.pid"))) == 4 and os.getpid() not in pids and len(pids) <= 2
         assert (tmp_path / "workers" / "manifest.json").read_text() == (tmp_path / "serial" / "manifest.json").read_text()
-        assert multiprocessing.active_children() == []
+        self._assert_no_children()
 
     def test_validation_error_in_a_worker_exits_one_as_in_one_job(self, exp_file, tmp_path, monkeypatch):
         import treeseg.experiment
@@ -1007,7 +1017,7 @@ class TestFoldWorkers:
                 runs.append((self._run(exp_file, tmp_path / f"out{jobs}", jobs), err.getvalue()))
         assert runs[0][0] == 1 and "rows must be probability vectors" in runs[0][1]
         assert runs[1] == runs[0]
-        assert multiprocessing.active_children() == []
+        self._assert_no_children()
 
     def test_a_worker_that_dies_is_a_runtime_error(self, exp_file, tmp_path, monkeypatch, capfd):
         import treeseg.experiment
@@ -1015,8 +1025,32 @@ class TestFoldWorkers:
         monkeypatch.setattr(treeseg.experiment, "run_fold", lambda corpus, fold, config, out: os._exit(3))
         assert self._run(exp_file, tmp_path / "out", 2) == 2
         err = capfd.readouterr().err
-        assert "runtime error: a fold worker process died" in err and "Traceback" not in err
-        assert multiprocessing.active_children() == []
+        assert "runtime error: a fold worker process died before it returned its fold (exit code 3)" in err and "Traceback" not in err
+        self._assert_no_children()
+
+    def test_a_worker_that_dies_ends_the_run_while_the_other_trains(self, exp_file, tmp_path, monkeypatch, capfd):
+        """Fold 1's worker dies while fold 0, which the caller waits for first, trains for 20 s:
+        the run ends at once, as a runtime error, and the training worker is stopped and reaped."""
+        import time
+
+        import treeseg.experiment
+
+        real = treeseg.experiment.run_fold
+
+        def run_fold(corpus, fold, config, out):
+            if fold.index == 1:
+                os._exit(3)
+            deadline = time.monotonic() + 20
+            while time.monotonic() < deadline:
+                res = real(corpus, fold, config, out)
+            return res
+
+        monkeypatch.setattr(treeseg.experiment, "run_fold", run_fold)
+        begin = time.monotonic()
+        assert self._run(exp_file, tmp_path / "out", 2) == 2
+        assert time.monotonic() - begin < 10
+        assert "runtime error: a fold worker process died before it returned its fold (exit code 3)" in capfd.readouterr().err
+        self._assert_no_children()
 
     @pytest.mark.parametrize("error, code", [(ConfigError, 1), (TreesegError, 2)])
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -1039,20 +1073,78 @@ class TestFoldWorkers:
         left = {p.name for p in out.iterdir()}
         assert "folds.json" in left and left <= {"folds.json", "fold_000"}
         assert not (out / "report.json").exists() and not (out / "manifest.json").exists()
-        assert multiprocessing.active_children() == []
+        self._assert_no_children()
 
     def test_the_pool_starts_no_more_workers_than_folds(self, exp_file, tmp_path, monkeypatch):
         started = []
+        process = multiprocessing.get_context("fork").Process
+        real = process.start
 
-        class Recording(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                started.append(max_workers)
-                super().__init__(max_workers, **kwargs)
+        def start(self):
+            started.append(self.name)
+            real(self)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(process, "start", start)
         assert self._run(exp_file, tmp_path / "out", 64) == 0
-        assert started == [EXP_CONFIG["n_subject_folds"]]
-        assert multiprocessing.active_children() == []
+        assert len(started) == EXP_CONFIG["n_subject_folds"]
+        self._assert_no_children()
+
+    def test_a_run_in_workers_starts_no_thread(self, label_folds, tmp_path, monkeypatch):
+        """The caller reads the workers' pipes itself: no executor, manager or feeder thread."""
+        import threading
+
+        started, real = [], threading.Thread.start
+
+        def start(thread):
+            started.append(thread.name)
+            real(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        assert self._run(label_folds, tmp_path / "out", 2) == 0
+        assert started == []
+        self._assert_no_children()
+
+    def test_a_fold_that_raises_stops_the_worker_still_training(self, exp_file, tmp_path, monkeypatch, capsys):
+        """Fold 0 raises once fold 1 is training in the other worker; that worker, training fold 1
+        over and over for 20 s, is stopped and reaped, and the run ends with fold 0's error."""
+        import time
+
+        import treeseg.experiment
+
+        real = treeseg.experiment.run_fold
+        training = tmp_path / "fold1.training"
+
+        def run_fold(corpus, fold, config, out):
+            if fold.index == 0:
+                while not training.exists():
+                    time.sleep(0.01)
+                raise TreesegError("fold 0 cannot be scored")
+            training.touch()
+            deadline = time.monotonic() + 20
+            while time.monotonic() < deadline:
+                res = real(corpus, fold, config, out)
+            return res
+
+        monkeypatch.setattr(treeseg.experiment, "run_fold", run_fold)
+        begin = time.monotonic()
+        assert self._run(exp_file, tmp_path / "out", 2) == 2
+        assert time.monotonic() - begin < 10
+        assert "fold 0 cannot be scored" in capsys.readouterr().err
+        self._assert_no_children()
+
+    def test_an_exception_that_will_not_pickle_is_a_runtime_error(self, exp_file, tmp_path, monkeypatch, capsys):
+        import treeseg.experiment
+
+        class Local(Exception):
+            """Defined in a function: pickle cannot find the class by name."""
+
+        def run_fold(corpus, fold, config, out):
+            raise Local(f"fold {fold.index} holds no pickle")
+
+        monkeypatch.setattr(treeseg.experiment, "run_fold", run_fold)
+        assert self._run(exp_file, tmp_path / "out", 2) == 2
+        assert "runtime error: fold 0 holds no pickle" in capsys.readouterr().err
+        self._assert_no_children()
 
     def test_a_platform_without_fork_exits_one(self, exp_file, tmp_path, monkeypatch, capsys):
         def get_context(method=None):

@@ -9,7 +9,7 @@ from treeseg.distances import distance_matrix, solve_transport_lp, tree_wasserst
 from treeseg.errors import NormalizationError
 from treeseg.hierarchy import EdgeWeightScheme, assign_weights, parse_tree
 
-from conftest import make_random_tree, random_probs
+from conftest import make_random_tree, node_id, random_probs
 
 
 def equal_weighted(tree):
@@ -33,7 +33,7 @@ class TestDistanceMatrix:
         )
         t = assign_weights(parse_tree(doc), EdgeWeightScheme("hier", kappa=10.0))
         m = distance_matrix(t)
-        i = {name: t.id_of(name) for name in ("l1", "l2", "r1", "r2")}
+        i = {name: node_id(t, name) for name in ("l1", "l2", "r1", "r2")}
         assert m[i["l1"], i["l2"]] == 2.0  # same parent: two leaf edges
         assert m[i["l1"], i["r1"]] == 2.0 + 2.0 * 10.0  # across the root
 

@@ -12,7 +12,7 @@ from treeseg.gating import LevelScorer, ThresholdPolicy, default_grid, first_max
 from treeseg.hierarchy import leaf_level_map, level_nodes, random_tree, resolve_level
 from treeseg.losses import aggregate
 
-from conftest import make_random_tree, random_probs
+from conftest import make_random_tree, node_id, random_probs
 
 
 class TestFirstMax:
@@ -32,7 +32,7 @@ class TestScoreAtLevel:
         t = three_leaf_tree
         p = np.array([[1.0, 0.0, 0.0]])
         scores, nodes = score_at_level(t, p, t.levels - 1)
-        a_slot = nodes.index(t.id_of("A"))
+        a_slot = nodes.index(node_id(t, "A"))
         assert scores[0, a_slot] == 1.0
         assert scores[0].sum() == 1.0
 
@@ -126,7 +126,7 @@ class TestGate:
             ]
         )
         field = gate(t, p, ThresholdPolicy(tau=0.5, level=t.levels - 1))
-        assert field.labels[0] == t.id_of("g1a") + 1  # argmax leaf inside the winning group
+        assert field.labels[0] == node_id(t, "g1a") + 1  # argmax leaf inside the winning group
         assert field.labels[1] == 0
 
     def test_max_exactly_tau_is_background(self, three_leaf_tree):

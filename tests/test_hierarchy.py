@@ -20,7 +20,7 @@ from treeseg.hierarchy import (
     serialize,
 )
 
-from conftest import make_random_tree
+from conftest import make_random_tree, node_id
 
 
 class TestParse:
@@ -115,15 +115,11 @@ class TestParse:
         with pytest.raises(ParseError, match=message):
             parse_tree(json.dumps(doc))
 
-    def test_id_of_an_unknown_name_is_key_error(self, three_leaf_tree):
-        with pytest.raises(KeyError, match="ghost"):
-            three_leaf_tree.id_of("ghost")
-
     def test_file_weights_are_kept(self):
         doc = json.dumps({"name": "r", "children": [{"name": "a", "weight": 2.5}, {"name": "b"}]})
         t = parse_tree(doc)
-        assert t.edge_weight[t.id_of("a")] == 2.5
-        assert t.edge_weight[t.id_of("b")] == 1.0  # default
+        assert t.edge_weight[node_id(t, "a")] == 2.5
+        assert t.edge_weight[node_id(t, "b")] == 1.0  # default
 
     def test_wide_tree(self):
         # flat hierarchy with many leaves, the degenerate one-level case
@@ -172,8 +168,8 @@ class TestWeights:
             {"name": "r", "children": [{"name": "mid", "children": [{"name": "leafA"}, {"name": "leafB"}]}, {"name": "other"}]}
         )
         t = assign_weights(parse_tree(doc), EdgeWeightScheme("hier", kappa=kappa))
-        assert t.edge_weight[t.id_of("leafA")] == 1.0
-        assert t.edge_weight[t.id_of("mid")] == expect_top
+        assert t.edge_weight[node_id(t, "leafA")] == 1.0
+        assert t.edge_weight[node_id(t, "mid")] == expect_top
 
     def test_hier_requires_positive_kappa(self):
         with pytest.raises(WeightError):
@@ -199,9 +195,9 @@ class TestWeights:
         )
         t = assign_weights(parse_tree(doc), EdgeWeightScheme("hier", kappa=3.0))
         for name in ("x1", "x2", "shallow_kid", "loner"):
-            assert t.edge_weight[t.id_of(name)] == 1.0
-        assert t.edge_weight[t.id_of("mid")] == 3.0
-        assert t.edge_weight[t.id_of("deep")] == 9.0  # height 2 above the deepest leaf
+            assert t.edge_weight[node_id(t, name)] == 1.0
+        assert t.edge_weight[node_id(t, "mid")] == 3.0
+        assert t.edge_weight[node_id(t, "deep")] == 9.0  # height 2 above the deepest leaf
 
     def test_idempotent_and_order_independent(self):
         t = make_random_tree(7)

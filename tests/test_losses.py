@@ -22,7 +22,7 @@ from treeseg.losses import (
     wasserstein_crisp,
 )
 
-from conftest import assert_twce_close, make_random_tree, random_probs, relative_grad_error
+from conftest import assert_twce_close, make_random_tree, node_id, random_probs, relative_grad_error
 
 TWO_LEAF_M = np.array([[0.0, 2.0], [2.0, 0.0]])
 
@@ -135,8 +135,8 @@ class TestAggregate:
         t = three_leaf_tree
         out = aggregate(t, np.full((1, 3), 1.0 / 3.0))[0]
         assert abs(out[t.root] - 1.0) <= 1e-12
-        assert abs(out[t.id_of("A")] - 2.0 / 3.0) <= 1e-12
-        assert abs(out[t.id_of("B")] - 1.0 / 3.0) <= 1e-12
+        assert abs(out[node_id(t, "A")] - 2.0 / 3.0) <= 1e-12
+        assert abs(out[node_id(t, "B")] - 1.0 / 3.0) <= 1e-12
 
     def test_crisp_leaf_lights_up_ancestors(self, three_leaf_tree):
         t = three_leaf_tree
@@ -859,7 +859,7 @@ class PairIndexTile(losses._Tile):
         self.p, self.s = losses._exp_normalize(z)
 
 
-def pair_index_dice(b):
+def pair_index_dice(b, scratch):
     p = b.p
     onehot = np.zeros_like(p)
     onehot[b.true] = 1.0

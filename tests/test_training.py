@@ -371,20 +371,21 @@ def counted_subjects(rng, count, side, channels, annotated, n_classes):
     return subjects
 
 
-@pytest.mark.parametrize("semantic", ["wass", "twce"])
-def test_training_steps_after_the_first_allocate_no_tile_sized_array(monkeypatch, semantic):
-    """C = 21, linear, 32 channels, batches of five 600-pixel images (one tile that spans
-    five images): from the second step on, the peak above the step's start stays below a
-    (C, T) array, the smaller of the tile's logits and features. It reads 0.29 (wass) and
-    0.74 (twce) of one; a step that allocated its features, logits and kernel table read
-    3.8 and 5.1."""
+@pytest.mark.parametrize("semantic, seg, annotated", [("wass", "ce", 600), ("twce", "ce", 600), ("wass", "dice_ce", 32 * 32)], ids=["wass", "twce", "wass-dice_ce"])
+def test_training_steps_after_the_first_allocate_no_tile_sized_array(monkeypatch, semantic, seg, annotated):
+    """C = 21, linear, 32 channels, batches of five images of 600 annotated pixels, or dense
+    32x32 ones with a Dice term (one tile that spans five images): from the second step on,
+    the peak above the step's start stays below a (C, T) array, the smaller of the tile's
+    logits and features. It reads 0.29 (wass), 0.74 (twce) and 0.24 (wass with Dice) of one;
+    a step that allocated its features, logits and kernel table read 3.8 and 5.1, and one
+    that allocated its Dice term's tables 3.15."""
     import tracemalloc
 
     tree = make_random_tree(7)
     rng = np.random.default_rng(9)
-    channels, width = 32, 5 * 600
-    subjects = counted_subjects(rng, 10, 32, channels, 600, tree.n_leaves)
-    spec = LossSpec(semantic, EdgeWeightScheme("hier", kappa=2.0), seg="ce")
+    channels, width = 32, 5 * annotated
+    subjects = counted_subjects(rng, 10, 32, channels, annotated, tree.n_leaves)
+    spec = LossSpec(semantic, EdgeWeightScheme("hier", kappa=2.0), seg=seg)
     steps = []
 
     class MarkedTerms(losses.Terms):

@@ -43,10 +43,7 @@ def cmd_tree_distmat(args) -> int:
     scheme = EdgeWeightScheme(args.scheme, kappa=args.kappa)
     m = distance_matrix(assign_weights(tree, scheme))
     names = tree.leaf_names()
-    lines = ["," + ",".join(names)]
-    for name, row in zip(names, m):
-        lines.append(name + "," + ",".join(f"{x:.10g}" for x in row))
-    text = "\n".join(lines) + "\n"
+    text = exp._csv([[name, *row] for name, row in zip(names, m)], ["", *names])
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -66,7 +63,7 @@ def cmd_synth(args) -> int:
         corpus = generate(replace(config.synth, seed=config.seed))
         folds = make_folds(corpus, config.n_subject_folds, config.n_label_folds)
     else:  # a bare synth block
-        cfg = read_block(data, SynthConfig, "synth")
+        cfg = read_block(data, SynthConfig, "synth", tree=None)
         corpus = generate(cfg if args.seed is None else replace(cfg, seed=args.seed))
         folds = make_folds(corpus, 2)
     out = Path(args.out)
@@ -132,14 +129,13 @@ def cmd_eval(args) -> int:
     masks = [s.mask for s in corpus.subjects]
     preds = _load_preds(Path(args.pred), masks)
     level = resolve_level(corpus.tree, args.level)
-    pred, truth = exp.pool_pixels(preds), exp.pool_pixels(masks)
-    rep = evaluate_level(corpus.tree, pred, truth, level)
+    rep = evaluate_level(corpus.tree, exp.pool_pixels(preds), exp.pool_pixels(masks), level)
     if args.tolerance is not None:
         pool_nsd(rep, corpus.tree, preds, masks, args.tolerance)
     out = Path(args.out) if args.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(json.dumps(rep.to_dict(), indent=2, sort_keys=True))
-    exp.write_confusion_csv(corpus.tree, level, [level_counts(corpus.tree, pred, truth, level)], out / "confusion.csv")
+    exp.write_confusion_csv(corpus.tree, level, [rep.counts], out / "confusion.csv")
     print(json.dumps(rep.to_dict()["means"], indent=2, sort_keys=True))
     return 0
 

@@ -74,7 +74,11 @@ def _count_table(pred: np.ndarray, truth: np.ndarray, classes: list[int], domain
 
 def dice_scores(pred: np.ndarray, truth: np.ndarray, classes: list[int], domain: np.ndarray | None = None) -> np.ndarray:
     """Per-class Dice 2|P&G| / (|P|+|G|); NaN where the class is absent from both."""
-    table = _count_table(pred, truth, classes, domain)
+    return _dice(_count_table(pred, truth, classes, domain))
+
+
+def _dice(table: np.ndarray) -> np.ndarray:
+    """Per-class Dice of a ``_count_table`` table."""
     m = len(table) - 1
     tp = table.diagonal()[:m]
     total = table[:, :m].sum(axis=0) + table[:m].sum(axis=1)
@@ -159,7 +163,11 @@ def ovr_scores(
     Classes with zero annotated positives are NaN (excluded from means).
     A class with no negatives gets the vacuous TNR of 1.
     """
-    table = _count_table(pred, truth, classes, domain)
+    return _ovr(_count_table(pred, truth, classes, domain))
+
+
+def _ovr(table: np.ndarray) -> dict[str, np.ndarray]:
+    """One-vs-rest TPR/TNR/BACC/F1 per class of a ``_count_table`` table."""
     m = len(table) - 1
     tp = table.diagonal()[:m]
     n_pos = table[:m].sum(axis=1)
@@ -196,6 +204,7 @@ class EvalReport:
     tpr: np.ndarray
     bacc: np.ndarray
     f1: np.ndarray
+    counts: np.ndarray  # the level's ``level_counts`` table, which to_dict does not write
     nsd: np.ndarray | None = None
     nsd_tolerance: float | None = None
 
@@ -228,15 +237,13 @@ def evaluate_level(
 ) -> EvalReport:
     """Evaluate leaf-coded predictions against leaf-coded truth at a level.
 
-    The report carries no NSD; ``pool_nsd`` adds the per-subject surface Dice.
+    Dice and the one-vs-rest rates read one count table, kept as ``counts``; ``pool_nsd`` adds NSD.
     """
     classes = level_classes(tree, level)
     names = [tree.name_of(c - 1) for c in classes]
-    pred_l = map_to_level(tree, pred, level)
-    truth_l = map_to_level(tree, truth, level)
-    dice = dice_scores(pred_l, truth_l, classes, domain)
-    ovr = ovr_scores(pred_l, truth_l, classes, domain)
-    return EvalReport(level=level, classes=classes, names=names, dice=dice, tpr=ovr["tpr"], bacc=ovr["bacc"], f1=ovr["f1"])
+    table = _count_table(map_to_level(tree, pred, level), map_to_level(tree, truth, level), classes, domain)
+    ovr = _ovr(table)
+    return EvalReport(level=level, classes=classes, names=names, dice=_dice(table), tpr=ovr["tpr"], bacc=ovr["bacc"], f1=ovr["f1"], counts=table)
 
 
 def pool_nsd(rep: EvalReport, tree: LabelTree, preds: list[np.ndarray], truths: list[np.ndarray], tolerance: float) -> None:

@@ -12,7 +12,9 @@ byte-identical.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import pickle
 import sys
@@ -216,14 +218,12 @@ def semantic_error_distance(m: np.ndarray, pred_codes: np.ndarray, truth_codes: 
 
 
 def _csv(rows: list[list], header: list[str]) -> str:
-    def fmt(x):
-        if isinstance(x, float):
-            return f"{x:.10g}"
-        return str(x)
-
-    lines = [",".join(header)]
-    lines.extend(",".join(fmt(x) for x in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    """CSV text, floats to 10 significant digits; a cell holding a comma or a quote is quoted."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([f"{x:.10g}" if isinstance(x, float) else x for x in row] for row in rows)
+    return text.getvalue()
 
 
 def pool_pixels(fields: list[np.ndarray]) -> np.ndarray:
@@ -289,8 +289,9 @@ def run_fold(corpus: Corpus, fold: FoldSpec, config: ExperimentConfig, out: Path
         write_field(pred_dir / f"pred_s{subject:03d}.bin", pred)
 
     pooled_pred, pooled_truth, pooled_domain = pool_pixels(preds), pool_pixels(truths), pool_pixels(domains)
-    # counted before the level reports: after them, its temporaries raised a fold worker's peak RSS
-    counts = level_counts(tree, pooled_pred, pooled_truth, tree.levels - 1, domain=pooled_domain)
+    # topmost, when not evaluated, is counted before the reports: after them, its temporaries raised a fold worker's peak RSS
+    top = tree.levels - 1
+    counts = None if top in eval_levels else level_counts(tree, pooled_pred, pooled_truth, top, domain=pooled_domain)
     reports = {}
     for level in eval_levels:
         rep = evaluate_level(tree, pooled_pred, pooled_truth, level, domain=pooled_domain)
@@ -313,7 +314,7 @@ def run_fold(corpus: Corpus, fold: FoldSpec, config: ExperimentConfig, out: Path
         leaf_accuracy=leaf_acc,
         error_distance=err_dist,
         reports=reports,
-        confusion=counts,
+        confusion=reports[top].counts if counts is None else counts,
     )
 
 

@@ -117,10 +117,6 @@ class LabelTree:
         """Node ids ordered children-before-parents (by decreasing depth)."""
         return sorted(range(self.n_nodes), key=lambda v: (-self.depth[v], v))
 
-    def ancestors(self, v: int) -> list[int]:
-        """Chain from v up to and including the root."""
-        return self.ancestor_table[v, self.depth[v] :: -1].tolist()
-
     def to_dict(self) -> dict:
         def rec(v: int) -> dict:
             d: dict = {"name": self.nodes[v].name}

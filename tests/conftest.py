@@ -42,6 +42,11 @@ def node_id(tree, name: str) -> int:
     return next(n.id for n in tree.nodes if n.name == name)
 
 
+def ancestors(tree, v: int) -> list[int]:
+    """The chain of ``tree`` from node ``v`` up to and including the root, read from its ancestor table."""
+    return tree.ancestor_table[v, tree.depth[v] :: -1].tolist()
+
+
 def make_random_tree(seed: int, depth: int = 3, branching=(2, 3), ragged: bool = False):
     return random_tree(np.random.default_rng(seed), depth=depth, branching=branching, ragged=ragged)
 

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -20,6 +21,7 @@ from treeseg.distances import distance_matrix
 from treeseg.errors import ConfigError, TreesegError
 from treeseg.experiment import CONFIG_KEYS, compare, config_from_dict, corpus_fingerprint, write_tau_curve
 from treeseg.gating import ThresholdPolicy, default_grid, gate, sweep_tau
+from treeseg.evaluation import level_classes
 from treeseg.hierarchy import EdgeWeightScheme, assign_weights, parse_level, parse_tree, resolve_level
 from treeseg.synth import SynthConfig, generate, load_corpus, read_field, save_corpus, write_field
 from treeseg.training import TrainConfig, init_params, load_model, predict, save_model
@@ -92,6 +94,52 @@ class TestTreeCommands:
             cells = line.split(",")
             assert cells[0] == tree.leaf_names()[i]
             assert np.allclose([float(x) for x in cells[1:]], m[i])
+
+
+    def test_distmat_bytes_on_a_plain_tree(self, hier_file, tmp_path):
+        out = tmp_path / "m.csv"
+        assert main(["tree", "distmat", str(hier_file), "--scheme", "hier", "--kappa", "0.7", "--out", str(out)]) == 0
+        assert out.read_bytes() == b",a1,a2,b1\na1,0,2,3.4\na2,2,0,3.4\nb1,3.4,3.4,0\n"
+
+
+# class and leaf names that a CSV cell must quote: a comma, and quotes
+QUOTED_NAMES_DOC = json.dumps(
+    {
+        "name": "root",
+        "children": [
+            {"name": "soft, tissue", "children": [{"name": "fat"}, {"name": "muscle, smooth"}]},
+            {"name": '"trabecular"', "children": [{"name": 'bone "spongy"'}, {"name": "marrow"}]},
+            {"name": "air", "children": [{"name": "lung"}]},
+        ],
+    }
+)
+
+
+def _csv_rows(path: Path) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(path.read_text())))
+
+
+def test_names_with_commas_and_quotes_round_trip_through_csv(tmp_path):
+    """run's confusion.csv and tree distmat quote a name holding a comma or a quote:
+    csv.reader reads every name back and every row as long as the header."""
+    hier = tmp_path / "hier.json"
+    hier.write_text(QUOTED_NAMES_DOC)
+    tree = parse_tree(QUOTED_NAMES_DOC)
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps(dict(EXP_CONFIG, hierarchy=str(hier), fold_subset=[0])))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    rows = _csv_rows(tmp_path / "run" / "confusion.csv")
+    names = [tree.name_of(c - 1) for c in level_classes(tree, tree.levels - 1)] + ["background"]
+    assert rows[0] == ["true\\pred", *names]
+    assert [row[0] for row in rows[1:]] == names
+    assert all(len(row) == len(names) + 1 for row in rows)
+
+    assert main(["tree", "distmat", str(hier), "--out", str(tmp_path / "m.csv")]) == 0
+    rows = _csv_rows(tmp_path / "m.csv")
+    leaves = tree.leaf_names()
+    assert rows[0] == ["", *leaves]
+    assert [row[0] for row in rows[1:]] == leaves
+    assert all(len(row) == len(leaves) + 1 for row in rows)
 
 
 class TestPipelineCommands:
@@ -430,6 +478,20 @@ def test_bare_synth_block_keeps_its_seed(tmp_path, capsys):
     assert main(["synth", "--config", str(path), "--out", str(tmp_path / "bad")]) == 1
     assert "synth.seed must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "bad").exists()
+
+
+def test_a_tree_key_in_a_bare_synth_block_exits_one(tmp_path):
+    """A bare synth block cannot set the tree, as an experiment config's cannot: exit 1, no traceback."""
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(dict(EXP_CONFIG["synth"], tree=5)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    cmd = [sys.executable, "-m", "treeseg.cli", "synth", "--config", str(path), "--out", str(tmp_path / "corpus")]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert "unknown key 'tree' in the synth block" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "corpus").exists()
 
 
 @pytest.mark.parametrize(
@@ -1218,6 +1280,20 @@ class TestModelInputs:
         for argv in self._commands(corpus_dir, model, tmp_path):
             assert main(argv) == 1
             assert str(model) in capsys.readouterr().err
+
+
+def test_eval_and_confusion_write_the_same_confusion_csv(corpus_dir, tmp_path):
+    """eval writes its report's topmost table, confusion counts the directory: the same bytes."""
+    preds = tmp_path / "random_preds"
+    preds.mkdir()
+    corpus = load_corpus(corpus_dir)
+    rng = np.random.default_rng(6)
+    for i, subject in enumerate(corpus.subjects):
+        write_field(preds / f"pred_s{i:03d}.bin", rng.integers(0, corpus.n_classes + 1, subject.mask.shape))
+    common = ["--corpus", str(corpus_dir), "--pred", str(preds), "--level", "topmost"]
+    assert main(["eval", *common, "--out", str(tmp_path / "evald")]) == 0
+    assert main(["confusion", *common, "--out", str(tmp_path / "confusion.csv")]) == 0
+    assert (tmp_path / "evald" / "confusion.csv").read_bytes() == (tmp_path / "confusion.csv").read_bytes()
 
 
 class TestPredictionInputs:

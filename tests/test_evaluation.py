@@ -6,6 +6,8 @@ from treeseg.evaluation import (
     confusion,
     dice_scores,
     evaluate_level,
+    level_classes,
+    level_counts,
     map_to_level,
     nsd_scores,
     ovr_scores,
@@ -263,6 +265,23 @@ class TestEvaluateLevel:
         rep_top = evaluate_level(t, truth, truth, t.levels - 1)
         assert rep_top.means["f1"] == 1.0
         assert all(c - 1 in t.children(t.root) for c in rep_top.classes)
+
+    def test_the_report_reads_its_level_counts(self):
+        """Dice and the one-vs-rest rates of a level are those of the public functions on
+        the mapped codes, and the report carries the level's count table."""
+        t = make_random_tree(12, ragged=True)
+        rng = np.random.default_rng(12)
+        truth = rng.integers(0, t.n_leaves + 1, (12, 12))
+        pred = rng.integers(0, t.n_leaves + 1, (12, 12))
+        for k in range(t.levels):
+            rep = evaluate_level(t, pred, truth, k)
+            pred_k, truth_k, classes = map_to_level(t, pred, k), map_to_level(t, truth, k), level_classes(t, k)
+            ovr = ovr_scores(pred_k, truth_k, classes)
+            assert np.array_equal(rep.dice, dice_scores(pred_k, truth_k, classes), equal_nan=True)
+            for key in ("tpr", "bacc", "f1"):
+                assert np.array_equal(getattr(rep, key), ovr[key], equal_nan=True)
+            assert np.array_equal(rep.counts, level_counts(t, pred, truth, k))
+            assert "counts" not in rep.to_dict()
 
     def test_wrong_leaf_right_subtree_scores_at_top(self):
         t = make_random_tree(10)

@@ -20,7 +20,7 @@ from treeseg.hierarchy import (
     serialize,
 )
 
-from conftest import make_random_tree, node_id
+from conftest import ancestors, make_random_tree, node_id
 
 
 class TestParse:
@@ -301,7 +301,7 @@ class TestLevels:
         for k in range(t.levels):
             members = level_nodes(t, k)
             for leaf in range(t.n_leaves):
-                assert sum(1 for v in t.ancestors(leaf) if v in members) == 1
+                assert sum(1 for v in ancestors(t, leaf) if v in members) == 1
 
 
 class TestLevelSpelling:

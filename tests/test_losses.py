@@ -22,7 +22,7 @@ from treeseg.losses import (
     wasserstein_crisp,
 )
 
-from conftest import assert_twce_close, make_random_tree, node_id, random_probs, relative_grad_error
+from conftest import ancestors, assert_twce_close, make_random_tree, node_id, random_probs, relative_grad_error
 
 TWO_LEAF_M = np.array([[0.0, 2.0], [2.0, 0.0]])
 
@@ -144,7 +144,7 @@ class TestAggregate:
         p[0, 0] = 1.0  # leaf a1
         out = aggregate(t, p)[0]
         on = {v for v in range(t.n_nodes) if out[v] == 1.0}
-        assert on == set(t.ancestors(0))
+        assert on == set(ancestors(t, 0))
         assert np.all(out[sorted(set(range(t.n_nodes)) - on)] == 0.0)
 
     @settings(max_examples=20, deadline=None)

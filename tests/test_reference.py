@@ -45,7 +45,6 @@ from treeseg.experiment import ExperimentConfig, fit
 from treeseg.gating import LevelScorer, ThresholdPolicy, default_grid, first_max, gate, score_at_level, sweep_tau
 from treeseg.hierarchy import (
     EdgeWeightScheme,
-    LabelTree,
     assign_weights,
     build_tree,
     edge_weight_vector,
@@ -60,7 +59,7 @@ from treeseg.seeding import substream
 from treeseg.synth import SynthConfig, class_means, generate
 from treeseg.training import TrainConfig, absorb_standardization, fit_standardizer, init_params
 
-from conftest import assert_twce_close, make_random_tree, wide_tree_doc
+from conftest import ancestors, assert_twce_close, make_random_tree, wide_tree_doc
 
 # -- frozen tree walks -------------------------------------------------------
 
@@ -428,7 +427,7 @@ def test_tree_queries_match_the_walks():
             assert level_classes(tree, k) == [v + 1 for v in sorted(ref_level_nodes(tree, k))]
         for v in range(tree.n_nodes):
             assert tree.leaves_under(v) == ref_leaves_under(tree, v)
-            assert tree.ancestors(v) == ref_ancestors(tree, v)
+            assert ancestors(tree, v) == ref_ancestors(tree, v)
         u = np.zeros((tree.n_nodes, tree.n_leaves))
         u[tree.ancestor_table[: tree.n_leaves], np.arange(tree.n_leaves)[:, None]] = 1.0
         assert np.array_equal(u, ref_ancestor_matrix(tree))
@@ -824,10 +823,13 @@ def test_level_path_walks_no_parent_chain(monkeypatch):
     tree = assign_weights(random_tree(np.random.default_rng(7), depth=3, ragged=True), EdgeWeightScheme("hier", kappa=3.0))
     tree.ancestor_table  # noqa: B018 - build the table before walks are forbidden
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a parent chain was walked after the ancestor table was built")
+    class ParentLookupsForbidden(dict):
+        def __getitem__(self, *args):
+            raise AssertionError("a parent chain was walked after the ancestor table was built")
 
-    monkeypatch.setattr(LabelTree, "ancestors", forbidden)
+        get = __getitem__
+
+    monkeypatch.setattr(tree, "parent", ParentLookupsForbidden(tree.parent))
     rng = np.random.default_rng(8)
     probs = rng.dirichlet(np.ones(tree.n_leaves), size=(6, 5))
     truth = rng.integers(1, tree.n_leaves + 1, size=(6, 5))

@@ -46,7 +46,7 @@ def test_every_traced_name_exists_and_is_restored(monkeypatch):
     assert all(getattr(owner, attr) is fn for (owner, attr), fn in zip(names, before))
 
 
-def test_ovr_scores_counts_no_call_in_the_sweep_and_one_per_level(monkeypatch):
+def test_the_sweep_calls_no_ovr_scores_and_each_level_counts_one_table(monkeypatch):
     tracing = load_tracing(monkeypatch)
     import treeseg.evaluation as evaluation
     import treeseg.gating as gating
@@ -59,8 +59,21 @@ def test_ovr_scores_counts_no_call_in_the_sweep_and_one_per_level(monkeypatch):
     with tracing.Tracer() as tracer:
         gating.sweep_tau(tree, [probs], [truth], tree.levels - 1, grid)
         assert tracer.stat("evaluation.ovr_scores").calls == 0  # the sweep counts every grid point in one pass
-        tracer.reset()
-        labels = gating.gate(tree, probs, gating.ThresholdPolicy(0.2)).labels
-        for k in range(tree.levels):
-            evaluation.evaluate_level(tree, labels, truth, k)
-        assert tracer.stat("evaluation.ovr_scores").calls == tree.levels
+    labels = gating.gate(tree, probs, gating.ThresholdPolicy(0.2)).labels
+    calls = []
+
+    def spy(name):
+        fn = getattr(evaluation, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in ("dice_scores", "ovr_scores", "_count_table"):
+        monkeypatch.setattr(evaluation, name, spy(name))
+    for k in range(tree.levels):
+        calls.clear()
+        evaluation.evaluate_level(tree, labels, truth, k)
+        assert calls == ["_count_table"]  # Dice and the one-vs-rest rates read the level's one table

@@ -10,10 +10,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import treeseg.evaluation as evaluation
 import treeseg.experiment as exp
 import treeseg.gating as gating
 from treeseg.distances import distance_matrix
-from treeseg.evaluation import confusion, level_classes, map_to_level
+from treeseg.evaluation import confusion, level_classes, level_counts, map_to_level
 from treeseg.gating import ThresholdPolicy, default_grid, gate, sweep_tau
 from treeseg.hierarchy import EdgeWeightScheme, assign_weights, resolve_level
 from treeseg.losses import LossSpec
@@ -117,6 +118,34 @@ def test_a_fold_result_holds_no_pixels(tmp_path):
         assert res.confusion.shape == (len(expected.classes),) * 2
         assert np.array_equal(res.confusion, expected.per_fold[0])
     assert sizes[0] == sizes[1]
+
+
+@pytest.mark.parametrize("levels, tables", [(("leaf", "topmost"), 2), (("leaf",), 2), (("leaf", 1, "topmost"), 3)])
+def test_a_fold_counts_each_level_once(levels, tables, tmp_path, monkeypatch):
+    """Dice, the one-vs-rest rates and the topmost confusion of a fold read one count table
+    per level: evaluating levels L builds one table for each level of L and topmost, and
+    the fold's confusion is the topmost report's table."""
+    calls = []
+    count_table = evaluation._count_table
+
+    def counted(*args):
+        calls.append(1)
+        return count_table(*args)
+
+    config = replace(two_label_fold_config("topmost"), eval_levels=levels)
+    corpus = exp.build_corpus(config)
+    tree, top = corpus.tree, corpus.tree.levels - 1
+    assert tree.levels == 3
+    fold = exp.config_folds(corpus, config)[0]
+    monkeypatch.setattr(evaluation, "_count_table", counted)
+    res = exp.run_fold(corpus, fold, config, tmp_path)
+    assert len(calls) == tables
+    if top in res.reports:
+        assert res.confusion is res.reports[top].counts
+    val = val_view(corpus, fold)
+    written = [read_field(exp.fold_dir(tmp_path, fold.index) / f"pred_s{s:03d}.bin") for s in fold.val_subjects]
+    pred, truth, domain = (exp.pool_pixels(fields) for fields in (written, [t for _, t, _ in val], [d for _, _, d in val]))
+    assert np.array_equal(res.confusion, level_counts(tree, pred, truth, top, domain))
 
 
 def test_a_fold_without_foreground_truth_reports_null_leaf_accuracy(tmp_path):

@@ -9,6 +9,14 @@ sparse positive-only masks keep a fraction of each region's pixels.
 Corpora are bit-reproducible: every subject draws from an RNG substream
 keyed by (seed, subject index), so generation order and parallelism
 cannot change the output.
+
+A generated corpus holds its features in memory. A corpus read with
+``load_corpus`` holds only its labels and masks: each read of a subject's
+``features`` opens a new read-only ``np.memmap`` of its ``features.bin``,
+after the same header and payload-size check ``load_corpus`` made, and the
+mapping is gone once the caller drops it. So a fold maps only the
+subjects it uses, for as long as it uses them, and no heap copy of a
+subject's features exists. A live mapping holds one file descriptor.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import json
 import math
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -69,9 +78,34 @@ class SynthConfig:
         return d
 
 
+@dataclass(frozen=True)
+class _FeatureFile:
+    """A subject's ``features.bin`` as ``load_corpus`` checked it: its path and its (H, W, d) then."""
+
+    path: Path
+    shape: tuple[int, int, int]
+
+
+class _Features:
+    """The ``Subject.features`` field: the array stored, or for a ``_FeatureFile`` a new mapping on each read."""
+
+    def __get__(self, subject, owner=None):
+        if subject is None:
+            raise AttributeError("features")  # the dataclass field has no default
+        stored = subject.__dict__["features"]
+        return _map_features(stored.path, stored.shape) if isinstance(stored, _FeatureFile) else stored
+
+    def __set__(self, subject, value):
+        subject.__dict__["features"] = value
+
+
 @dataclass
 class Subject:
-    features: np.ndarray  # (H, W, d) float
+    """One image. A loaded subject's ``features`` is a read-only ``np.memmap`` of its
+    ``features.bin``, opened on each read and unmapped when the reader drops it; a
+    generated subject's is an array in memory."""
+
+    features: np.ndarray = _Features()  # (H, W, d) float
     truth: np.ndarray  # (H, W) leaf codes 1..C
     mask: np.ndarray  # (H, W) codes, 0 = unannotated
 
@@ -254,9 +288,10 @@ def write_field(path: Path, arr: np.ndarray) -> None:
         f.write(memoryview(arr).cast("B"))
 
 
-def read_field(path: Path) -> np.ndarray:
-    """Read a field file: features come back as (H, W, d), label fields as (H, W); non-finite features are a ParseError."""
-    features = path.name.startswith("features")
+@contextmanager
+def _open_field(path: Path, features: bool):
+    """The field file, open at its payload, and the (H, W, d) of its header, once the header
+    and the payload size check out; any fault is an error naming the file."""
     if not path.is_file():
         raise ConfigError(f"missing field file {path}")
     with open(path, "rb") as f:
@@ -269,14 +304,35 @@ def read_field(path: Path) -> np.ndarray:
         size = os.fstat(f.fileno()).st_size - f.tell()
         if size != 8 * h * w * d:
             raise ParseError(f"{path}: payload of {size} bytes != 8*{h}*{w}*{d}")
+        yield f, (h, w, d)
+
+
+def read_field(path: Path) -> np.ndarray:
+    """Read a field file: features come back as (H, W, d), label fields as (H, W); non-finite features are a ParseError."""
+    features = path.name.startswith("features")
+    with _open_field(path, features) as (f, (h, w, d)):
         # the payload is read once, straight into the array that is returned
         arr = np.empty((h, w, d) if features else (h, w), dtype="<f8" if features else "<i8")
         got = f.readinto(memoryview(arr).cast("B"))
-    if got != size:
+    if got != arr.nbytes:
         raise ParseError(f"{path}: payload of {got} bytes != 8*{h}*{w}*{d}")
-    if features and not np.isfinite(arr).all():
-        raise ParseError(f"{path}: non-finite feature values")
+    if features:
+        _check_finite(path, arr)
     return arr
+
+
+def _map_features(path: Path, shape: tuple[int, int, int] | None = None) -> np.memmap:
+    """A read-only mapping of a features file, (H, W, d), after ``read_field``'s header and size
+    check; given the ``shape`` it had at load, a header giving any other is an error naming it."""
+    with _open_field(path, True) as (f, got):
+        if shape is not None and got != shape:
+            raise ParseError(f"{path}: field is {'x'.join(map(str, got))}, it was {'x'.join(map(str, shape))} when the corpus was loaded")
+        return np.memmap(f, dtype="<f8", mode="r", offset=f.tell(), shape=got)
+
+
+def _check_finite(path: Path, features: np.ndarray) -> None:
+    if not np.isfinite(features).all():
+        raise ParseError(f"{path}: non-finite feature values")
 
 
 def save_corpus(corpus: Corpus, root: Path | str) -> Path:
@@ -310,9 +366,11 @@ def load_corpus(root: Path | str) -> Corpus:
     ``n_subjects`` that ``corpus.json`` declares, named as ``save_corpus``
     writes them; a missing one, or any other ``s<digits>`` directory, is an
     error naming it. Every subject's labels and mask have its features'
-    H x W, all subjects share one channel count, labels hold codes 1..C,
-    masks 0..C and ``held_out`` 1..C; anything else is an error naming the
-    file.
+    H x W, all subjects share one channel count, features are finite,
+    labels hold codes 1..C, masks 0..C and ``held_out`` 1..C; anything else
+    is an error naming the file. Labels and masks are read into memory;
+    features are checked through a mapping that is dropped at once, and
+    each later read of a subject's ``features`` maps the file anew.
     """
     root = Path(root)
     if not root.is_dir():
@@ -331,15 +389,20 @@ def load_corpus(root: Path | str) -> Corpus:
         if not d.is_dir():
             raise ConfigError(f"missing subject directory {d}: {declared}")
         path = d / "features.bin"
-        features = read_field(path)
-        if subjects and features.shape[2] != subjects[0].features.shape[2]:
-            raise ParseError(f"{path}: {features.shape[2]} channels, the first subject has {subjects[0].features.shape[2]}")
+        features = _map_features(path)
+        _check_finite(path, features)
+        features = _FeatureFile(path, features.shape)  # drops the mapping
+        h, w, channels = features.shape
+        if not subjects:
+            first_channels = channels
+        elif channels != first_channels:
+            raise ParseError(f"{path}: {channels} channels, the first subject has {first_channels}")
         fields = []
         for name, low in (("labels", 1), ("mask", 0)):
             path = d / f"{name}.bin"
             field = read_field(path)
-            if field.shape != features.shape[:2]:
-                raise ParseError(f"{path}: {field.shape[0]}x{field.shape[1]} field beside {features.shape[0]}x{features.shape[1]} features")
+            if field.shape != (h, w):
+                raise ParseError(f"{path}: {field.shape[0]}x{field.shape[1]} field beside {h}x{w} features")
             _check_codes(field, low, tree.n_leaves, str(path))
             fields.append(field)
         subjects.append(Subject(features, *fields))

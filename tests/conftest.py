@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -25,6 +26,15 @@ def wide_tree_doc(groups: int = 9, leaves: int = 11) -> str:
     return json.dumps(
         {"name": "root", "children": [{"name": f"g{i}", "children": [{"name": f"g{i}l{j}"} for j in range(leaves)]} for i in range(groups)]}
     )
+
+
+needs_proc = pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="no /proc/self/maps")
+
+
+def mapped_feature_files() -> int:
+    """How many mappings of a ``features.bin`` this process holds, read from /proc/self/maps."""
+    with open("/proc/self/maps") as f:
+        return sum(line.rstrip().endswith("features.bin") for line in f)
 
 
 @pytest.fixture

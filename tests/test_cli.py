@@ -26,7 +26,7 @@ from treeseg.hierarchy import EdgeWeightScheme, assign_weights, parse_level, par
 from treeseg.synth import SynthConfig, generate, load_corpus, read_field, save_corpus, write_field
 from treeseg.training import TrainConfig, init_params, load_model, predict, save_model
 
-from conftest import THREE_LEAF_DOC, wide_tree_doc
+from conftest import THREE_LEAF_DOC, mapped_feature_files, needs_proc, wide_tree_doc
 
 EXP_CONFIG = {
     "loss": {"semantic": "wass", "scheme": "hier", "kappa": 10, "alpha": 0.5, "beta": 0.5, "seg": "ce"},
@@ -1606,3 +1606,98 @@ def test_report_fuzz_through_compare(level_runs, tmp_path_factory, change, first
     assert code == (0 if fits else 1), (change, err)
     if code:
         assert "error:" in err and str(fuzzed) in err, (change, err)
+
+
+class TestMappedCorpus:
+    """A corpus read from disk maps each subject's features per use: the run it makes is the run on
+    the generated corpus, no mapping outlives a command, and a file changed after load is exit 1."""
+
+    @staticmethod
+    def _disk_config(exp_path, corpus_dir):
+        path = exp_path.with_name(f"{exp_path.stem}_disk.json")
+        path.write_text(json.dumps({k: v for k, v in json.loads(exp_path.read_text()).items() if k != "synth"} | {"corpus": str(corpus_dir)}))
+        return path
+
+    @pytest.mark.parametrize("model", ["linear", "mlp"])
+    @pytest.mark.parametrize("augment", [False, True])
+    @pytest.mark.parametrize("preproc", ["standardize", "l1", "none"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_on_the_synth_corpus_writes_the_generated_runs_manifest(self, tmp_path, jobs, preproc, augment, model):
+        exp_path = _write_config(tmp_path, "exp", train=dict(EXP_CONFIG["train"], model=model, augment=augment), preproc=preproc)
+        corpus_dir = tmp_path / "corpus"
+        with redirect_stdout(io.StringIO()):
+            assert main(["synth", "--config", str(exp_path), "--out", str(corpus_dir)]) == 0
+            for path, out in ((exp_path, "generated"), (self._disk_config(exp_path, corpus_dir), "loaded")):
+                assert main(["run", "--config", str(path), "--out", str(tmp_path / out), "--jobs", str(jobs)]) == 0
+        assert (tmp_path / "loaded" / "manifest.json").read_bytes() == (tmp_path / "generated" / "manifest.json").read_bytes()
+
+    @needs_proc
+    def test_no_features_file_stays_mapped_after_a_command(self, exp_file, corpus_dir, tmp_path):
+        import treeseg.experiment
+
+        disk = self._disk_config(exp_file, corpus_dir)
+        model, preds = str(tmp_path / "model.bin"), str(tmp_path / "gated")
+        treeseg.experiment.run_experiment(treeseg.experiment.load_config(disk), tmp_path / "library")
+        assert mapped_feature_files() == 0
+        commands = [
+            ["run", "--config", str(disk), "--out", str(tmp_path / "run")],
+            ["run", "--config", str(disk), "--out", str(tmp_path / "run_j2"), "--jobs", "2"],
+            ["train", "--config", str(disk), "--out", model],
+            ["gate", "--corpus", str(corpus_dir), "--model", model, "--tau", "0.5", "--out", preds],
+            ["sweep", "--corpus", str(corpus_dir), "--model", model, "--out", str(tmp_path / "curve.csv")],
+            ["eval", "--corpus", str(corpus_dir), "--pred", preds, "--out", str(tmp_path / "eval")],
+        ]
+        for argv in commands:
+            with redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+            assert mapped_feature_files() == 0, argv
+
+    @pytest.mark.parametrize("command", ["gate", "sweep"])
+    def test_gate_and_sweep_map_each_subject_once(self, corpus_dir, tmp_path, monkeypatch, command):
+        """load_corpus maps each features file once to check it, and the command once to score it."""
+        import treeseg.synth
+
+        model = tmp_path / "model.bin"
+        n_leaves = parse_tree((corpus_dir / "hierarchy.json").read_text()).n_leaves
+        save_model(init_params("linear", EXP_CONFIG["synth"]["channels"], n_leaves, 5, np.random.default_rng(0)), model)
+        mapped, real = [], treeseg.synth._map_features
+
+        def map_features(path, shape=None):
+            mapped.append(path.parent.name)
+            return real(path, shape)
+
+        monkeypatch.setattr(treeseg.synth, "_map_features", map_features)
+        extra = ["--tau", "0.5", "--out", str(tmp_path / "gated")] if command == "gate" else ["--out", str(tmp_path / "curve.csv")]
+        with redirect_stdout(io.StringIO()):
+            assert main([command, "--corpus", str(corpus_dir), "--model", str(model), *extra]) == 0
+        subjects = [f"s{i:03d}" for i in range(EXP_CONFIG["synth"]["n_subjects"])]
+        assert mapped == subjects + subjects
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            lambda data: data[:-8],
+            lambda data: b"16 8 8\n" + data[data.index(b"\n") + 1 :],  # the same payload size, another shape
+            lambda data: b"16 16\n" + data[data.index(b"\n") + 1 :],
+        ],
+        ids=["truncated", "reshaped header", "malformed header"],
+    )
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_features_file_changed_after_load_exits_one_naming_it(self, exp_file, corpus_dir, tmp_path, monkeypatch, capsys, jobs, fault):
+        """The file is checked again on each use, so the change is exit 1 naming it, not a crash, and no report is written."""
+        import treeseg.experiment
+
+        real, path = treeseg.experiment.load_corpus, corpus_dir / "s001" / "features.bin"
+
+        def load_then_change(root):
+            corpus = real(root)
+            path.write_bytes(fault(path.read_bytes()))
+            return corpus
+
+        monkeypatch.setattr(treeseg.experiment, "load_corpus", load_then_change)
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(self._disk_config(exp_file, corpus_dir)), "--out", str(out), "--jobs", str(jobs)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert not (out / "report.json").exists() and not (out / "manifest.json").exists()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from treeseg.synth import (
 )
 from treeseg.training import l1_normalize
 
-from conftest import make_random_tree
+from conftest import make_random_tree, mapped_feature_files, needs_proc
 
 SMALL = dict(n_subjects=4, height=20, width=20, channels=5, n_regions=24, seed=42)
 
@@ -227,3 +229,70 @@ class TestDiskFormat:
             assert np.array_equal(a.features, b.features)
             assert np.array_equal(a.truth, b.truth)
             assert np.array_equal(a.mask, b.mask)
+
+
+class TestMappedFeatures:
+    """A loaded corpus keeps labels and masks in memory; each read of a subject's features maps its file."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        return save_corpus(generate(SynthConfig(**SMALL)), tmp_path / "corpus")
+
+    def test_load_corpus_keeps_the_features_off_the_heap(self, tmp_path):
+        corpus = generate(SynthConfig(n_subjects=8, height=64, width=64, channels=16, n_regions=30, seed=5))
+        root = save_corpus(corpus, tmp_path / "corpus")
+        feature_bytes = sum(s.features.nbytes for s in corpus.subjects)
+        load_corpus(root)  # untraced first: what a first load imports is not the corpus
+        tracemalloc.start()
+        try:
+            loaded = load_corpus(root)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < feature_bytes / 4, peak / feature_bytes
+        assert all(np.array_equal(a.features, b.features) for a, b in zip(corpus.subjects, loaded.subjects))
+
+    def test_loaded_features_are_read_only(self, saved):
+        features = load_corpus(saved).subjects[0].features
+        assert isinstance(features, np.memmap)
+        with pytest.raises(ValueError):
+            features[0, 0, 0] = 1.0
+
+    @needs_proc
+    def test_each_read_maps_the_file_until_the_reader_drops_it(self, saved):
+        corpus = load_corpus(saved)
+        assert mapped_feature_files() == 0
+        first, second = corpus.subjects[0].features, corpus.subjects[0].features
+        assert first is not second and mapped_feature_files() == 2
+        del first, second
+        assert mapped_feature_files() == 0
+        for fold in make_folds(corpus, 2):
+            view = train_view(corpus, fold)
+            assert mapped_feature_files() == len(fold.train_subjects)
+            del view
+        assert mapped_feature_files() == 0
+
+    @pytest.mark.parametrize(
+        "change, problem",
+        [
+            (lambda data: data[:-8], "payload of"),
+            (lambda data: b"20 10 10\n" + data[data.index(b"\n") + 1 :], "it was 20x20x5 when the corpus was loaded"),
+            (lambda data: b"20 x 5\n" + data[data.index(b"\n") + 1 :], "malformed field header"),
+            (lambda data: b"", "malformed field header"),
+        ],
+        ids=["truncated", "reshaped header", "malformed header", "emptied"],
+    )
+    def test_a_features_file_changed_after_load_is_a_parse_error_naming_it(self, saved, change, problem):
+        corpus = load_corpus(saved)
+        path = saved / "s001" / "features.bin"
+        path.write_bytes(change(path.read_bytes()))
+        with pytest.raises(ParseError, match=problem) as err:
+            corpus.subjects[1].features
+        assert str(path) in str(err.value)
+        assert np.array_equal(corpus.subjects[0].features, read_field(saved / "s000" / "features.bin"))
+
+    def test_a_features_file_removed_after_load_is_a_config_error_naming_it(self, saved):
+        corpus = load_corpus(saved)
+        (saved / "s002" / "features.bin").unlink()
+        with pytest.raises(ConfigError, match="missing field file .*s002"):
+            corpus.subjects[2].features

@@ -11,12 +11,15 @@ keyed by (seed, subject index), so generation order and parallelism
 cannot change the output.
 
 A generated corpus holds its features in memory. A corpus read with
-``load_corpus`` holds only its labels and masks: each read of a subject's
-``features`` opens a new read-only ``np.memmap`` of its ``features.bin``,
+``load_corpus`` holds only its labels and masks, and for each subject a
+``_FeatureFile``: the path of its ``features.bin`` and the shape it had at
+load. Converting one to an array (``np.asarray``, or a read of the
+subject's ``features``) opens a new read-only ``np.memmap`` of the file,
 after the same header and payload-size check ``load_corpus`` made, and the
-mapping is gone once the caller drops it. So a fold maps only the
-subjects it uses, for as long as it uses them, and no heap copy of a
-subject's features exists. A live mapping holds one file descriptor.
+mapping is gone once the caller drops it. ``train_view`` and ``val_view``
+hand out the ``_FeatureFile`` itself, so a view maps nothing: each image is
+mapped while a reader converts it, one image at a time, and no heap copy of
+a subject's features exists. A live mapping holds one file descriptor.
 """
 
 from __future__ import annotations
@@ -80,10 +83,17 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class _FeatureFile:
-    """A subject's ``features.bin`` as ``load_corpus`` checked it: its path and its (H, W, d) then."""
+    """A subject's ``features.bin`` as ``load_corpus`` checked it: its path and its (H, W, d) then.
+
+    Array-like: each conversion maps the file anew (``_map_features``), so the mapping lives
+    only as long as the array the reader holds."""
 
     path: Path
     shape: tuple[int, int, int]
+
+    def __array__(self, dtype=None, copy=None):
+        """numpy's array protocol: a new read-only mapping, or a copy of it where ``dtype`` or ``copy`` asks for one."""
+        return np.asanyarray(_map_features(self.path, self.shape), dtype=dtype, copy=copy)
 
 
 class _Features:
@@ -92,8 +102,7 @@ class _Features:
     def __get__(self, subject, owner=None):
         if subject is None:
             raise AttributeError("features")  # the dataclass field has no default
-        stored = subject.__dict__["features"]
-        return _map_features(stored.path, stored.shape) if isinstance(stored, _FeatureFile) else stored
+        return np.asanyarray(subject.__dict__["features"])
 
     def __set__(self, subject, value):
         subject.__dict__["features"] = value
@@ -101,9 +110,10 @@ class _Features:
 
 @dataclass
 class Subject:
-    """One image. A loaded subject's ``features`` is a read-only ``np.memmap`` of its
-    ``features.bin``, opened on each read and unmapped when the reader drops it; a
-    generated subject's is an array in memory."""
+    """One image. A loaded subject stores a ``_FeatureFile``, and its ``features`` is a
+    read-only ``np.memmap`` of its ``features.bin``, opened on each read and unmapped when
+    the reader drops it; a generated subject's is an array in memory. The views of a fold
+    hand out what the subject stores, so they map nothing."""
 
     features: np.ndarray = _Features()  # (H, W, d) float
     truth: np.ndarray  # (H, W) leaf codes 1..C
@@ -240,32 +250,44 @@ def make_folds(corpus: Corpus, n_subject_folds: int, n_label_folds: int = 1) -> 
     return folds
 
 
-def train_view(corpus: Corpus, fold: FoldSpec) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(features, mask) pairs for training; fold-held-out codes are unannotated."""
+def _labels(codes: np.ndarray, held_out: tuple[int, ...]) -> np.ndarray:
+    """``codes`` with the ``held_out`` ones unannotated: a copy when any are held out, else a
+    read-only view, so the corpus cannot be changed through either."""
+    if held_out:
+        codes = codes.copy()
+        codes[np.isin(codes, held_out)] = 0
+    else:
+        codes = codes.view()
+        codes.flags.writeable = False
+    return codes
+
+
+def train_view(corpus: Corpus, fold: FoldSpec) -> list[tuple[np.ndarray | _FeatureFile, np.ndarray]]:
+    """(features, mask) pairs for training; fold-held-out codes are unannotated.
+
+    The features are what each subject stores (``vars``, not the descriptor): a generated
+    subject's array, or a loaded one's ``_FeatureFile``, mapped only while a reader converts
+    it. So the view maps nothing.
+    """
     out = []
     for i in fold.train_subjects:
         sub = corpus.subjects[i]
-        mask = sub.mask.copy()
-        if fold.held_out:
-            mask[np.isin(mask, fold.held_out)] = 0
-        out.append((sub.features, mask))
+        out.append((vars(sub)["features"], _labels(sub.mask, fold.held_out)))
     return out
 
 
-def val_view(corpus: Corpus, fold: FoldSpec) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def val_view(corpus: Corpus, fold: FoldSpec) -> list[tuple[np.ndarray | _FeatureFile, np.ndarray, np.ndarray]]:
     """(features, eval_truth, domain) triples for validation.
 
     The domain is every sparsely annotated pixel; truth codes of fold-
     held-out classes are remapped to 0 so they evaluate as background.
+    The features are handed out as ``train_view`` hands them out, so the
+    view maps nothing.
     """
     out = []
     for i in fold.val_subjects:
         sub = corpus.subjects[i]
-        domain = sub.mask > 0
-        truth = sub.mask.copy()
-        if fold.held_out:
-            truth[np.isin(truth, fold.held_out)] = 0
-        out.append((sub.features, truth, domain))
+        out.append((vars(sub)["features"], _labels(sub.mask, fold.held_out), sub.mask > 0))
     return out
 
 

@@ -11,7 +11,12 @@ Preprocessing is part of the model and lives here: ``train`` takes its
 kind, fits the standardizer on the images it is given and applies it (or
 ``l1_normalize``) to the annotated pixels it keeps, the one copy of the
 features, channel-major (d, n_i). The standardizer streams the images
-through one image-sized buffer and never concatenates them. A batch's
+through one image-sized buffer and never concatenates them. The images
+may be array-likes, such as a loaded corpus's ``synth._FeatureFile``,
+which maps its file when converted: each is converted once per pass
+(twice to fit the standardizer, once to gather its annotated pixels, and
+once more per epoch under ``augment``) and dropped before the next one
+is converted, so a loaded corpus has one image mapped at a time. A batch's
 (d, n) features are the virtual concatenation of its images' and are
 never made whole: a tile's columns are a view of one image's array when
 the tile lies inside that image, else the slices it spans, copied into a
@@ -65,7 +70,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -73,6 +78,9 @@ from .errors import ConfigError, DivergenceError, EmptyMaskError, ParseError, Sh
 from .hierarchy import LabelTree
 from .losses import LossSpec, Scratch, Terms, _block, _pixel_major, _tile_width, batch_tiles, make_loss, softmax_columns
 from .seeding import substream
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike  # annotations only: importing it costs a fresh interpreter ~1 ms
 
 MODEL_KINDS = ("linear", "mlp")
 PREPROC_KINDS = ("standardize", "l1", "none")  # what train applies to the raw features it is given
@@ -214,30 +222,34 @@ def l1_normalize(image: np.ndarray) -> np.ndarray:
     return np.divide(image, norm, out=image.copy(), where=norm > 0)
 
 
-def fit_standardizer(features: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def fit_standardizer(features: Sequence[ArrayLike]) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel mean and std over all pixels of the images (a zero std reads 1); a mean or std
     that overflows float64 (features near its maximum) is a ValidationError naming the channel.
 
-    The images are streamed, never concatenated: one buffer holds an image's (n_i, d) rows
-    below the running sum, and each pass (the sums, then the squared deviations from the
-    mean) reduces it to the next running sum. numpy sums down a C-ordered (n, d >= 2) block
-    row by row, so this gives the bits of ``mean`` and ``std`` over the concatenation; a
-    one-channel block is summed pairwise, so at d = 1 they may move in the last bits.
+    The images may be array-likes with a ``shape`` (a loaded subject's ``_FeatureFile``): the
+    sizes are read from the shapes, and each pass converts each image once, dropping it before
+    the next is converted, so at most one is mapped at a time. The images are streamed, never
+    concatenated: one buffer holds an image's (n_i, d) rows below the running sum, and each
+    pass (the sums, then the squared deviations from the mean) reduces it to the next running
+    sum. numpy sums down a C-ordered (n, d >= 2) block row by row, so this gives the bits of
+    ``mean`` and ``std`` over the concatenation; a one-channel block is summed pairwise, so at
+    d = 1 they may move in the last bits.
     """
-    rows = [f.reshape(-1, f.shape[-1]) for f in features]
-    buf = np.empty((1 + max(len(r) for r in rows), rows[0].shape[1]))
-    count = sum(len(r) for r in rows)
+    sizes = [math.prod(f.shape[:-1]) for f in features]
+    d = features[0].shape[-1]
+    buf = np.empty((1 + max(sizes), d))
+    count = sum(sizes)
 
     def total(write) -> np.ndarray:
         """The column sums of every image's rows as ``write(rows, out)`` puts them below the running sum."""
         acc = None
-        for r in rows:
-            write(r, buf[1 : len(r) + 1])
+        for f, n in zip(features, sizes):
+            write(np.asarray(f).reshape(n, d), buf[1 : n + 1])  # no name holds the rows past this call
             if acc is None:
-                acc = np.add.reduce(buf[1 : len(r) + 1], axis=0)
+                acc = np.add.reduce(buf[1 : n + 1], axis=0)
             else:
                 buf[0] = acc
-                acc = np.add.reduce(buf[: len(r) + 1], axis=0)
+                acc = np.add.reduce(buf[: n + 1], axis=0)
         return acc
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -298,7 +310,7 @@ def _columns(parts: list[np.ndarray], lo: int, hi: int, buf: np.ndarray | None =
 
 
 def train(
-    subjects: Sequence[tuple[np.ndarray, np.ndarray]],
+    subjects: Sequence[tuple[ArrayLike, np.ndarray]],
     tree: LabelTree,
     spec: LossSpec,
     config: TrainConfig,
@@ -306,6 +318,9 @@ def train(
 ) -> tuple[ModelParams, list[float]]:
     """Train on raw (features, mask) images; returns (params, per-epoch loss trace).
 
+    The features may be array-likes with a ``shape`` (a loaded subject's ``_FeatureFile``),
+    each converted once per pass and dropped before the next: twice to fit a standardizer,
+    once to gather its annotated pixels, and once more per epoch under ``augment``.
     The loss sees only annotated pixels. Deterministic given config.seed.
     ``preproc`` is one of ``PREPROC_KINDS``: ``standardize`` fits each
     channel's mean and std on all pixels of the images, ``l1`` normalizes
@@ -330,11 +345,13 @@ def train(
     if preproc == "standardize":
         mu, sd = fit_standardizer([f for f, _ in subjects])
 
-    def annotated(features: np.ndarray, mask: np.ndarray, flip_h: bool = False, flip_v: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def annotated(features: ArrayLike, mask: np.ndarray, flip_h: bool = False, flip_v: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """The annotated pixels' preprocessed features channel-major (d, n_i) and their codes, in
-        the raster order of the flipped image, gathered from the unflipped one."""
+        the raster order of the flipped image, gathered from the unflipped one, which is
+        converted here and dropped on return."""
         order = _flip(np.arange(mask.size).reshape(mask.shape), flip_h, flip_v).reshape(-1)
         keep = order[mask.reshape(-1)[order] > 0]
+        features = np.asarray(features)
         rows = features.reshape(-1, features.shape[-1])[keep]
         if preproc == "standardize":
             rows -= mu

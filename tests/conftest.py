@@ -38,6 +38,23 @@ def mapped_feature_files() -> int:
 
 
 @pytest.fixture
+def live_feature_mappings(monkeypatch):
+    """Wraps ``synth._map_features``: the list it returns gets, at each new mapping, how many
+    ``features.bin`` mappings this process holds with it. Tests using it need ``needs_proc``."""
+    import treeseg.synth
+
+    live, real = [], treeseg.synth._map_features
+
+    def map_features(path, shape=None):
+        features = real(path, shape)
+        live.append(mapped_feature_files())
+        return features
+
+    monkeypatch.setattr(treeseg.synth, "_map_features", map_features)
+    return live
+
+
+@pytest.fixture
 def three_leaf_tree():
     return parse_tree(THREE_LEAF_DOC)
 

@@ -1652,6 +1652,28 @@ class TestMappedCorpus:
                 assert main(argv) == 0, argv
             assert mapped_feature_files() == 0, argv
 
+    @needs_proc
+    @pytest.mark.parametrize("augment", [False, True])
+    @pytest.mark.parametrize("preproc", ["standardize", "l1", "none"])
+    def test_one_features_file_is_mapped_at_a_time(self, tmp_path, live_feature_mappings, preproc, augment):
+        """Views map nothing: training, the standardizer's two passes and validation each map one image, dropped before the next."""
+        import treeseg.experiment
+
+        exp_path = _write_config(tmp_path, "exp", train=dict(EXP_CONFIG["train"], augment=augment), preproc=preproc)
+        corpus_dir = tmp_path / "corpus"
+        with redirect_stdout(io.StringIO()):
+            assert main(["synth", "--config", str(exp_path), "--out", str(corpus_dir)]) == 0
+        disk = self._disk_config(exp_path, corpus_dir)
+        n = EXP_CONFIG["synth"]["n_subjects"]
+        treeseg.experiment.run_experiment(treeseg.experiment.load_config(disk), tmp_path / "library", jobs=1)
+        runs = [["run", "--config", str(disk), "--out", str(tmp_path / "run")], ["train", "--config", str(disk), "--out", str(tmp_path / "model.bin")]]
+        for argv in runs:
+            with redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+        assert len(live_feature_mappings) > 3 * n  # three loads, then the folds' and the model's reads
+        assert max(live_feature_mappings) == 1, live_feature_mappings
+        assert mapped_feature_files() == 0
+
     @pytest.mark.parametrize("command", ["gate", "sweep"])
     def test_gate_and_sweep_map_each_subject_once(self, corpus_dir, tmp_path, monkeypatch, command):
         """load_corpus maps each features file once to check it, and the command once to score it."""

@@ -18,7 +18,8 @@ from treeseg.synth import (
     val_view,
     write_field,
 )
-from treeseg.training import l1_normalize
+from treeseg.losses import LossSpec
+from treeseg.training import TrainConfig, fit_standardizer, l1_normalize, train
 
 from conftest import make_random_tree, mapped_feature_files, needs_proc
 
@@ -165,6 +166,20 @@ class TestFolds:
             assert np.all(truth[held_pixels] == 0)
             assert np.array_equal(truth[~held_pixels], orig[~held_pixels])
 
+    def test_views_share_the_labels_read_only_unless_the_fold_holds_classes_out(self):
+        corpus = self._corpus(4)
+        for fold in make_folds(corpus, 2, 1) + make_folds(corpus, 2, 2):
+            train = [(i, mask) for i, (_, mask) in zip(fold.train_subjects, train_view(corpus, fold))]
+            val = [(i, truth) for i, (_, truth, _) in zip(fold.val_subjects, val_view(corpus, fold))]
+            for i, labels in train + val:
+                assert np.shares_memory(labels, corpus.subjects[i].mask) == (not fold.held_out)
+                if fold.held_out:
+                    labels[0, 0] = 0  # a copy: the corpus keeps its mask
+                else:
+                    with pytest.raises(ValueError, match="read-only"):
+                        labels[0, 0] = 0
+        assert all(np.array_equal(a.mask, b.mask) for a, b in zip(corpus.subjects, self._corpus(4).subjects))
+
     def test_too_many_folds_rejected(self):
         corpus = self._corpus(3)
         with pytest.raises(ConfigError):
@@ -267,10 +282,32 @@ class TestMappedFeatures:
         del first, second
         assert mapped_feature_files() == 0
         for fold in make_folds(corpus, 2):
-            view = train_view(corpus, fold)
-            assert mapped_feature_files() == len(fold.train_subjects)
-            del view
+            for view in (train_view(corpus, fold), val_view(corpus, fold)):
+                assert mapped_feature_files() == 0
+                features = np.asarray(view[0][0])
+                assert mapped_feature_files() == 1
+                del features
         assert mapped_feature_files() == 0
+
+    def test_the_standardizer_of_a_loaded_view_has_the_bits_of_the_read_features(self, saved):
+        corpus = load_corpus(saved)
+        for fold in make_folds(corpus, 2):
+            files = [f for f, _ in train_view(corpus, fold)]
+            read = [read_field(f.path) for f in files]
+            for got, want in zip(fit_standardizer(files), fit_standardizer(read)):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("augment", [False, True])
+    @pytest.mark.parametrize("preproc", ["standardize", "l1", "none"])
+    def test_training_on_a_loaded_view_has_the_bits_of_training_on_the_read_features(self, saved, preproc, augment):
+        corpus = load_corpus(saved)
+        spec, config = LossSpec("wass", EdgeWeightScheme("hier", kappa=10.0)), TrainConfig(epochs=3, batch_size=2, augment=augment, lr=0.05)
+        for fold in make_folds(corpus, 2, 2):
+            view = train_view(corpus, fold)
+            got = train(view, corpus.tree, spec, config, preproc)
+            want = train([(read_field(f.path), m) for f, m in view], corpus.tree, spec, config, preproc)
+            assert [a.tobytes() for a in got[0].arrays] == [a.tobytes() for a in want[0].arrays]
+            assert got[0].preproc == want[0].preproc and got[1] == want[1]
 
     @pytest.mark.parametrize(
         "change, problem",

@@ -92,8 +92,11 @@ class _FeatureFile:
     shape: tuple[int, int, int]
 
     def __array__(self, dtype=None, copy=None):
-        """numpy's array protocol: a new read-only mapping, or a copy of it where ``dtype`` or ``copy`` asks for one."""
-        return np.asanyarray(_map_features(self.path, self.shape), dtype=dtype, copy=copy)
+        """numpy's array protocol: a new read-only mapping, or a copy of it where ``dtype`` or
+        ``copy`` asks for one. numpy 1 passes ``dtype`` alone and numpy 2 ``copy`` too, so no
+        numpy call here is given ``copy``."""
+        m = _map_features(self.path, self.shape)
+        return np.array(m, dtype=dtype) if copy else np.asanyarray(m, dtype=dtype)
 
 
 class _Features:
@@ -102,7 +105,7 @@ class _Features:
     def __get__(self, subject, owner=None):
         if subject is None:
             raise AttributeError("features")  # the dataclass field has no default
-        return np.asanyarray(subject.__dict__["features"])
+        return np.asanyarray(_stored_features(subject))
 
     def __set__(self, subject, value):
         subject.__dict__["features"] = value
@@ -118,6 +121,12 @@ class Subject:
     features: np.ndarray = _Features()  # (H, W, d) float
     truth: np.ndarray  # (H, W) leaf codes 1..C
     mask: np.ndarray  # (H, W) codes, 0 = unannotated
+
+
+def _stored_features(subject: Subject) -> np.ndarray | _FeatureFile:
+    """What ``subject`` stores as its features, unconverted: a generated subject's array, or a
+    loaded one's ``_FeatureFile``, which maps nothing until a reader converts it."""
+    return vars(subject)["features"]
 
 
 @dataclass
@@ -265,14 +274,14 @@ def _labels(codes: np.ndarray, held_out: tuple[int, ...]) -> np.ndarray:
 def train_view(corpus: Corpus, fold: FoldSpec) -> list[tuple[np.ndarray | _FeatureFile, np.ndarray]]:
     """(features, mask) pairs for training; fold-held-out codes are unannotated.
 
-    The features are what each subject stores (``vars``, not the descriptor): a generated
-    subject's array, or a loaded one's ``_FeatureFile``, mapped only while a reader converts
-    it. So the view maps nothing.
+    The features are what each subject stores (``_stored_features``): a generated subject's
+    array, or a loaded one's ``_FeatureFile``, mapped only while a reader converts it. So the
+    view maps nothing.
     """
     out = []
     for i in fold.train_subjects:
         sub = corpus.subjects[i]
-        out.append((vars(sub)["features"], _labels(sub.mask, fold.held_out)))
+        out.append((_stored_features(sub), _labels(sub.mask, fold.held_out)))
     return out
 
 
@@ -287,7 +296,7 @@ def val_view(corpus: Corpus, fold: FoldSpec) -> list[tuple[np.ndarray | _Feature
     out = []
     for i in fold.val_subjects:
         sub = corpus.subjects[i]
-        out.append((vars(sub)["features"], _labels(sub.mask, fold.held_out), sub.mask > 0))
+        out.append((_stored_features(sub), _labels(sub.mask, fold.held_out), sub.mask > 0))
     return out
 
 

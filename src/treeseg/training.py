@@ -11,8 +11,8 @@ Preprocessing is part of the model and lives here: ``train`` takes its
 kind, fits the standardizer on the images it is given and applies it (or
 ``l1_normalize``) to the annotated pixels it keeps, the one copy of the
 features, channel-major (d, n_i). The standardizer streams the images
-through one image-sized buffer and never concatenates them. The images
-may be array-likes, such as a loaded corpus's ``synth._FeatureFile``,
+through one image-sized buffer and never concatenates them. An image's
+features are an array or a loaded corpus's ``synth._FeatureFile``,
 which maps its file when converted: each is converted once per pass
 (twice to fit the standardizer, once to gather its annotated pixels, and
 once more per epoch under ``augment``) and dropped before the next one
@@ -70,7 +70,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -79,8 +79,16 @@ from .hierarchy import LabelTree
 from .losses import LossSpec, Scratch, Terms, _block, _pixel_major, _tile_width, batch_tiles, make_loss, softmax_columns
 from .seeding import substream
 
-if TYPE_CHECKING:
-    from numpy.typing import ArrayLike  # annotations only: importing it costs a fresh interpreter ~1 ms
+
+class ImageFeatures(Protocol):
+    """An image's (H, W, d) features as ``train`` reads them: an array, or anything numpy
+    converts to one that gives its ``shape`` unconverted (a loaded corpus's ``synth._FeatureFile``)."""
+
+    @property
+    def shape(self) -> tuple[int, ...]: ...
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray: ...
+
 
 MODEL_KINDS = ("linear", "mlp")
 PREPROC_KINDS = ("standardize", "l1", "none")  # what train applies to the raw features it is given
@@ -222,12 +230,12 @@ def l1_normalize(image: np.ndarray) -> np.ndarray:
     return np.divide(image, norm, out=image.copy(), where=norm > 0)
 
 
-def fit_standardizer(features: Sequence[ArrayLike]) -> tuple[np.ndarray, np.ndarray]:
+def fit_standardizer(features: Sequence[ImageFeatures]) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel mean and std over all pixels of the images (a zero std reads 1); a mean or std
     that overflows float64 (features near its maximum) is a ValidationError naming the channel.
 
-    The images may be array-likes with a ``shape`` (a loaded subject's ``_FeatureFile``): the
-    sizes are read from the shapes, and each pass converts each image once, dropping it before
+    The images are arrays or loaded subjects' ``_FeatureFile``s: the sizes are read from
+    their ``shape``s, and each pass converts each image once, dropping it before
     the next is converted, so at most one is mapped at a time. The images are streamed, never
     concatenated: one buffer holds an image's (n_i, d) rows below the running sum, and each
     pass (the sums, then the squared deviations from the mean) reduces it to the next running
@@ -310,7 +318,7 @@ def _columns(parts: list[np.ndarray], lo: int, hi: int, buf: np.ndarray | None =
 
 
 def train(
-    subjects: Sequence[tuple[ArrayLike, np.ndarray]],
+    subjects: Sequence[tuple[ImageFeatures, np.ndarray]],
     tree: LabelTree,
     spec: LossSpec,
     config: TrainConfig,
@@ -318,9 +326,9 @@ def train(
 ) -> tuple[ModelParams, list[float]]:
     """Train on raw (features, mask) images; returns (params, per-epoch loss trace).
 
-    The features may be array-likes with a ``shape`` (a loaded subject's ``_FeatureFile``),
-    each converted once per pass and dropped before the next: twice to fit a standardizer,
-    once to gather its annotated pixels, and once more per epoch under ``augment``.
+    The features are arrays or loaded subjects' ``_FeatureFile``s, each converted once per
+    pass and dropped before the next: twice to fit a standardizer, once to gather its
+    annotated pixels, and once more per epoch under ``augment``.
     The loss sees only annotated pixels. Deterministic given config.seed.
     ``preproc`` is one of ``PREPROC_KINDS``: ``standardize`` fits each
     channel's mean and std on all pixels of the images, ``l1`` normalizes
@@ -345,7 +353,7 @@ def train(
     if preproc == "standardize":
         mu, sd = fit_standardizer([f for f, _ in subjects])
 
-    def annotated(features: ArrayLike, mask: np.ndarray, flip_h: bool = False, flip_v: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def annotated(features: ImageFeatures, mask: np.ndarray, flip_h: bool = False, flip_v: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """The annotated pixels' preprocessed features channel-major (d, n_i) and their codes, in
         the raster order of the flipped image, gathered from the unflipped one, which is
         converted here and dropped on return."""

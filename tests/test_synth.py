@@ -273,6 +273,26 @@ class TestMappedFeatures:
         with pytest.raises(ValueError):
             features[0, 0, 0] = 1.0
 
+    def test_a_feature_file_converts_under_numpy_1s_array_calls(self, saved, monkeypatch):
+        """numpy 1's ``asarray``/``asanyarray`` take no ``copy`` and call ``__array__`` with ``dtype`` alone."""
+        corpus = load_corpus(saved)
+        file, want = vars(corpus.subjects[0])["features"], read_field(saved / "s000" / "features.bin")
+        for name in ("asarray", "asanyarray"):
+            real = getattr(np, name)
+
+            def numpy_1(a, dtype=None, order=None, *, _real=real, **kw):
+                if "copy" in kw:
+                    raise TypeError(f"{_real.__name__}() got an unexpected keyword argument 'copy'")
+                return _real(a, dtype, order, **kw)
+
+            monkeypatch.setattr(np, name, numpy_1)
+        assert np.array_equal(corpus.subjects[0].features, want)
+        mapped, single = file.__array__(), file.__array__(np.float32)
+        assert isinstance(mapped, np.memmap) and not mapped.flags.writeable and np.array_equal(mapped, want)
+        assert single.dtype == np.float32 and np.array_equal(single, want.astype(np.float32))
+        copied = file.__array__(copy=True)
+        assert copied.flags.writeable and not np.shares_memory(copied, mapped) and np.array_equal(copied, want)
+
     @needs_proc
     def test_each_read_maps_the_file_until_the_reader_drops_it(self, saved):
         corpus = load_corpus(saved)

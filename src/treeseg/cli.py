@@ -91,7 +91,7 @@ def cmd_gate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i, s in enumerate(corpus.subjects):
-        # one read of a loaded subject's features is one mapping of its file
+        # class_probs converts a loaded subject's features: one mapping of its file, dropped with the image
         labels = scorer.gate(scorer.score(training.class_probs(params, s.features)), args.tau)
         write_field(out / f"pred_s{i:03d}.bin", labels.reshape(s.mask.shape))
     print(f"gated {len(corpus.subjects)} subjects at level {scorer.k}, tau={args.tau:g} -> {out}")

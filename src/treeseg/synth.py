@@ -10,16 +10,19 @@ Corpora are bit-reproducible: every subject draws from an RNG substream
 keyed by (seed, subject index), so generation order and parallelism
 cannot change the output.
 
-A generated corpus holds its features in memory. A corpus read with
-``load_corpus`` holds only its labels and masks, and for each subject a
-``_FeatureFile``: the path of its ``features.bin`` and the shape it had at
-load. Converting one to an array (``np.asarray``, or a read of the
-subject's ``features``) opens a new read-only ``np.memmap`` of the file,
-after the same header and payload-size check ``load_corpus`` made, and the
-mapping is gone once the caller drops it. ``train_view`` and ``val_view``
-hand out the ``_FeatureFile`` itself, so a view maps nothing: each image is
-mapped while a reader converts it, one image at a time, and no heap copy of
-a subject's features exists. A live mapping holds one file descriptor.
+A generated subject's ``features`` is an array in memory. A subject read
+with ``load_corpus`` keeps its labels and mask in memory, and as its
+``features`` a ``_FeatureFile``: the path of its ``features.bin`` and the
+shape it had at load. Converting one to an array (``np.asarray``) opens a
+new read-only ``np.memmap`` of the file, after the same header and
+payload-size check ``load_corpus`` made, and the mapping is gone once the
+caller drops it; that conversion is the one place a loaded subject's file
+is mapped. ``train_view`` and ``val_view`` hand out each subject's
+``features`` as stored, so a view maps nothing: each image is mapped while
+a reader converts it, one image at a time, and no heap copy of a subject's
+features exists. A live mapping holds one file descriptor. ``write_field``
+replaces a file rather than rewriting it, so a loaded corpus can be saved
+over itself.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import numpy as np
 from .errors import ConfigError, ParseError, ValidationError, read_block, read_json_object
 from .hierarchy import LabelTree, random_tree, read_tree, serialize
 from .seeding import substream
+from .training import ImageFeatures
 
 
 @dataclass
@@ -93,40 +97,24 @@ class _FeatureFile:
 
     def __array__(self, dtype=None, copy=None):
         """numpy's array protocol: a new read-only mapping, or a copy of it where ``dtype`` or
-        ``copy`` asks for one. numpy 1 passes ``dtype`` alone and numpy 2 ``copy`` too, so no
+        ``copy`` asks for one; ``copy=False`` with another dtype raises the ``ValueError`` numpy
+        raises for an array. numpy 1 passes ``dtype`` alone and numpy 2 ``copy`` too, so no
         numpy call here is given ``copy``."""
         m = _map_features(self.path, self.shape)
+        if copy is False and dtype is not None and np.dtype(dtype) != m.dtype:
+            raise ValueError(f"Unable to avoid copy while converting {self.path} to {np.dtype(dtype)}")
         return np.array(m, dtype=dtype) if copy else np.asanyarray(m, dtype=dtype)
-
-
-class _Features:
-    """The ``Subject.features`` field: the array stored, or for a ``_FeatureFile`` a new mapping on each read."""
-
-    def __get__(self, subject, owner=None):
-        if subject is None:
-            raise AttributeError("features")  # the dataclass field has no default
-        return np.asanyarray(_stored_features(subject))
-
-    def __set__(self, subject, value):
-        subject.__dict__["features"] = value
 
 
 @dataclass
 class Subject:
-    """One image. A loaded subject stores a ``_FeatureFile``, and its ``features`` is a
-    read-only ``np.memmap`` of its ``features.bin``, opened on each read and unmapped when
-    the reader drops it; a generated subject's is an array in memory. The views of a fold
-    hand out what the subject stores, so they map nothing."""
+    """One image. A generated subject's ``features`` is an array in memory; a loaded one's is a
+    ``_FeatureFile``, which each conversion maps anew as a read-only ``np.memmap`` of its
+    ``features.bin``, unmapped when the reader drops it."""
 
-    features: np.ndarray = _Features()  # (H, W, d) float
+    features: ImageFeatures  # (H, W, d) float
     truth: np.ndarray  # (H, W) leaf codes 1..C
     mask: np.ndarray  # (H, W) codes, 0 = unannotated
-
-
-def _stored_features(subject: Subject) -> np.ndarray | _FeatureFile:
-    """What ``subject`` stores as its features, unconverted: a generated subject's array, or a
-    loaded one's ``_FeatureFile``, which maps nothing until a reader converts it."""
-    return vars(subject)["features"]
 
 
 @dataclass
@@ -271,21 +259,21 @@ def _labels(codes: np.ndarray, held_out: tuple[int, ...]) -> np.ndarray:
     return codes
 
 
-def train_view(corpus: Corpus, fold: FoldSpec) -> list[tuple[np.ndarray | _FeatureFile, np.ndarray]]:
+def train_view(corpus: Corpus, fold: FoldSpec) -> list[tuple[ImageFeatures, np.ndarray]]:
     """(features, mask) pairs for training; fold-held-out codes are unannotated.
 
-    The features are what each subject stores (``_stored_features``): a generated subject's
-    array, or a loaded one's ``_FeatureFile``, mapped only while a reader converts it. So the
-    view maps nothing.
+    The features are each subject's ``features`` itself: a generated subject's array, or a
+    loaded one's ``_FeatureFile``, mapped only while a reader converts it. So the view maps
+    nothing.
     """
     out = []
     for i in fold.train_subjects:
         sub = corpus.subjects[i]
-        out.append((_stored_features(sub), _labels(sub.mask, fold.held_out)))
+        out.append((sub.features, _labels(sub.mask, fold.held_out)))
     return out
 
 
-def val_view(corpus: Corpus, fold: FoldSpec) -> list[tuple[np.ndarray | _FeatureFile, np.ndarray, np.ndarray]]:
+def val_view(corpus: Corpus, fold: FoldSpec) -> list[tuple[ImageFeatures, np.ndarray, np.ndarray]]:
     """(features, eval_truth, domain) triples for validation.
 
     The domain is every sparsely annotated pixel; truth codes of fold-
@@ -296,7 +284,7 @@ def val_view(corpus: Corpus, fold: FoldSpec) -> list[tuple[np.ndarray | _Feature
     out = []
     for i in fold.val_subjects:
         sub = corpus.subjects[i]
-        out.append((_stored_features(sub), _labels(sub.mask, fold.held_out), sub.mask > 0))
+        out.append((sub.features, _labels(sub.mask, fold.held_out), sub.mask > 0))
     return out
 
 
@@ -309,14 +297,23 @@ def val_view(corpus: Corpus, fold: FoldSpec) -> list[tuple[np.ndarray | _Feature
 # folds.json.
 
 
-def write_field(path: Path, arr: np.ndarray) -> None:
+def write_field(path: Path, arr: ImageFeatures) -> None:
+    """Write an image's features or a label field to a file beside ``path`` that then replaces it,
+    so a mapping of the old file (``arr`` itself, when a loaded corpus is saved over itself) keeps
+    its bytes and a write cut short leaves the old file whole."""
+    arr = np.asarray(arr)
     # copies only an array not already C-ordered in the file's dtype
     arr = np.ascontiguousarray(arr, dtype="<f8" if arr.dtype.kind == "f" else "<i8")
     h, w = arr.shape[0], arr.shape[1]
     d = arr.shape[2] if arr.ndim == 3 else 1
-    with open(path, "wb") as f:
-        f.write(f"{h} {w} {d}\n".encode("ascii"))
-        f.write(memoryview(arr).cast("B"))
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(f"{h} {w} {d}\n".encode("ascii"))
+            f.write(memoryview(arr).cast("B"))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 @contextmanager
@@ -401,7 +398,7 @@ def load_corpus(root: Path | str) -> Corpus:
     labels hold codes 1..C, masks 0..C and ``held_out`` 1..C; anything else
     is an error naming the file. Labels and masks are read into memory;
     features are checked through a mapping that is dropped at once, and
-    each later read of a subject's ``features`` maps the file anew.
+    each later conversion of a subject's ``features`` maps the file anew.
     """
     root = Path(root)
     if not root.is_dir():

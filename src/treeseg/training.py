@@ -278,7 +278,7 @@ def absorb_standardization(params: ModelParams, mu: np.ndarray, sd: np.ndarray) 
     return params
 
 
-def class_probs(params: ModelParams, features: np.ndarray) -> np.ndarray:
+def class_probs(params: ModelParams, features: ImageFeatures) -> np.ndarray:
     """Softmax leaf probabilities of raw ``(..., d)`` features, class-major (C, n), in the forward's own buffer."""
     features = np.asarray(features, dtype=float)
     if features.shape[-1] != params.in_dim:

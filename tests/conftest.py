@@ -32,9 +32,10 @@ needs_proc = pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="n
 
 
 def mapped_feature_files() -> int:
-    """How many mappings of a ``features.bin`` this process holds, read from /proc/self/maps."""
+    """How many mappings of a ``features.bin`` this process holds, read from /proc/self/maps: a
+    file since replaced reads ``features.bin (deleted)`` there, and a ``.tmp`` name is not counted."""
     with open("/proc/self/maps") as f:
-        return sum(line.rstrip().endswith("features.bin") for line in f)
+        return sum(line.rstrip().removesuffix(" (deleted)").endswith("features.bin") for line in f)
 
 
 @pytest.fixture

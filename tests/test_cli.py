@@ -974,7 +974,7 @@ def test_a_thousand_and_one_subjects_load_back_in_order(tmp_path):
     root = save_corpus(replace(corpus, subjects=subjects, config=replace(corpus.config, n_subjects=1001)), tmp_path / "corpus")
     loaded = load_corpus(root)
     assert len(loaded.subjects) == 1001
-    assert [s.features[0, 0, 0] for s in loaded.subjects] == [base.features[0, 0, 0] + i for i in range(1001)]
+    assert [np.asarray(s.features)[0, 0, 0] for s in loaded.subjects] == [base.features[0, 0, 0] + i for i in range(1001)]
 
 
 def test_run_on_a_wide_corpus_holds_no_batch_logits(tmp_path, monkeypatch):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,11 @@ from treeseg.training import TrainConfig, fit_standardizer, l1_normalize, train
 from conftest import make_random_tree, mapped_feature_files, needs_proc
 
 SMALL = dict(n_subjects=4, height=20, width=20, channels=5, n_regions=24, seed=42)
+
+
+def corpus_bytes(root) -> dict:
+    """Every file under a corpus directory, by its path relative to it, to its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in sorted(Path(root).rglob("*")) if p.is_file()}
 
 
 class TestGenerate:
@@ -247,7 +256,7 @@ class TestDiskFormat:
 
 
 class TestMappedFeatures:
-    """A loaded corpus keeps labels and masks in memory; each read of a subject's features maps its file."""
+    """A loaded corpus keeps labels and masks in memory; each conversion of a subject's features maps its file."""
 
     @pytest.fixture
     def saved(self, tmp_path):
@@ -268,7 +277,7 @@ class TestMappedFeatures:
         assert all(np.array_equal(a.features, b.features) for a, b in zip(corpus.subjects, loaded.subjects))
 
     def test_loaded_features_are_read_only(self, saved):
-        features = load_corpus(saved).subjects[0].features
+        features = np.asanyarray(load_corpus(saved).subjects[0].features)
         assert isinstance(features, np.memmap)
         with pytest.raises(ValueError):
             features[0, 0, 0] = 1.0
@@ -276,7 +285,7 @@ class TestMappedFeatures:
     def test_a_feature_file_converts_under_numpy_1s_array_calls(self, saved, monkeypatch):
         """numpy 1's ``asarray``/``asanyarray`` take no ``copy`` and call ``__array__`` with ``dtype`` alone."""
         corpus = load_corpus(saved)
-        file, want = vars(corpus.subjects[0])["features"], read_field(saved / "s000" / "features.bin")
+        file, want = corpus.subjects[0].features, read_field(saved / "s000" / "features.bin")
         for name in ("asarray", "asanyarray"):
             real = getattr(np, name)
 
@@ -293,11 +302,58 @@ class TestMappedFeatures:
         copied = file.__array__(copy=True)
         assert copied.flags.writeable and not np.shares_memory(copied, mapped) and np.array_equal(copied, want)
 
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="numpy 1 has no copy=False contract")
+    def test_a_feature_file_keeps_numpy_2s_copy_false_contract(self, saved):
+        """``copy=False`` with another dtype raises as it does for an array; with the mapping's own it maps."""
+        file = load_corpus(saved).subjects[0].features
+        for array_like in (read_field(file.path), file):
+            with pytest.raises(ValueError, match="Unable to avoid copy"):
+                np.asarray(array_like, dtype=np.float32, copy=False)
+        mapped = np.asarray(file, dtype=np.float64, copy=False)
+        assert not mapped.flags.writeable and np.array_equal(mapped, read_field(file.path))
+
+    @pytest.mark.parametrize("loaded", [False, True], ids=["generated", "loaded"])
+    def test_the_views_hand_out_what_each_subject_stores(self, saved, loaded):
+        corpus = load_corpus(saved) if loaded else generate(SynthConfig(**SMALL))
+        for fold in make_folds(corpus, 2, 2):
+            for indices, view in ((fold.train_subjects, train_view(corpus, fold)), (fold.val_subjects, val_view(corpus, fold))):
+                assert len(view) == len(indices)
+                assert all(v[0] is corpus.subjects[i].features for i, v in zip(indices, view))
+
+    def test_a_loaded_corpus_saves_the_bytes_it_was_loaded_from(self, saved, tmp_path):
+        save_corpus(load_corpus(saved), tmp_path / "copy")
+        assert corpus_bytes(tmp_path / "copy") == corpus_bytes(saved)
+
+    def test_a_loaded_corpus_saves_over_itself(self, saved):
+        """Run in a fresh interpreter, so that a save which truncates a file it still maps
+        (a bus error) fails this test and not the whole suite."""
+        before = corpus_bytes(saved)
+        script = "import sys\nfrom treeseg.synth import load_corpus, save_corpus\nsave_corpus(load_corpus(sys.argv[1]), sys.argv[1])\n"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", script, str(saved)], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert corpus_bytes(saved) == before
+        assert not list(saved.rglob("*.tmp"))
+
+    @needs_proc
+    def test_a_mapping_of_a_replaced_file_is_counted_and_a_tmp_one_is_not(self, saved):
+        path = saved / "s000" / "features.bin"
+        tmp = path.with_name("features.bin.tmp")
+        tmp.write_bytes(path.read_bytes())
+        features, copy = np.asarray(load_corpus(saved).subjects[0].features), np.memmap(tmp, mode="r")
+        assert mapped_feature_files() == 1
+        del copy
+        os.replace(tmp, path)  # the mapping now reads "features.bin (deleted)"
+        assert mapped_feature_files() == 1
+        del features
+        assert mapped_feature_files() == 0
+
     @needs_proc
     def test_each_read_maps_the_file_until_the_reader_drops_it(self, saved):
         corpus = load_corpus(saved)
         assert mapped_feature_files() == 0
-        first, second = corpus.subjects[0].features, corpus.subjects[0].features
+        first, second = np.asarray(corpus.subjects[0].features), np.asarray(corpus.subjects[0].features)
         assert first is not second and mapped_feature_files() == 2
         del first, second
         assert mapped_feature_files() == 0
@@ -344,7 +400,7 @@ class TestMappedFeatures:
         path = saved / "s001" / "features.bin"
         path.write_bytes(change(path.read_bytes()))
         with pytest.raises(ParseError, match=problem) as err:
-            corpus.subjects[1].features
+            np.asarray(corpus.subjects[1].features)
         assert str(path) in str(err.value)
         assert np.array_equal(corpus.subjects[0].features, read_field(saved / "s000" / "features.bin"))
 
@@ -352,4 +408,4 @@ class TestMappedFeatures:
         corpus = load_corpus(saved)
         (saved / "s002" / "features.bin").unlink()
         with pytest.raises(ConfigError, match="missing field file .*s002"):
-            corpus.subjects[2].features
+            np.asarray(corpus.subjects[2].features)

@@ -16,13 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from . import experiment as exp
-from . import training
 from .distances import distance_matrix
-from .errors import ConfigError, ShapeError, TreesegError, ValidationError, read_block, read_json_object
-from .evaluation import evaluate_level, level_counts, pool_nsd
+from .errors import ConfigError, LabelError, ShapeError, TreesegError, ValidationError, read_block, read_json_object
+from .evaluation import evaluate_levels, level_counts
 from .gating import LevelScorer, ThresholdPolicy, default_grid
 from .hierarchy import WEIGHT_SCHEMES, EdgeWeightScheme, assign_weights, parse_level, read_tree, resolve_level
-from .synth import SynthConfig, generate, load_corpus, make_folds, read_field, save_corpus, save_folds, write_field
+from .synth import Corpus, SynthConfig, generate, load_corpus, make_folds, read_field, save_corpus, save_folds
 from .training import load_model, save_model
 
 
@@ -85,15 +84,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_gate(args) -> int:
+    ThresholdPolicy(args.tau)  # rejects a tau outside [0, 1] before anything is read
     corpus, params = load_corpus(args.corpus), load_model(args.model)
     scorer = LevelScorer(corpus.tree, resolve_level(corpus.tree, args.level))
-    ThresholdPolicy(args.tau)  # rejects a tau outside [0, 1] before anything is written
+    images = exp.score_images(params, scorer, (s.features for s in corpus.subjects))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for i, s in enumerate(corpus.subjects):
-        # class_probs converts a loaded subject's features: one mapping of its file, dropped with the image
-        labels = scorer.gate(scorer.score(training.class_probs(params, s.features)), args.tau)
-        write_field(out / f"pred_s{i:03d}.bin", labels.reshape(s.mask.shape))
+    exp.write_preds(scorer, images, args.tau, [s.mask for s in corpus.subjects], range(len(images)), out)
     print(f"gated {len(corpus.subjects)} subjects at level {scorer.k}, tau={args.tau:g} -> {out}")
     return 0
 
@@ -101,7 +97,7 @@ def cmd_gate(args) -> int:
 def cmd_sweep(args) -> int:
     corpus, params = load_corpus(args.corpus), load_model(args.model)
     scorer = LevelScorer(corpus.tree, resolve_level(corpus.tree, args.level))
-    images = [scorer.score(training.class_probs(params, s.features)) for s in corpus.subjects]
+    images = exp.score_images(params, scorer, (s.features for s in corpus.subjects))
     tau_m, curve = scorer.sweep(images, [s.mask for s in corpus.subjects], default_grid(args.grid_step))
     out = Path(args.out) if args.out else Path("tau_curve.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -111,14 +107,17 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _load_preds(pred_dir: Path, masks: list[np.ndarray]) -> list[np.ndarray]:
-    """One prediction field per subject; a field whose shape is not its mask's is a ShapeError naming the file."""
+def _load_preds(pred_dir: Path, corpus: Corpus) -> list[np.ndarray]:
+    """One prediction field per subject; a field not in its mask's shape, or holding a code outside 0..C, is an error naming the file."""
     preds = []
-    for i, mask in enumerate(masks):
-        path = pred_dir / f"pred_s{i:03d}.bin"
+    for i, subject in enumerate(corpus.subjects):
+        path, mask = exp.pred_path(pred_dir, i), subject.mask
         pred = read_field(path)
         if pred.shape != mask.shape:
             raise ShapeError(f"{path}: prediction field is {pred.shape[0]}x{pred.shape[1]}, the subject's mask {mask.shape[0]}x{mask.shape[1]}")
+        bad = pred[(pred < 0) | (pred > corpus.n_classes)]
+        if bad.size:
+            raise LabelError(f"{path}: class code {bad[0]} outside 0..{corpus.n_classes}")
         preds.append(pred)
     return preds
 
@@ -128,11 +127,9 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"--tolerance must be >= 0, got {args.tolerance}")
     corpus = load_corpus(args.corpus)
     masks = [s.mask for s in corpus.subjects]
-    preds = _load_preds(Path(args.pred), masks)
+    preds = _load_preds(Path(args.pred), corpus)
     level = resolve_level(corpus.tree, args.level)
-    rep = evaluate_level(corpus.tree, exp.pool_pixels(preds), exp.pool_pixels(masks), level)
-    if args.tolerance is not None:
-        pool_nsd(rep, corpus.tree, preds, masks, args.tolerance)
+    rep = evaluate_levels(corpus.tree, preds, masks, [m > 0 for m in masks], [level], args.tolerance)[0]
     out = Path(args.out) if args.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(json.dumps(rep.to_dict(), indent=2, sort_keys=True))
@@ -143,11 +140,10 @@ def cmd_eval(args) -> int:
 
 def cmd_confusion(args) -> int:
     corpus = load_corpus(args.corpus)
-    masks = [s.mask for s in corpus.subjects]
-    fold_preds = [exp.pool_pixels(_load_preds(Path(d), masks)) for d in args.pred]
+    fold_preds = [exp.pool_pixels(_load_preds(Path(d), corpus)) for d in args.pred]
     out = Path(args.out) if args.out else Path("confusion.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
-    level, truth = resolve_level(corpus.tree, args.level), exp.pool_pixels(masks)
+    level, truth = resolve_level(corpus.tree, args.level), exp.pool_pixels([s.mask for s in corpus.subjects])
     exp.write_confusion_csv(corpus.tree, level, [level_counts(corpus.tree, pred, truth, level) for pred in fold_preds], out)
     print(f"confusion written to {out}")
     return 0
@@ -196,25 +192,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("gate", help="apply background gating to model predictions")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--model", required=True)
+    scored = argparse.ArgumentParser(add_help=False)  # what gate and sweep score: a model on a corpus, at a level
+    scored.add_argument("--corpus", required=True)
+    scored.add_argument("--model", required=True)
+    scored.add_argument("--level", default="topmost")
+    p = sub.add_parser("gate", parents=[scored], help="apply background gating to model predictions")
     p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--level", default="topmost")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gate)
 
-    p = sub.add_parser("sweep", help="sweep the gating threshold on a corpus")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--level", default="topmost")
+    p = sub.add_parser("sweep", parents=[scored], help="sweep the gating threshold on a corpus")
     p.add_argument("--grid-step", type=float, default=0.01)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("eval", help="evaluate stored predictions against a corpus")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--pred", required=True, help="directory with pred_sNNN.bin files")
+    p.add_argument("--pred", required=True, help="directory of prediction fields, as treeseg gate writes them")
     p.add_argument("--level", default="leaf")
     p.add_argument("--tolerance", type=float, default=None, help="NSD tolerance (dense corpora only)")
     p.add_argument("--out", default=None)

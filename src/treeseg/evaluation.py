@@ -237,7 +237,7 @@ def evaluate_level(
 ) -> EvalReport:
     """Evaluate leaf-coded predictions against leaf-coded truth at a level.
 
-    Dice and the one-vs-rest rates read one count table, kept as ``counts``; ``pool_nsd`` adds NSD.
+    Dice and the one-vs-rest rates read one count table, kept as ``counts``; ``evaluate_levels`` adds NSD.
     """
     classes = level_classes(tree, level)
     names = [tree.name_of(c - 1) for c in classes]
@@ -246,20 +246,23 @@ def evaluate_level(
     return EvalReport(level=level, classes=classes, names=names, dice=_dice(table), tpr=ovr["tpr"], bacc=ovr["bacc"], f1=ovr["f1"], counts=table)
 
 
-def pool_nsd(rep: EvalReport, tree: LabelTree, preds: list[np.ndarray], truths: list[np.ndarray], tolerance: float) -> None:
-    """Set ``rep.nsd`` to the per-subject NSD at ``rep.level``, averaged over subjects.
+def pool_pixels(fields: list[np.ndarray]) -> np.ndarray:
+    """Per-subject fields flattened and concatenated into one pixel vector."""
+    return np.concatenate([f.reshape(-1) for f in fields])
 
-    Surface distances need dense truth, so ``rep`` is left without NSD
-    unless every scored truth field is fully annotated.
-    """
-    if not all(np.all(t > 0) for t in truths):
-        return
-    per_subject = [
-        nsd_scores(map_to_level(tree, p, rep.level), map_to_level(tree, t, rep.level), rep.classes, tolerance)
-        for p, t in zip(preds, truths)
-    ]
-    rep.nsd = nanmean_axis0(np.stack(per_subject))
-    rep.nsd_tolerance = tolerance
+
+def evaluate_levels(
+    tree: LabelTree, preds: list[np.ndarray], truths: list[np.ndarray], domains: list[np.ndarray], levels: list[int], tolerance: float | None
+) -> list[EvalReport]:
+    """The evaluation stage: ``evaluate_level`` at each level on the domains, each list pooled once. With a tolerance and
+    dense truth (surface distances need every field annotated), each report also gets NSD per subject, averaged over subjects."""
+    pred, truth, domain = pool_pixels(preds), pool_pixels(truths), pool_pixels(domains)
+    reports = [evaluate_level(tree, pred, truth, level, domain=domain) for level in levels]
+    if tolerance is not None and all(np.all(t > 0) for t in truths):
+        for rep in reports:
+            nsd = [nsd_scores(map_to_level(tree, p, rep.level), map_to_level(tree, t, rep.level), rep.classes, tolerance) for p, t in zip(preds, truths)]
+            rep.nsd, rep.nsd_tolerance = nanmean_axis0(np.stack(nsd)), tolerance
+    return reports
 
 
 def level_counts(tree: LabelTree, pred: np.ndarray, truth: np.ndarray, level: int, domain: np.ndarray | None = None) -> np.ndarray:

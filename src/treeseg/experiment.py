@@ -1,13 +1,13 @@
 """End-to-end experiment runner: corpus -> folds -> train -> gate -> eval.
 
-One config drives the whole pipeline. Per fold: train with the configured
-loss, sweep (or fix) the background threshold on validation, gate, write
-the gated predictions, then evaluate at the requested tree levels and
-count the top-level confusion; finally fold-average metrics and the
-per-fold confusion counts. A fold hands back counts and scores, never
-pixels. Every emitted file lands in the output directory and is listed
-with a content hash in manifest.json, so reruns with the same seed are
-byte-identical.
+One config drives the whole pipeline. A fold, ``run_fold``, is its stages
+in turn: ``fit``, ``score_images`` (predict), ``LevelScorer.sweep`` (unless
+tau is fixed), ``write_preds`` (gate) and ``evaluation.evaluate_levels``;
+CLI gate, sweep and eval call the same functions. Fold metrics and the
+per-fold top-level confusion counts are then averaged. A fold hands back
+counts and scores, never pixels. Every emitted file lands in the output
+directory and is listed with a content hash in manifest.json, so reruns
+with the same seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import io
 import json
 import pickle
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -25,8 +26,8 @@ import numpy as np
 
 from .distances import distance_matrix
 from .errors import ConfigError, RangeError, TreesegError, check_keys, key_prefix, number, read_block, read_json_object
-from .evaluation import LEVEL_MEANS, ConfusionTensor, EvalReport, evaluate_level, level_classes, level_counts, pool_nsd
-from .gating import LevelScorer, ThresholdPolicy, check_grid_step, default_grid
+from .evaluation import LEVEL_MEANS, ConfusionTensor, EvalReport, evaluate_levels, level_classes, level_counts, pool_pixels
+from .gating import LevelScorer, ScoredImage, ThresholdPolicy, check_grid_step, default_grid
 from .hierarchy import EdgeWeightScheme, LabelTree, assign_weights, parse_level, read_tree, resolve_level
 from .losses import LossSpec
 from .seeding import substream
@@ -42,7 +43,7 @@ from .synth import (
     val_view,
     write_field,
 )
-from .training import ModelParams, TrainConfig, check_preproc, class_probs, train
+from .training import ImageFeatures, ModelParams, TrainConfig, check_preproc, class_probs, train
 
 # fixed yardstick for the tree distance of misclassified pixels, independent
 # of the loss used for training
@@ -226,11 +227,6 @@ def _csv(rows: list[list], header: list[str]) -> str:
     return text.getvalue()
 
 
-def pool_pixels(fields: list[np.ndarray]) -> np.ndarray:
-    """Per-subject fields flattened and concatenated into one pixel vector."""
-    return np.concatenate([f.reshape(-1) for f in fields])
-
-
 def write_tau_curve(curve: np.ndarray, path: Path) -> None:
     path.write_text(_csv([list(row) for row in curve], ["tau", "tpr", "bacc", "f1"]))
 
@@ -238,6 +234,28 @@ def write_tau_curve(curve: np.ndarray, path: Path) -> None:
 def fold_dir(out: Path | str, index: int) -> Path:
     """The directory of fold ``index``'s predictions and tau curve in a run's output."""
     return Path(out) / f"fold_{index:03d}"
+
+
+def pred_path(directory: Path | str, subject: int) -> Path:
+    """The file of subject ``subject``'s gated prediction in ``directory``."""
+    return Path(directory) / f"pred_s{subject:03d}.bin"
+
+
+def score_images(params: ModelParams, scorer: LevelScorer, features: Iterable[ImageFeatures]) -> list[ScoredImage]:
+    """The predict stage: each image's class-major probabilities, scored once in the forward's own buffer and then dropped.
+    ``class_probs`` converts a loaded subject's features: one mapping of its file, dropped with the image."""
+    return [scorer.score(class_probs(params, f)) for f in features]
+
+
+def write_preds(
+    scorer: LevelScorer, images: list[ScoredImage], tau: float, truths: list[np.ndarray], subjects: Iterable[int], directory: Path | str
+) -> list[np.ndarray]:
+    """The gate stage: each image gated at ``tau`` in its truth's shape, written to its subject's ``pred_path`` in ``directory``."""
+    preds = [scorer.gate(image, tau).reshape(t.shape) for image, t in zip(images, truths)]
+    Path(directory).mkdir(parents=True, exist_ok=True)
+    for subject, pred in zip(subjects, preds):
+        write_field(pred_path(directory, subject), pred)
+    return preds
 
 
 def write_confusion_csv(tree: LabelTree, level: int, fold_counts: list[np.ndarray], path: Path) -> None:
@@ -264,45 +282,32 @@ class FoldResult:
 
 
 def run_fold(corpus: Corpus, fold: FoldSpec, config: ExperimentConfig, out: Path | str) -> FoldResult:
-    """Train, gate and evaluate one fold; its gated predictions are written to its
-    ``fold_dir`` under ``out``, and the result holds counts and scores, no pixels."""
+    """Train, gate and evaluate one fold, stage by stage; its gated predictions and tau curve are
+    written to its ``fold_dir`` under ``out``, and the result holds counts and scores, no pixels."""
     tree = corpus.tree
     k, eval_levels = config_levels(tree, config)
     params, trace = fit(corpus, fold, config)
 
-    # each validation image is scored once, class-major, in the forward's own buffer,
-    # down to four per-pixel vectors: no image's probabilities outlive its scoring
     scorer = LevelScorer(tree, k)
-    val = val_view(corpus, fold)
-    images = [scorer.score(class_probs(params, f)) for f, _, _ in val]
-    truths = [t for _, t, _ in val]
-    domains = [d for _, _, d in val]
-
+    features, truths, domains = map(list, zip(*val_view(corpus, fold)))
+    images = score_images(params, scorer, features)
     if config.tau is None:
         tau, curve = scorer.sweep(images, truths, default_grid(config.grid_step))
     else:
         tau, curve = float(config.tau), None
-    preds = [scorer.gate(image, tau).reshape(t.shape) for image, t in zip(images, truths)]
-    pred_dir = fold_dir(out, fold.index)
-    pred_dir.mkdir(parents=True, exist_ok=True)
-    for subject, pred in zip(fold.val_subjects, preds):
-        write_field(pred_dir / f"pred_s{subject:03d}.bin", pred)
+    preds = write_preds(scorer, images, tau, truths, fold.val_subjects, fold_dir(out, fold.index))
+    if curve is not None:
+        write_tau_curve(curve, fold_dir(out, fold.index) / "tau_curve.csv")
 
-    pooled_pred, pooled_truth, pooled_domain = pool_pixels(preds), pool_pixels(truths), pool_pixels(domains)
     # topmost, when not evaluated, is counted before the reports: after them, its temporaries raised a fold worker's peak RSS
     top = tree.levels - 1
-    counts = None if top in eval_levels else level_counts(tree, pooled_pred, pooled_truth, top, domain=pooled_domain)
-    reports = {}
-    for level in eval_levels:
-        rep = evaluate_level(tree, pooled_pred, pooled_truth, level, domain=pooled_domain)
-        if config.nsd_tolerance is not None:
-            pool_nsd(rep, tree, preds, truths, config.nsd_tolerance)
-        reports[level] = rep
+    counts = None if top in eval_levels else level_counts(tree, pool_pixels(preds), pool_pixels(truths), top, domain=pool_pixels(domains))
+    reports = dict(zip(eval_levels, evaluate_levels(tree, preds, truths, domains, eval_levels, config.nsd_tolerance)))
 
-    # ungated leaf argmax, for accuracy and the semantic distance of errors
-    pooled_raw = pool_pixels([image.leaf + 1 for image in images])
-    fg = pooled_domain & (pooled_truth > 0)
-    raw, truth = pooled_raw[fg], pooled_truth[fg]
+    # ungated leaf argmax on the domain's foreground truth, for accuracy and the semantic distance of errors
+    fg = [d.reshape(-1) & (t.reshape(-1) > 0) for t, d in zip(truths, domains)]
+    raw = pool_pixels([(image.leaf + 1)[on] for image, on in zip(images, fg)])
+    truth = pool_pixels([t.reshape(-1)[on] for t, on in zip(truths, fg)])
     leaf_acc = float(np.mean(raw == truth)) if truth.size else None
     err_dist = semantic_error_distance(distance_matrix(assign_weights(tree, ERROR_METRIC_SCHEME)), raw, truth)
 
@@ -456,9 +461,6 @@ def run_experiment(config: ExperimentConfig, out: Path | str, jobs: int = 1) -> 
         results = [run_fold(corpus, f, config, out) for f in folds]
 
     tree = corpus.tree
-    for res in results:
-        if res.curve is not None:
-            write_tau_curve(res.curve, fold_dir(out, res.fold.index) / "tau_curve.csv")
     write_confusion_csv(tree, tree.levels - 1, [r.confusion for r in results], out / "confusion.csv")
 
     means: dict = {"levels": {}}

@@ -31,11 +31,24 @@ def wide_tree_doc(groups: int = 9, leaves: int = 11) -> str:
 needs_proc = pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="no /proc/self/maps")
 
 
+_test_root: str | None = None  # the running test's tmp_path, resolved, when it uses one
+
+
+@pytest.fixture(autouse=True)
+def _record_tmp_path(request):
+    """Records the running test's tmp_path for ``mapped_feature_files``, if the test uses one."""
+    global _test_root
+    _test_root = str(request.getfixturevalue("tmp_path").resolve()) + os.sep if "tmp_path" in request.fixturenames else None
+
+
 def mapped_feature_files() -> int:
-    """How many mappings of a ``features.bin`` this process holds, read from /proc/self/maps: a
-    file since replaced reads ``features.bin (deleted)`` there, and a ``.tmp`` name is not counted."""
+    """How many mappings of a ``features.bin`` under the running test's tmp_path this process
+    holds, read from /proc/self/maps: a file since replaced reads ``features.bin (deleted)``
+    there, and a ``.tmp`` name is not counted. A mapping an earlier test left behind lies under
+    that test's tmp_path, so it is not counted either."""
+    assert _test_root is not None, "mapped_feature_files needs a test that uses tmp_path"
     with open("/proc/self/maps") as f:
-        return sum(line.rstrip().removesuffix(" (deleted)").endswith("features.bin") for line in f)
+        return sum(_test_root in line and line.rstrip().removesuffix(" (deleted)").endswith("features.bin") for line in f)
 
 
 @pytest.fixture

@@ -702,8 +702,10 @@ class TestEvalTolerance:
             assert main(["eval", "--corpus", str(sub), "--pred", str(preds), "--level", level_name, "--tolerance", "2", "--out", str(out)]) == 0
             report = json.loads((out / "report.json").read_text())
             assert report["means"]["nsd"] is not None
-            assert report["per_class"]["nsd"] == fold["levels"][level]["per_class"]["nsd"]
-            assert report["means"]["nsd"] == fold["levels"][level]["means"]["nsd"]
+            # run and eval share the evaluation stage: every score of the fold's level entry
+            for key in ("dice", "tpr", "bacc", "f1", "nsd"):
+                assert report["per_class"][key] == fold["levels"][level]["per_class"][key], key
+                assert report["means"][key] == fold["levels"][level]["means"][key], key
 
 
 @pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity"])
@@ -1297,7 +1299,8 @@ def test_eval_and_confusion_write_the_same_confusion_csv(corpus_dir, tmp_path):
 
 
 class TestPredictionInputs:
-    """A prediction field whose shape is not its subject's mask is exit 1 naming the file."""
+    """A prediction field whose shape is not its subject's mask, or that holds a code outside
+    0..C, is exit 1 naming the file."""
 
     @pytest.fixture
     def preds(self, corpus_dir, tmp_path):
@@ -1316,6 +1319,17 @@ class TestPredictionInputs:
     def test_confusion_exits_one(self, corpus_dir, preds, tmp_path, capsys):
         assert main(["confusion", "--corpus", str(corpus_dir), "--pred", str(preds), "--out", str(tmp_path / "c.csv")]) == 1
         assert str(preds / "pred_s002.bin") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "confusion"])
+    def test_an_out_of_range_code_exits_one(self, corpus_dir, preds, tmp_path, capsys, command):
+        n_classes = load_corpus(corpus_dir).n_classes
+        path = preds / "pred_s001.bin"
+        labels = read_field(path)
+        labels[3, 5] = 999
+        write_field(path, labels)
+        out = tmp_path / ("evald" if command == "eval" else "c.csv")
+        assert main([command, "--corpus", str(corpus_dir), "--pred", str(preds), "--out", str(out)]) == 1
+        assert f"{path}: class code 999 outside 0..{n_classes}" in capsys.readouterr().err
 
 
 # -- model-file fuzz ---------------------------------------------------------

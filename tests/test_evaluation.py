@@ -6,12 +6,12 @@ from treeseg.evaluation import (
     confusion,
     dice_scores,
     evaluate_level,
+    evaluate_levels,
     level_classes,
     level_counts,
     map_to_level,
     nsd_scores,
     ovr_scores,
-    pool_nsd,
 )
 
 from conftest import make_random_tree
@@ -305,10 +305,9 @@ class TestEvaluateLevel:
         truth[3:, :] = 2
         rep = evaluate_level(t, truth, truth, 0)
         assert rep.nsd is None
-        pool_nsd(rep, t, [truth], [truth], 1.0)
+        rep = evaluate_levels(t, [truth], [truth], [truth > 0], [0], 1.0)[0]
         assert rep.nsd is not None and rep.nsd_tolerance == 1.0
         sparse = truth.copy()
         sparse[0, 0] = 0
-        rep2 = evaluate_level(t, truth, sparse, 0)
-        pool_nsd(rep2, t, [truth], [sparse], 1.0)
+        rep2 = evaluate_levels(t, [truth], [sparse], [truth > 0], [0], 1.0)[0]
         assert rep2.nsd is None and rep2.nsd_tolerance is None

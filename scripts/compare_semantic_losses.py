@@ -18,7 +18,7 @@ from pathlib import Path
 import treeseg.experiment as exp
 
 LOSSES = {
-    "ce_baseline": {"semantic": "wass", "scheme": "hier", "kappa": 10, "alpha": 0.0, "beta": 1.0, "seg": "ce"},
+    "ce_baseline": {"semantic": "none", "beta": 1.0, "seg": "ce"},
     "wass_hier10": {"semantic": "wass", "scheme": "hier", "kappa": 10, "alpha": 0.5, "beta": 0.5, "seg": "ce"},
     "twce_hier2": {"semantic": "twce", "scheme": "hier", "kappa": 2, "alpha": 0.5, "beta": 0.5, "seg": "ce"},
 }

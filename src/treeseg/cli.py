@@ -21,7 +21,7 @@ from .errors import ConfigError, LabelError, ShapeError, TreesegError, Validatio
 from .evaluation import evaluate_levels, level_counts
 from .gating import LevelScorer, ThresholdPolicy, default_grid
 from .hierarchy import WEIGHT_SCHEMES, EdgeWeightScheme, assign_weights, parse_level, read_tree, resolve_level
-from .synth import Corpus, SynthConfig, generate, load_corpus, make_folds, read_field, save_corpus, save_folds
+from .synth import Corpus, SynthConfig, _check_codes, generate, load_corpus, make_folds, read_field, save_corpus, save_folds
 from .training import load_model, save_model
 
 
@@ -59,7 +59,7 @@ def cmd_synth(args) -> int:
     data = read_json_object(args.config) if args.config else {}
     if "synth" in data:  # an experiment config: the corpus that `run` and `train` generate
         config = _config(args)
-        corpus = generate(replace(config.synth, seed=config.seed))
+        corpus = exp.build_corpus(config)
         folds = make_folds(corpus, config.n_subject_folds, config.n_label_folds)
     else:  # a bare synth block
         cfg = read_block(data, SynthConfig, "synth", tree=None)
@@ -95,10 +95,11 @@ def cmd_gate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    grid = default_grid(args.grid_step)  # rejects a step outside (0, 1] before anything is read
     corpus, params = load_corpus(args.corpus), load_model(args.model)
     scorer = LevelScorer(corpus.tree, resolve_level(corpus.tree, args.level))
     images = exp.score_images(params, scorer, (s.features for s in corpus.subjects))
-    tau_m, curve = scorer.sweep(images, [s.mask for s in corpus.subjects], default_grid(args.grid_step))
+    tau_m, curve = scorer.sweep(images, [s.mask for s in corpus.subjects], grid)
     out = Path(args.out) if args.out else Path("tau_curve.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
     exp.write_tau_curve(curve, out)
@@ -115,9 +116,7 @@ def _load_preds(pred_dir: Path, corpus: Corpus) -> list[np.ndarray]:
         pred = read_field(path)
         if pred.shape != mask.shape:
             raise ShapeError(f"{path}: prediction field is {pred.shape[0]}x{pred.shape[1]}, the subject's mask {mask.shape[0]}x{mask.shape[1]}")
-        bad = pred[(pred < 0) | (pred > corpus.n_classes)]
-        if bad.size:
-            raise LabelError(f"{path}: class code {bad[0]} outside 0..{corpus.n_classes}")
+        _check_codes(pred, 0, corpus.n_classes, str(path), LabelError)
         preds.append(pred)
     return preds
 

@@ -74,9 +74,6 @@ class ExperimentConfig:
             raise ConfigError("config needs either a synth block or a corpus path")
         if self.synth is not None and self.corpus_path is not None:
             raise ConfigError("config names both 'corpus' and a 'synth' block; give one of them")
-        if self.loss.alpha == 0 and (self.loss.seg == "none" or self.loss.beta == 0):
-            other = "loss.seg is 'none'" if self.loss.seg == "none" else "loss.beta is 0"
-            raise ConfigError(f"the loss has no term: loss.alpha is 0 and {other}")
         check_preproc(self.preproc)
         if not self.seed >= 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
@@ -194,6 +191,8 @@ def fit(corpus: Corpus, fold: FoldSpec, config: ExperimentConfig) -> tuple[Model
 
 
 def loss_label(spec: LossSpec) -> str:
+    if spec.semantic == "none":  # the scheme, kappa and alpha have no effect
+        return f"{spec.seg}(b={spec.beta:g})"
     scheme = spec.scheme.kind + (f"{spec.scheme.kappa:g}" if spec.scheme.kind == "hier" else "")
     return f"{spec.semantic}[{scheme}]+{spec.seg}(a={spec.alpha:g};b={spec.beta:g})"
 

@@ -27,10 +27,10 @@ A compound is one fused pass per tile, not a sum of separate terms.
 writes the whole gradient, ``p * (dL/dp - <p, dL/dp> + beta) - beta *
 onehot`` over n with ``L`` the alpha-weighted term, into the tile's
 softmax. So a compound equals the sum of its separately computed terms
-to rounding, not to the bit. With ``alpha == 0`` (the plain-CE baseline)
-``make_loss`` compiles no kernel: no edge weights, distance matrix or
-chain tables. What stays bitwise: ``alpha == 0`` equals ``seg_loss_ce``;
-``beta == 0`` equals the lone term (``wasserstein_crisp``,
+to rounding, not to the bit. A ``none`` spec (``alpha == 0``, the
+plain-CE baseline) compiles to no kernel: no edge weights, distance
+matrix or chain tables. What stays bitwise: ``none`` equals
+``seg_loss_ce``; ``beta == 0`` equals the lone term (``wasserstein_crisp``,
 ``tree_weighted_ce``), since ``seg="none"`` is the same kernel with
 ``beta = 0``; and every result is independent of the tile width.
 
@@ -80,8 +80,8 @@ into ``out`` with the default ``mode="raise"`` buffers its result, and
 ``_Batch`` has already checked every code, so clipping changes no value.
 The tree-weighted CE's is an (N, T) node table.
 
-``make_loss`` compiles the tree into the kernels' arrays once, if
-``alpha > 0``. The tree-weighted CE kernel reads only each pixel's
+``make_loss`` compiles the tree into the kernels' arrays once, unless the
+spec is ``none``. The tree-weighted CE kernel reads only each pixel's
 ancestor chain (K nodes), not every node, for its loss; it then pushes
 the chain's gradient terms down the tree in its node table, one pass
 over the inner nodes, so it gathers no (C, T) gradient (``_TreeCE``).
@@ -103,13 +103,15 @@ DICE_SMOOTH = 1e-5
 TILE_BYTES = 4 << 20  # the most (C, T) float64 one tile of a loss or softmax call holds
 
 SEG_KINDS = ("ce", "dice_ce", "none")
-SEMANTIC_KINDS = ("wass", "twce")
+SEMANTIC_KINDS = ("wass", "twce", "none")
 
 
 @dataclass(frozen=True)
 class LossSpec:
     """Compound loss configuration: alpha * semantic + beta * seg.
 
+    ``semantic="none"`` (beta * seg alone, the plain-CE baseline) is the one
+    form of every ``alpha == 0`` spec: scheme, kappa and alpha are reset.
     ``seg="none"`` is only allowed for the tree-weighted CE, where the
     leaf-edge terms already play the role of a CE on leaves.
     """
@@ -128,6 +130,11 @@ class LossSpec:
         for key, value in (("alpha", self.alpha), ("beta", self.beta)):
             if not 0 <= value < math.inf:
                 raise ConfigError(f"{key} must be finite and nonnegative, got {value!r}")
+        if self.alpha == 0 or self.semantic == "none":
+            for key, value in (("semantic", "none"), ("alpha", 0.0), ("scheme", EdgeWeightScheme("equal"))):
+                object.__setattr__(self, key, value)
+        if self.semantic == "none" and (self.seg == "none" or self.beta == 0):
+            raise ConfigError("the loss has no term: loss.alpha is 0 and " + ("loss.seg is 'none'" if self.seg == "none" else "loss.beta is 0"))
         if self.seg == "none" and self.semantic != "twce":
             raise ConfigError("seg='none' is only valid with the tree-weighted CE")
 
@@ -464,7 +471,7 @@ def _ce(b: _Tile) -> np.ndarray:
 
 
 def _plain_ce(b: _Tile, beta: float) -> None:
-    """The tile's gradient of beta * CE alone (alpha == 0), built in the softmax's own buffer."""
+    """The tile's gradient of beta * CE alone (a ``none`` spec), built in the softmax's own buffer."""
     b.flat[b.true] -= 1.0
     b.p /= b.n
     b.p *= beta
@@ -537,9 +544,9 @@ class _Loss:
     ``tile`` is the one tile kernel. The semantic kernel, compiled with
     ``alpha`` folded in, writes the tile's whole alpha * semantic + beta * CE
     gradient over its softmax; ``seg="none"`` is the same kernel with
-    ``beta = 0``. ``semantic`` is None for ``alpha == 0`` (the plain-CE
-    baseline): ``make_loss`` then compiles no kernel, and each tile gets
-    beta * CE alone. A Dice term reads the softmax first and adds beta times
+    ``beta = 0``. ``semantic`` is None for a ``none`` spec (the plain-CE
+    baseline, every ``alpha == 0`` spec): ``make_loss`` then compiles no
+    kernel, and each tile gets beta * seg alone. A Dice term reads the softmax first and adds beta times
     its gradient last. The result equals the sum of the separate terms to
     rounding (see the module notes).
     """
@@ -647,15 +654,15 @@ def tree_weighted_ce(tree: LabelTree, logits: np.ndarray, target: np.ndarray) ->
 
 
 def compound_wass(spec: LossSpec, tree: LabelTree, logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """alpha * Wasserstein + beta * seg."""
-    if spec.semantic != "wass":
+    """alpha * Wasserstein + beta * seg; a ``none`` spec drops the first term."""
+    if spec.semantic not in ("wass", "none"):
         raise ConfigError(f"compound_wass needs semantic='wass', got {spec.semantic!r}")
     return _pixel_major_call(make_loss(tree, spec), logits, target)
 
 
 def compound_twce(spec: LossSpec, tree: LabelTree, logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """alpha * tree-weighted CE + beta * seg; seg='none' drops the second term."""
-    if spec.semantic != "twce":
+    """alpha * tree-weighted CE + beta * seg; seg='none' drops the second term, a ``none`` spec the first."""
+    if spec.semantic not in ("twce", "none"):
         raise ConfigError(f"compound_twce needs semantic='twce', got {spec.semantic!r}")
     return _pixel_major_call(make_loss(tree, spec), logits, target)
 
@@ -669,8 +676,8 @@ def make_loss(tree: LabelTree, spec: LossSpec) -> _Loss:
     term reads a precomputed distance matrix; the tree-weighted CE reads
     the aggregation order, the inner nodes root side first for its
     push-down, and two leaf tables, each leaf's (K,) ancestor chain and its
-    edge weights. With ``alpha == 0`` nothing is compiled and the callable
-    is beta * seg.
+    edge weights. A ``none`` spec (every spec with ``alpha == 0``) compiles
+    nothing: the callable is beta * seg.
 
     The batch is worked in column tiles of at most ``TILE_BYTES`` of (C, T)
     float64 (one tile with a Dice term), each in place in its own columns.
@@ -682,7 +689,7 @@ def make_loss(tree: LabelTree, spec: LossSpec) -> _Loss:
     ``Scratch``; see ``_Loss``.
     """
     semantic = None
-    if spec.alpha:
+    if spec.semantic != "none":
         weighted = assign_weights(tree, spec.scheme)
         semantic = _Wasserstein(distance_matrix(weighted), spec.alpha) if spec.semantic == "wass" else _TreeCE(weighted, spec.alpha)
     return _Loss(semantic, spec.seg, spec.beta, tree.n_leaves)

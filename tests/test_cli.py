@@ -267,6 +267,20 @@ class TestRunAndCompare:
         assert (out / "comparison.csv").exists()
         assert (out / "comparison.txt").exists()
 
+    def test_every_plain_ce_spelling_is_one_run(self, exp_file, tmp_path, capsys):
+        """wass at alpha = 0 and semantic 'none' write the same bytes, and compare labels the run
+        ce(b=1) beside a wass run."""
+        runs = {}
+        for name, loss in (("spelled", {"semantic": "wass", "scheme": "hier", "alpha": 0, "beta": 1}), ("none", {"semantic": "none", "beta": 1})):
+            runs[name] = tmp_path / name
+            assert main(["run", "--config", str(_write_config(tmp_path, name, loss=loss)), "--out", str(runs[name])]) == 0
+        assert (runs["spelled"] / "manifest.json").read_bytes() == (runs["none"] / "manifest.json").read_bytes()
+        main(["run", "--config", str(exp_file), "--out", str(tmp_path / "wass")])
+        capsys.readouterr()
+        assert main(["compare", str(tmp_path / "wass"), str(runs["none"])]) == 0
+        methods = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:3]]
+        assert methods == ["wass[hier10]+ce(a=0.5;b=0.5)", "ce(b=1)"]
+
     def test_compare_identical_runs_zero_deltas(self, exp_file, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         main(["run", "--config", str(exp_file), "--out", str(a)])
@@ -1015,6 +1029,17 @@ def test_eval_tolerance_below_zero_exits_one(corpus_dir, tmp_path, capsys, toler
     assert main(args) == 0
     assert main(args + ["--tolerance", tolerance]) == 1
     assert "--tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [(["gate", "--tau", "1.5", "--out", "gated"], "tau must be in [0, 1]"), (["sweep", "--grid-step", "0"], "grid_step must be in (0, 1]")],
+)
+def test_a_bad_threshold_setting_exits_one_before_the_corpus_is_read(tmp_path, capsys, command, message):
+    """gate's tau and sweep's grid step are checked first: the missing corpus is never reached."""
+    args = [command[0], "--corpus", str(tmp_path / "missing"), "--model", str(tmp_path / "model.bin"), *command[1:]]
+    assert main(args) == 1
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -309,6 +309,19 @@ class TestCompound:
         with pytest.raises(ConfigError, match="compound_twce needs semantic='twce', got 'wass'"):
             compound_twce(LossSpec("wass", EdgeWeightScheme("equal")), three_leaf_tree, logits, target)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            LossSpec("wass", EdgeWeightScheme("hier", kappa=10.0), alpha=0.0, beta=1.0),
+            LossSpec("twce", EdgeWeightScheme("leaf"), alpha=0.0, beta=1.0),
+            LossSpec("none", EdgeWeightScheme("top"), alpha=0.7, beta=1.0),
+        ],
+    )
+    def test_every_alpha_zero_spelling_is_the_none_spec(self, spec):
+        """alpha = 0 is semantic 'none' whatever the kind and scheme: they have no effect."""
+        assert spec == LossSpec("none", EdgeWeightScheme("equal"), beta=1.0)
+        assert (spec.semantic, spec.alpha, spec.scheme) == ("none", 0.0, EdgeWeightScheme("equal"))
+
     def test_seg_none_outside_twce_rejected(self):
         with pytest.raises(ConfigError):
             LossSpec("wass", EdgeWeightScheme("equal"), seg="none")
@@ -489,7 +502,7 @@ ORACLE_CASES = [
     for semantic, seg in (("wass", "ce"), ("wass", "dice_ce"), ("twce", "ce"), ("twce", "dice_ce"), ("twce", "none"))
     for alpha in (0.0, 0.5)
     for sparse in (False, True)
-    if not (sparse and seg == "dice_ce")
+    if not (sparse and seg == "dice_ce") and not (seg == "none" and alpha == 0.0)  # that spec has no term
 ]
 
 

@@ -55,6 +55,23 @@ def test_nothing_to_train_on_is_empty_mask_error():
         train([(np.ones((4, 4, 2)), np.zeros((4, 4), dtype=int))], tree, CE_SPEC, config)
 
 
+@pytest.mark.parametrize("entry", ["make_loss", "train"])
+@pytest.mark.parametrize(
+    "semantic, seg, beta, other",
+    [("wass", "ce", 0.0, "loss.beta is 0"), ("twce", "none", 0.5, "loss.seg is 'none'")],
+)
+def test_a_loss_with_no_term_is_config_error(entry, semantic, seg, beta, other):
+    """alpha = 0 with beta = 0, or with seg = 'none', leaves no term: the spec itself is
+    rejected, so neither make_loss nor train returns a loss or a trace of zeros."""
+    tree = make_random_tree(0, depth=1, branching=(2, 2))
+    calls = {
+        "make_loss": lambda spec: make_loss(tree, spec),
+        "train": lambda spec: train(two_blob_subjects(np.random.default_rng(0)), tree, spec, TrainConfig(epochs=3)),
+    }
+    with pytest.raises(ConfigError, match=f"^the loss has no term: loss.alpha is 0 and {other}$"):
+        calls[entry](LossSpec(semantic, EdgeWeightScheme("hier", kappa=2.0), seg=seg, alpha=0.0, beta=beta))
+
+
 def test_same_seed_is_bit_identical():
     corpus = generate(SynthConfig(n_subjects=4, height=16, width=16, channels=4, n_regions=24, seed=2))
     data = [(s.features, s.mask) for s in corpus.subjects]
